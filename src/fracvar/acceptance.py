@@ -37,7 +37,6 @@ from .optctrl import (
     _hamiltonian_values,
 )
 from .scenarios import parse_scenario, run_scenario
-from .special import gamma
 from .variational import VariationalProblem, el_residual, solve_extremal
 
 
@@ -76,7 +75,7 @@ def criterion_operator_accuracy(cache):
         g = Grid(0.0, 1.0, n)
         t = g.nodes()
         out = caputo_left(GridFunction(g, t**2), alpha).column()
-        exact = gamma(3.0) / gamma(3.0 - alpha) * t ** (2.0 - alpha)
+        exact = math.gamma(3.0) / math.gamma(3.0 - alpha) * t ** (2.0 - alpha)
         errors[n] = float(np.max(np.abs(out - exact)))
     orders = [
         math.log2(errors[n] / errors[2 * n]) for n in (64, 128, 256)

@@ -23,6 +23,8 @@ derivative (one-sided at the ends), matching the classical limit exactly.
 
 from __future__ import annotations
 
+from math import gamma
+
 import numpy as np
 
 from .errors import ValidationError
@@ -35,7 +37,6 @@ from .grid import (
     require_same_grid,
     trapezoid,
 )
-from .special import gamma
 
 __all__ = [
     "rl_integral_left",

@@ -120,14 +120,8 @@ class GridFunction:
 
     def to_csv(self, path) -> None:
         """Write ``t,v0[,v1,...]`` rows at full double precision."""
-        header = "t," + ",".join(f"v{j}" for j in range(self.dim))
-        t = self.grid.nodes()
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(header + "\n")
-            for i in range(self.grid.n + 1):
-                row = [CSV_FLOAT_FORMAT % t[i]]
-                row += [CSV_FLOAT_FORMAT % v for v in self.values[i]]
-                fh.write(",".join(row) + "\n")
+        header = ["t"] + [f"v{j}" for j in range(self.dim)]
+        write_csv(path, header, [self.grid.nodes(), self.values])
 
     @classmethod
     def read_csv(cls, path) -> "GridFunction":
@@ -145,6 +139,22 @@ class GridFunction:
 
 
 # -- shared array helpers ---------------------------------------------
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a comma-separated table at full double precision.
+
+    ``columns`` are 1-D arrays (one column each) or 2-D blocks (one column
+    per block column), all with the same number of rows.
+    """
+    np.savetxt(
+        path,
+        np.column_stack(columns),
+        fmt=CSV_FLOAT_FORMAT,
+        delimiter=",",
+        header=",".join(header),
+        comments="",
+    )
 
 
 def central_difference(values: np.ndarray, h: float) -> np.ndarray:

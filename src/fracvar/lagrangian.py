@@ -25,23 +25,38 @@ Evaluator = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarra
 Partial = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def _fd_partial(evaluate: Evaluator, slot: int) -> Partial:
-    """Central finite-difference partial in argument ``slot`` (1=q, 2=v, 3=w)."""
+def fd_partial(evaluate: Callable, args: Sequence, slot: int) -> np.ndarray:
+    """Central differences of ``evaluate(*args)`` in each column of ``args[slot]``.
 
-    def partial(t, q, v, w):
-        args = [np.asarray(q, float), np.asarray(v, float), np.asarray(w, float)]
-        x = args[slot - 1]
-        out = np.empty_like(x)
-        for j in range(x.shape[1]):
-            step = _FD_STEP * (1.0 + np.abs(x[:, j]))
-            hi = [a.copy() for a in args]
-            lo = [a.copy() for a in args]
-            hi[slot - 1][:, j] += step
-            lo[slot - 1][:, j] -= step
-            out[:, j] = (evaluate(t, *hi) - evaluate(t, *lo)) / (2.0 * step)
-        return out
+    ``args[slot]`` has shape (k, width); the result stacks one derivative per
+    column on a new last axis, so a (k,)-valued ``evaluate`` gives (k, width)
+    and a (k, n)-valued one gives the Jacobian (k, n, width).
+    """
+    x = np.asarray(args[slot], dtype=float)
+    columns = []
+    for j in range(x.shape[1]):
+        step = _FD_STEP * (1.0 + np.abs(x[:, j]))
+        hi, lo = list(args), list(args)
+        hi[slot], lo[slot] = x.copy(), x.copy()
+        hi[slot][:, j] += step
+        lo[slot][:, j] -= step
+        diff = np.asarray(evaluate(*hi), dtype=float) - np.asarray(evaluate(*lo), dtype=float)
+        columns.append(diff / (2.0 * step).reshape((-1,) + (1,) * (diff.ndim - 1)))
+    return np.stack(columns, axis=-1)
 
-    return partial
+
+def check_partial(
+    what: str, analytic: Callable, evaluate: Callable, args: Sequence, slot: int
+) -> None:
+    """Raise ``ValidationError`` where ``analytic(*args)`` disagrees with :func:`fd_partial`."""
+    got = np.asarray(analytic(*args), dtype=float)
+    ref = fd_partial(evaluate, args, slot)
+    excess = np.abs(got - ref) - _VALIDATE_RTOL * (1.0 + np.maximum(np.abs(got), np.abs(ref)))
+    if not np.all(excess <= 0.0):
+        where = int(np.unravel_index(np.argmax(excess), excess.shape)[0])
+        raise ValidationError(
+            f"{what} disagrees with finite differences (worst probe index {where})"
+        )
 
 
 @dataclass
@@ -65,36 +80,30 @@ class LagrangianSpec:
         if int(self.dim) != self.dim or self.dim < 1:
             raise ValidationError(f"dim must be a positive integer, got {self.dim}")
         self.dim = int(self.dim)
-        analytic = [(s, p) for s, p in ((1, self.dq), (2, self.dv), (3, self.dw)) if p]
-        if self.dq is None:
-            self.dq = _fd_partial(self.evaluate, 1)
-        if self.dv is None:
-            self.dv = _fd_partial(self.evaluate, 2)
-        if self.dw is None:
-            self.dw = _fd_partial(self.evaluate, 3)
-        self._check_partials(analytic)
-        self._validated = True
-
-    def _check_partials(self, analytic) -> None:
-        if not analytic:
-            return
         rng = np.random.default_rng(_PROBE_SEED)
         k = 16
-        t = rng.uniform(0.0, 1.0, size=k)
-        q = rng.standard_normal((k, self.dim))
-        v = rng.standard_normal((k, self.dim))
-        w = rng.standard_normal((k, self.dim))
-        for slot, partial in analytic:
-            got = np.asarray(partial(t, q, v, w), float)
-            ref = _fd_partial(self.evaluate, slot)(t, q, v, w)
-            tol = _VALIDATE_RTOL * (1.0 + np.maximum(np.abs(got), np.abs(ref)))
-            if not np.all(np.abs(got - ref) <= tol):
-                where = int(np.argmax(np.abs(got - ref) - tol))
-                raise ValidationError(
-                    f"analytic partial {('dq', 'dv', 'dw')[slot - 1]} of Lagrangian "
-                    f"{self.name!r} disagrees with finite differences "
-                    f"(worst probe index {where})"
+        args = (
+            rng.uniform(0.0, 1.0, size=k),
+            rng.standard_normal((k, self.dim)),
+            rng.standard_normal((k, self.dim)),
+            rng.standard_normal((k, self.dim)),
+        )
+        for slot, label in ((1, "dq"), (2, "dv"), (3, "dw")):
+            partial = getattr(self, label)
+            if partial is None:
+                setattr(self, label, self._fd_fallback(slot))
+            else:
+                check_partial(
+                    f"analytic partial {label} of Lagrangian {self.name!r}",
+                    partial,
+                    self.evaluate,
+                    args,
+                    slot,
                 )
+        self._validated = True
+
+    def _fd_fallback(self, slot: int) -> Partial:
+        return lambda t, q, v, w: fd_partial(self.evaluate, (t, q, v, w), slot)
 
 
 # -------------------------------------------------------------- families

@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +36,7 @@ from .fracops import (
     rl_integral_left,
     rl_integral_right,
 )
-from .grid import CSV_FLOAT_FORMAT, Grid, GridFunction
+from .grid import Grid, GridFunction, write_csv
 from .lagrangian import (
     free_particle,
     harmonic_oscillator,
@@ -57,8 +58,6 @@ from .optctrl import (
 )
 from .symmetry import rotation, space_translation, time_translation
 from .variational import VariationalProblem, solve_extremal
-
-KINDS = ("operator-test", "extremal", "noether", "friction", "control")
 
 _OPERATORS = {
     "caputo-left": caputo_left,
@@ -164,23 +163,6 @@ def parse_scenario(path) -> Scenario:
     return Scenario(kind=kind, parameters=params, out_dir=head.get("out", "out"))
 
 
-# ----------------------------------------------------------------- writers
-
-
-def _write_csv(path: Path, header: list, columns: list) -> None:
-    rows = len(columns[0])
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(CSV_FLOAT_FORMAT % col[i] for col in columns) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 # ------------------------------------------------------- builders per kind
 
 
@@ -257,43 +239,41 @@ def _variational_problem(params: _Params) -> VariationalProblem:
 
 
 # -------------------------------------------------------------- executors
+#
+# Each executor takes the kind's parameters and the output directory, writes
+# its CSV files there, and returns the emitted file names plus the headline
+# metric that ``convergence_study`` tabulates against resolution.
 
 
-def _power_reference(operator: str, exponent: int, alpha: float, grid: Grid) -> np.ndarray:
-    """Closed-form operator values for the monomial test family."""
-    from .special import gamma as gamma_fn
-
-    t = grid.nodes()
-    k = float(exponent)
-    left_x = t - grid.a
-    right_x = grid.b - t
-    if operator == "caputo-left":
-        return gamma_fn(k + 1.0) / gamma_fn(k + 1.0 - alpha) * left_x ** (k - alpha)
-    if operator == "caputo-right":
-        return gamma_fn(k + 1.0) / gamma_fn(k + 1.0 - alpha) * right_x ** (k - alpha)
-    if operator == "rl-integral-left":
-        return gamma_fn(k + 1.0) / gamma_fn(k + 1.0 + alpha) * left_x ** (k + alpha)
-    if operator == "rl-integral-right":
-        return gamma_fn(k + 1.0) / gamma_fn(k + 1.0 + alpha) * right_x ** (k + alpha)
-    if operator == "rl-derivative-left":
-        # monomial vanishes at t = a, so this equals the Caputo value
-        return gamma_fn(k + 1.0) / gamma_fn(k + 1.0 - alpha) * left_x ** (k - alpha)
-    if operator == "rl-derivative-right":
-        return gamma_fn(k + 1.0) / gamma_fn(k + 1.0 - alpha) * right_x ** (k - alpha)
-    raise ValidationError(f"key 'operator' names an unknown operator {operator!r}")
+def _power_reference(operator: str, k: float, alpha: float, x: np.ndarray) -> np.ndarray:
+    """Closed-form value of the operator on x^k, x the distance to its base point."""
+    if operator.startswith("rl-integral"):
+        return math.gamma(k + 1.0) / math.gamma(k + 1.0 + alpha) * x ** (k + alpha)
+    if k == 0.0 and (alpha == 1.0 or operator.startswith("caputo")):
+        return np.zeros_like(x)  # a constant has no Caputo or classical derivative
+    with np.errstate(divide="ignore"):  # x^-alpha at the RL pole, which callers mask
+        return math.gamma(k + 1.0) / math.gamma(k + 1.0 - alpha) * x ** (k - alpha)
 
 
 def _operator_error(operator: str, exponent: int, alpha: float, grid: Grid) -> float:
     t = grid.nodes()
-    base = (t - grid.a) if not operator.endswith("right") else (grid.b - t)
-    f = GridFunction(grid, base ** float(exponent))
-    out = _OPERATORS[operator](f, alpha).column()
-    ref = _power_reference(operator, exponent, alpha, grid)
+    x = (grid.b - t) if operator.endswith("right") else (t - grid.a)
+    k = float(exponent)
+    out = _OPERATORS[operator](GridFunction(grid, x**k), alpha).column()
+    ref = _power_reference(operator, k, alpha, x)
     mask = np.isfinite(out)
     return float(np.max(np.abs(out[mask] - ref[mask])))
 
 
-def _run_operator_test(params: _Params, out: Path) -> list:
+def _log2_ratios(values: list) -> list:
+    """NaN, then log2(v[i] / v[i+1]) per neighbouring pair (NaN where v[i+1] is 0)."""
+    return [np.nan] + [
+        np.log2(values[i] / values[i + 1]) if values[i + 1] > 0 else np.nan
+        for i in range(len(values) - 1)
+    ]
+
+
+def _run_operator_test(params: _Params, out: Path):
     operator = params.require("operator")
     if operator not in _OPERATORS:
         raise ValidationError(f"key 'operator' names an unknown operator {operator!r}")
@@ -303,60 +283,45 @@ def _run_operator_test(params: _Params, out: Path) -> list:
     exponent = params.integer("exponent", 2)
     grids = params.int_list("grids", "64,128,256,512")
     errors = [_operator_error(operator, exponent, alpha, Grid(a, b, n)) for n in grids]
-    cols = [np.array(grids, dtype=float), np.array([(b - a) / n for n in grids]), np.array(errors)]
+    cols = [grids, [(b - a) / n for n in grids], errors]
     header = ["n", "h", "max_error"]
     if len(grids) >= 2:
-        orders = [np.nan] + [
-            np.log2(errors[i] / errors[i + 1]) if errors[i + 1] > 0 else np.nan
-            for i in range(len(errors) - 1)
-        ]
         header.append("observed_order")
-        cols.append(np.array(orders))
-    _write_csv(out / "convergence.csv", header, cols)
-    return [out / "convergence.csv"]
+        cols.append(_log2_ratios(errors))
+    write_csv(out / "convergence.csv", header, cols)
+    return ["convergence.csv"], errors[grids.index(max(grids))]
 
 
-def _solution_files(problem, sol, out: Path) -> list:
+def _solve_with_files(params: _Params, out: Path):
+    """Solve the scenario's variational problem; write solution.csv and summary.csv."""
+    problem = _variational_problem(params)
+    sol = solve_extremal(problem, tol=params.number("tolerance", 1e-8))
     sol.to_csv(out / "solution.csv")
-    _write_csv(
+    write_csv(
         out / "summary.csv",
         ["action", "el_residual_norm", "gradient_norm", "iterations"],
-        [
-            np.array([sol.action]),
-            np.array([sol.el_residual_norm]),
-            np.array([sol.gradient_norm]),
-            np.array([float(sol.iterations)]),
-        ],
+        [[sol.action], [sol.el_residual_norm], [sol.gradient_norm], [sol.iterations]],
     )
-    return [out / "solution.csv", out / "summary.csv"]
+    return problem, sol
 
 
-def _run_extremal(params: _Params, out: Path, tol) -> list:
-    problem = _variational_problem(params)
-    sol = solve_extremal(problem, tol=tol if tol else params.number("tolerance", 1e-8))
-    return _solution_files(problem, sol, out)
+def _run_extremal(params: _Params, out: Path):
+    _, sol = _solve_with_files(params, out)
+    return ["solution.csv", "summary.csv"], sol.el_residual_norm
 
 
-def _run_noether(params: _Params, out: Path, tol, truncation) -> list:
-    problem = _variational_problem(params)
-    sol = solve_extremal(problem, tol=tol if tol else params.number("tolerance", 1e-8))
+def _run_noether(params: _Params, out: Path):
+    problem, sol = _solve_with_files(params, out)
     symmetry = build_symmetry(params, problem.dim)
-    r = truncation if truncation is not None else params.integer("truncation", 2)
+    r = params.integer("truncation", 2)
     quantity = noether_quantity(problem, sol, symmetry, truncation=r)
+    t = problem.grid.nodes()
+    q, v, w = sol.trajectory.values, sol.velocity.values, sol.caputo_velocity.values
+    tau, f2 = symmetry.rates_on(t, q)
+    dw = problem.lagrangian.dw(t, q, v, w)
     series = transfer_series(
-        GridFunction(problem.grid, symmetry.rates_on(problem.grid.nodes(), sol.trajectory.values)[1]),
-        GridFunction(
-            problem.grid,
-            np.asarray(
-                problem.lagrangian.dw(
-                    problem.grid.nodes(),
-                    sol.trajectory.values,
-                    sol.velocity.values,
-                    sol.caputo_velocity.values,
-                ),
-                dtype=float,
-            ),
-        ),
+        GridFunction(problem.grid, f2),
+        GridFunction(problem.grid, np.asarray(dw, dtype=float)),
         problem.alpha,
         r,
     )
@@ -366,28 +331,23 @@ def _run_noether(params: _Params, out: Path, tol, truncation) -> list:
         symmetry,
         time_transform=symmetry.name == "time-translation",
     )
-    files = _solution_files(problem, sol, out)
-    t = problem.grid.nodes()
-    _write_csv(out / "invariant.csv", ["t", "c"], [t, quantity.values[:, 0]])
-    tau, f2 = symmetry.rates_on(t, sol.trajectory.values)
-    _write_csv(
+    drift = drift_report(quantity)
+    write_csv(out / "invariant.csv", ["t", "c"], [t, quantity.values[:, 0]])
+    write_csv(
         out / "symmetry.csv",
         ["t", "tau"] + [f"f2_{j}" for j in range(problem.dim)],
-        [t, tau] + [f2[:, j] for j in range(problem.dim)],
+        [t, tau, f2],
     )
-    _write_csv(
+    write_csv(
         out / "noether_summary.csv",
         ["drift", "invariance_defect", "tail_estimate"],
-        [
-            np.array([drift_report(quantity)]),
-            np.array([defect]),
-            np.array([series.tail_estimate]),
-        ],
+        [[drift], [defect], [series.tail_estimate]],
     )
-    return files + [out / "invariant.csv", out / "symmetry.csv", out / "noether_summary.csv"]
+    names = ["solution.csv", "summary.csv", "invariant.csv", "symmetry.csv", "noether_summary.csv"]
+    return names, drift
 
 
-def _run_friction(params: _Params, out: Path) -> list:
+def _run_friction(params: _Params, out: Path):
     mass = params.number("mass", 1.0)
     gamma = params.number("gamma")
     coeffs = params.vector("potential", "0")
@@ -405,22 +365,21 @@ def _run_friction(params: _Params, out: Path) -> list:
         steps=params.integer("steps", 1024),
     )
     t_sim = sim.grid.nodes()
-    _write_csv(out / "trajectory.csv", ["t", "q", "qdot"], [t_sim, sim.values[:, 0], sim.values[:, 1]])
+    write_csv(out / "trajectory.csv", ["t", "q", "qdot"], [t_sim, sim.values])
 
     q_window = GridFunction.from_callable(
         window, lambda t: np.interp(t, t_sim, sim.values[:, 0])
     )
     diag = friction_diagnostics(fp, q_window)
-    t_win = window.nodes()
-    _write_csv(
+    write_csv(
         out / "diagnostics.csv",
         ["t", "p", "p_half", "hamiltonian", "noether_defect"],
         [
-            t_win,
-            diag.momentum.values[:, 0],
-            diag.half_momentum.values[:, 0],
-            diag.hamiltonian.values[:, 0],
-            diag.noether_defect.values[:, 0],
+            window.nodes(),
+            diag.momentum.values,
+            diag.half_momentum.values,
+            diag.hamiltonian.values,
+            diag.noether_defect.values,
         ],
     )
 
@@ -431,12 +390,10 @@ def _run_friction(params: _Params, out: Path) -> list:
         Grid(center - base / 2**k / 2.0, center + base / 2**k / 2.0, 256) for k in range(count)
     ]
     table = window_shrink_study(fp, lambda t: np.interp(t, t_sim, sim.values[:, 0]), windows)
-    _write_csv(
-        out / "window_table.csv",
-        ["delta_t", "friction_energy", "first_order", "ratio", "half_momentum_mid"],
-        [table[k] for k in ("delta_t", "friction_energy", "first_order", "ratio", "half_momentum_mid")],
-    )
-    return [out / "trajectory.csv", out / "diagnostics.csv", out / "window_table.csv"]
+    columns = ["delta_t", "friction_energy", "first_order", "ratio", "half_momentum_mid"]
+    write_csv(out / "window_table.csv", columns, [table[k] for k in columns])
+    names = ["trajectory.csv", "diagnostics.csv", "window_table.csv"]
+    return names, drift_report(diag.hamiltonian)
 
 
 def _control_problem(params: _Params, grid: Grid):
@@ -458,12 +415,12 @@ def _control_problem(params: _Params, grid: Grid):
     raise ValidationError(f"key 'family' names an unknown control family {family!r}")
 
 
-def _run_control(params: _Params, out: Path, tol, truncation) -> list:
+def _run_control(params: _Params, out: Path):
     grid = Grid(params.number("a", 0.0), params.number("b", 1.0), params.integer("n"))
     cp = _control_problem(params, grid)
     terminal = params.get("terminal")
     terminal_vec = None if terminal is None else params.vector("terminal")
-    state = solve_control(cp, tol=tol if tol else 1e-6, terminal_state=terminal_vec)
+    state = solve_control(cp, tol=params.number("tolerance", 1e-6), terminal_state=terminal_vec)
     quantity = autonomous_control_quantity(cp, state)
     ham = _hamiltonian_values(
         cp,
@@ -473,63 +430,80 @@ def _run_control(params: _Params, out: Path, tol, truncation) -> list:
         state.p.values,
         state.p_alpha.values,
     )
-    t = cp.grid.nodes()
-    header = ["t"]
-    cols = [t]
-    for label, gf in (("q", state.q), ("u", state.u), ("mu", state.mu), ("p", state.p), ("p_alpha", state.p_alpha)):
-        for j in range(gf.dim):
-            header.append(f"{label}{j}")
-            cols.append(gf.values[:, j])
-    header += ["hamiltonian", "invariant"]
-    cols += [ham, quantity.values[:, 0]]
-    _write_csv(out / "control.csv", header, cols)
-    _write_csv(
+    fields = (
+        ("q", state.q), ("u", state.u), ("mu", state.mu), ("p", state.p), ("p_alpha", state.p_alpha)
+    )
+    header = ["t"] + [f"{label}{j}" for label, gf in fields for j in range(gf.dim)]
+    write_csv(
+        out / "control.csv",
+        header + ["hamiltonian", "invariant"],
+        [cp.grid.nodes()] + [gf.values for _, gf in fields] + [ham, quantity.values],
+    )
+    drift = drift_report(quantity)
+    write_csv(
         out / "summary.csv",
         ["final_defect", "invariant_drift", "iterations"],
-        [
-            np.array([state.diagnostics.defect_norms[-1]]),
-            np.array([drift_report(quantity)]),
-            np.array([float(state.diagnostics.iterations)]),
-        ],
+        [[state.diagnostics.defect_norms[-1]], [drift], [state.diagnostics.iterations]],
     )
-    return [out / "control.csv", out / "summary.csv"]
+    return ["control.csv", "summary.csv"], drift
+
+
+_EXECUTORS = {
+    "operator-test": _run_operator_test,
+    "extremal": _run_extremal,
+    "noether": _run_noether,
+    "friction": _run_friction,
+    "control": _run_control,
+}
+KINDS = tuple(_EXECUTORS)
+
+#: parameter that sets the resolution ``convergence_study`` refines; "n" otherwise
+_RESOLUTION_KEYS = {"operator-test": "grids", "friction": "window_n"}
 
 
 # ------------------------------------------------------------ entry points
 
 
-def run_scenario(
-    scenario: Scenario, out_dir=None, tol: float | None = None, truncation: int | None = None
-) -> RunManifest:
-    start = time.monotonic()
-    out = Path(out_dir if out_dir is not None else scenario.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    params = _Params(scenario.kind, scenario.parameters)
-    if scenario.kind == "operator-test":
-        files = _run_operator_test(params, out)
-    elif scenario.kind == "extremal":
-        files = _run_extremal(params, out, tol)
-    elif scenario.kind == "noether":
-        files = _run_noether(params, out, tol, truncation)
-    elif scenario.kind == "friction":
-        files = _run_friction(params, out)
-    elif scenario.kind == "control":
-        files = _run_control(params, out, tol, truncation)
-    else:  # pragma: no cover - parse_scenario guards this
-        raise ValidationError(f"unknown scenario kind {scenario.kind!r}")
-    # manifest completeness: include anything present in the directory
-    emitted = {f.name for f in files}
-    for extra in sorted(out.iterdir()):
-        if extra.is_file() and extra.name != "manifest.json":
-            emitted.add(extra.name)
+def _write_manifest(out: Path, scenario: Scenario, start: float, names: list) -> RunManifest:
+    """Write ``manifest.json`` listing exactly ``names`` (files in ``out``) with their digests."""
     manifest = RunManifest(
         scenario={"kind": scenario.kind, **scenario.parameters},
         version=__version__,
         wall_clock_sec=time.monotonic() - start,
-        files=[{"name": name, "sha256": _sha256(out / name)} for name in sorted(emitted)],
+        files=[
+            {"name": name, "sha256": hashlib.sha256((out / name).read_bytes()).hexdigest()}
+            for name in sorted(names)
+        ],
     )
     (out / "manifest.json").write_text(manifest.to_json(), encoding="ascii")
     return manifest
+
+
+def _execute(scenario: Scenario, out: Path):
+    """Run the scenario's executor into ``out``; return its manifest and headline metric."""
+    if scenario.kind not in _EXECUTORS:
+        raise ValidationError(f"unknown scenario kind {scenario.kind!r}")
+    start = time.monotonic()
+    out.mkdir(parents=True, exist_ok=True)
+    names, metric = _EXECUTORS[scenario.kind](_Params(scenario.kind, scenario.parameters), out)
+    return _write_manifest(out, scenario, start, names), metric
+
+
+def run_scenario(
+    scenario: Scenario, out_dir=None, tol: float | None = None, truncation: int | None = None
+) -> RunManifest:
+    """Execute one scenario into ``out_dir`` (default: the scenario's ``out``).
+
+    ``tol`` and ``truncation`` override the ``tolerance`` and ``truncation``
+    keys; the manifest's ``scenario`` map records the values used.
+    """
+    parameters = dict(scenario.parameters)
+    if tol is not None:
+        parameters["tolerance"] = str(tol)
+    if truncation is not None:
+        parameters["truncation"] = str(truncation)
+    out = Path(out_dir if out_dir is not None else scenario.out_dir)
+    return _execute(Scenario(scenario.kind, parameters, scenario.out_dir), out)[0]
 
 
 def run(scenario_file, out_dir=None, tol=None, truncation=None) -> RunManifest:
@@ -537,85 +511,29 @@ def run(scenario_file, out_dir=None, tol=None, truncation=None) -> RunManifest:
     return run_scenario(parse_scenario(scenario_file), out_dir, tol, truncation)
 
 
-def _study_metric(scenario: Scenario, n: int) -> float:
-    """Re-run the scenario at resolution n and return its headline metric."""
-    params = dict(scenario.parameters)
-    kind = scenario.kind
-    p = _Params(kind, params)
-    if kind == "operator-test":
-        return _operator_error(
-            p.require("operator"),
-            p.integer("exponent", 2),
-            p.number("alpha"),
-            Grid(p.number("a", 0.0), p.number("b", 1.0), n),
-        )
-    if kind == "extremal":
-        params["n"] = str(n)
-        problem = _variational_problem(_Params(kind, params))
-        return solve_extremal(problem).el_residual_norm
-    if kind == "noether":
-        params["n"] = str(n)
-        pn = _Params(kind, params)
-        problem = _variational_problem(pn)
-        sol = solve_extremal(problem)
-        symmetry = build_symmetry(pn, problem.dim)
-        quantity = noether_quantity(problem, sol, symmetry, truncation=pn.integer("truncation", 2))
-        return drift_report(quantity)
-    if kind == "friction":
-        params["window_n"] = str(n)
-        pn = _Params(kind, params)
-        fp = _friction_problem_from(
-            pn.number("mass", 1.0),
-            pn.number("gamma"),
-            pn.vector("potential", "0"),
-            Grid(pn.number("window_a", 0.0), pn.number("window_b", 1.0), n),
-        )
-        sim = simulate_damped_eom(
-            fp,
-            q0=pn.number("q0", 0.0),
-            v0=pn.number("v0", 1.0),
-            horizon=pn.number("horizon", 1.0),
-            steps=pn.integer("steps", 1024),
-        )
-        t_sim = sim.grid.nodes()
-        q_window = GridFunction.from_callable(
-            fp.window, lambda t: np.interp(t, t_sim, sim.values[:, 0])
-        )
-        return drift_report(friction_diagnostics(fp, q_window).hamiltonian)
-    if kind == "control":
-        pn = _Params(kind, params)
-        grid = Grid(pn.number("a", 0.0), pn.number("b", 1.0), n)
-        cp = _control_problem(pn, grid)
-        state = solve_control(cp)
-        return drift_report(autonomous_control_quantity(cp, state))
-    raise ValidationError(f"unknown scenario kind {kind!r}")  # pragma: no cover
-
-
 def convergence_study(scenario_file, grid_list, out_dir=None) -> RunManifest:
-    """Re-run a scenario across resolutions; emit metric vs n with ratios."""
+    """Run a scenario once per resolution; emit its headline metric vs n with ratios.
+
+    The run at resolution N goes to ``n<N>/`` with its own manifest; the
+    resolution key is ``n``, ``window_n`` for friction and ``grids`` for
+    operator tests.
+    """
     scenario = parse_scenario(scenario_file)
     if not grid_list:
         raise ValidationError("study needs at least one grid size")
     start = time.monotonic()
     out = Path(out_dir if out_dir is not None else scenario.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    metrics = [_study_metric(scenario, n) for n in grid_list]
+    key = _RESOLUTION_KEYS.get(scenario.kind, "n")
+    metrics = [
+        _execute(Scenario(scenario.kind, {**scenario.parameters, key: str(n)}), out / f"n{n}")[1]
+        for n in grid_list
+    ]
     header = ["n", "metric"]
-    cols = [np.array(grid_list, dtype=float), np.array(metrics)]
+    cols = [grid_list, metrics]
     if len(grid_list) >= 2:
-        ratios = [np.nan] + [
-            np.log2(metrics[i] / metrics[i + 1]) if metrics[i + 1] > 0 else np.nan
-            for i in range(len(metrics) - 1)
-        ]
         header.append("log2_ratio")
-        cols.append(np.array(ratios))
-    _write_csv(out / "study.csv", header, cols)
-    files = ["study.csv"]
-    manifest = RunManifest(
-        scenario={"kind": scenario.kind, "grids": ",".join(str(n) for n in grid_list), **scenario.parameters},
-        version=__version__,
-        wall_clock_sec=time.monotonic() - start,
-        files=[{"name": name, "sha256": _sha256(out / name)} for name in files],
-    )
-    (out / "manifest.json").write_text(manifest.to_json(), encoding="ascii")
-    return manifest
+        cols.append(_log2_ratios(metrics))
+    write_csv(out / "study.csv", header, cols)
+    grids = ",".join(str(n) for n in grid_list)
+    study = Scenario(scenario.kind, {**scenario.parameters, "grids": grids})
+    return _write_manifest(out, study, start, ["study.csv"])

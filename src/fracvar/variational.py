@@ -35,6 +35,7 @@ from .grid import (
     order_value,
     require_finite,
     trapezoid,
+    write_csv,
 )
 from .lagrangian import LagrangianSpec
 from .minimize import bfgs_minimize
@@ -108,22 +109,12 @@ class ExtremalSolution:
 
     def to_csv(self, path) -> None:
         """Columns t, q*, qdot*, caputo_q*, el_residual (per component)."""
-        from .grid import CSV_FLOAT_FORMAT
-
-        residual = self.residual.values
         d = self.trajectory.dim
-        names = []
+        names = ["t"]
         for stem in ("q", "qdot", "caputo_q", "el_residual"):
             names += [f"{stem}{j}" for j in range(d)]
-        t = self.trajectory.grid.nodes()
-        blocks = np.hstack(
-            [self.trajectory.values, self.velocity.values, self.caputo_velocity.values, residual]
-        )
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("t," + ",".join(names) + "\n")
-            for i in range(len(t)):
-                row = [CSV_FLOAT_FORMAT % t[i]] + [CSV_FLOAT_FORMAT % x for x in blocks[i]]
-                fh.write(",".join(row) + "\n")
+        blocks = (self.trajectory, self.velocity, self.caputo_velocity, self.residual)
+        write_csv(path, names, [self.trajectory.grid.nodes()] + [f.values for f in blocks])
 
 
 def action_value(problem: VariationalProblem, q: GridFunction) -> float:

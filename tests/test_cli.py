@@ -42,6 +42,20 @@ exponent = 2
 grids = 64,128,256,512
 """
 
+CONTROL_INI = """[scenario]
+kind = control
+
+[control]
+family = reduction-of-variations
+lagrangian = custom-coefficients
+velocity_weight = 1.0
+caputo_weight = 1.0
+alpha = 0.5
+n = 32
+q_a = 0.0
+terminal = 1.0
+"""
+
 FRICTION_INI = """[scenario]
 kind = friction
 
@@ -145,6 +159,44 @@ class TestRunScenario:
         orders = [float(r.split(",")[3]) for r in rows[2:]]
         assert all(1.3 <= o <= 2.0 for o in orders)  # about 2 - alpha
 
+    @pytest.mark.parametrize("alpha", ["0.5", "1.0"])
+    @pytest.mark.parametrize(
+        "operator",
+        [
+            "caputo-left",
+            "caputo-right",
+            "rl-derivative-left",
+            "rl-derivative-right",
+            "rl-integral-left",
+            "rl-integral-right",
+        ],
+    )
+    def test_operator_test_constant_is_exact(self, tmp_path, operator, alpha):
+        ini = OPERATOR_INI.replace("caputo-left", operator).replace("exponent = 2", "exponent = 0")
+        path = tmp_path / "s.ini"
+        path.write_text(ini.replace("alpha = 0.5", f"alpha = {alpha}"))
+        run(path, out_dir=tmp_path / "out")
+        rows = (tmp_path / "out" / "convergence.csv").read_text().splitlines()[1:]
+        errors = [float(r.split(",")[2]) for r in rows]
+        assert all(e < 1e-12 for e in errors)
+
+    def test_manifest_lists_only_emitted_files(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text(OPERATOR_INI)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "stale.csv").write_text("t\n0\n")
+        manifest = run(path, out_dir=tmp_path / "out")
+        assert [f["name"] for f in manifest.files] == ["convergence.csv"]
+        recorded = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert [f["name"] for f in recorded["files"]] == ["convergence.csv"]
+
+    def test_overrides_recorded_in_manifest(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text(EXTREMAL_INI)
+        manifest = run(path, out_dir=tmp_path / "out", tol=1e-6, truncation=3)
+        assert manifest.scenario["tolerance"] == "1e-06"
+        assert manifest.scenario["truncation"] == "3"
+
     def test_friction_emits_three_csvs(self, tmp_path):
         path = tmp_path / "s.ini"
         path.write_text(FRICTION_INI)
@@ -167,6 +219,20 @@ class TestRunScenario:
         convergence_study(path, [64], out_dir=tmp_path / "out")
         header = (tmp_path / "out" / "study.csv").read_text().splitlines()[0]
         assert header == "n,metric"  # no ratio column
+
+    def test_study_runs_the_run_path(self, tmp_path):
+        # the terminal condition must reach the study's solve
+        path = tmp_path / "s.ini"
+        path.write_text(CONTROL_INI)
+        run(path, out_dir=tmp_path / "run")
+        summary = (tmp_path / "run" / "summary.csv").read_text().splitlines()
+        drift = float(summary[1].split(",")[summary[0].split(",").index("invariant_drift")])
+        convergence_study(path, [32], out_dir=tmp_path / "study")
+        metric = float((tmp_path / "study" / "study.csv").read_text().splitlines()[1].split(",")[1])
+        assert drift > 0.1
+        assert metric == drift
+        per_run = json.loads((tmp_path / "study" / "n32" / "manifest.json").read_text())
+        assert {f["name"] for f in per_run["files"]} == {"control.csv", "summary.csv"}
 
     def test_study_operator_orders(self, tmp_path):
         path = tmp_path / "s.ini"

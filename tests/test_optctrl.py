@@ -121,6 +121,16 @@ class TestPontryaginResiduals:
         expected = np.sin(t) - central_difference(q.values, g.h)[:, 0]
         npt.assert_allclose(res[0].values[1:-1, 0], expected[1:-1], atol=1e-14)
 
+    def test_interior_blow_up_is_not_hidden(self):
+        cp = scalar_tracking_problem(Grid(0.0, 1.0, 32), 0.5, 0.0)
+        zero = GridFunction(cp.grid, np.zeros(33))
+        p = np.zeros(33)
+        p[16] = np.inf
+        state = PontryaginState(q=zero, u=zero, mu=zero, p=GridFunction(cp.grid, p), p_alpha=zero)
+        res = pontryagin_residuals(cp, state)
+        assert not np.isfinite(res[2].values[15:18]).any()  # dH/dq + dp/dt - ...
+        assert not np.isfinite(res[3].values[16]).any()  # dH/du = u + p
+
     def test_reduction_substitution_matches_el_residual(self):
         # same-arithmetic identity on 5 random quadratic problems
         rng = np.random.default_rng(77)
