@@ -152,21 +152,31 @@ def criterion_fractional_noether(cache):
 
 @_criterion(7, "transfer formula identity", 10.0)
 def criterion_transfer_formula(cache):
-    n = 512
-    grid = Grid(0.0, 1.0, n)
-    t = grid.nodes()
-    f2 = GridFunction(grid, t**2 - t)
-    g = GridFunction(grid, t**2 + 1.0)
+    # on a fixed interior panel the gap converges at order ~1.5; next to the
+    # endpoints it decays slowly (4.2e-3, 2.9e-3, 2.0e-3), so it gets a bound
     alpha = 0.5
-    series = transfer_series(f2, g, alpha, 3)
-    lhs = central_difference(series.total()[:, None], grid.h)[:, 0]
-    rhs = (
-        g.values * caputo_left(f2, alpha).values
-        - f2.values * rl_derivative_right(g, alpha).values
-    )[:, 0]
-    gap = float(np.max(np.abs(lhs[1:-1] - rhs[1:-1])))
-    ok = gap < series.tail_estimate + 0.1
-    return ok, f"gap={gap:.2e} tail={series.tail_estimate:.2e}"
+    panel_gaps = []
+    for n in (256, 512, 1024):
+        grid = Grid(0.0, 1.0, n)
+        t = grid.nodes()
+        f2 = GridFunction(grid, t**2 - t)
+        g = GridFunction(grid, t**2 + 1.0)
+        series = transfer_series(f2, g, alpha, 3)
+        lhs = central_difference(series.total()[:, None], grid.h)[:, 0]
+        rhs = (
+            g.values * caputo_left(f2, alpha).values
+            - f2.values * rl_derivative_right(g, alpha).values
+        )[:, 0]
+        gap = np.abs(lhs - rhs)
+        panel_gaps.append(float(np.max(gap[(t >= 1.0 / 16.0) & (t <= 15.0 / 16.0)])))
+        if n == 512:
+            interior_gap = float(np.max(gap[1:-1]))
+    ratios = [panel_gaps[i] / panel_gaps[i + 1] for i in range(len(panel_gaps) - 1)]
+    ok = min(ratios) >= 2.5 and interior_gap < 5e-3
+    return ok, (
+        f"panel gaps={[f'{x:.2e}' for x in panel_gaps]} ratios={[f'{r:.2f}' for r in ratios]} "
+        f"interior gap(512)={interior_gap:.2e}"
+    )
 
 
 @_criterion(8, "friction demo (limit EOM, shrink law, non-conservation)", 30.0)

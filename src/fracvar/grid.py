@@ -93,13 +93,18 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
-        """Sample ``fn`` on the grid nodes; ``fn`` maps a time array to values."""
+        """Sample ``fn`` on the grid nodes.
+
+        ``fn`` maps the (n+1,) node array to values of shape (n+1,) or
+        (n+1, d); any other shape raises ``GridMismatchError``.
+        """
         t = grid.nodes()
         vals = np.asarray(fn(t), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        elif vals.shape[0] != t.shape[0]:
-            vals = vals.T
+        if vals.ndim not in (1, 2) or vals.shape[0] != t.shape[0]:
+            raise GridMismatchError(
+                f"callable returned shape {vals.shape}; expected ({t.shape[0]},) "
+                f"or ({t.shape[0]}, d)"
+            )
         return cls(grid, vals)
 
     @property

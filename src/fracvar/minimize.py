@@ -1,9 +1,12 @@
-"""Dense BFGS minimizer with an Armijo backtracking line search.
+"""Dense quasi-Newton and Newton minimizer with an Armijo line search.
 
 Small and deterministic; both trajectory solvers drive it with analytic
-gradients. The inverse-Hessian approximation is rescaled after the first
-update (Nocedal-Wright style) and updates with non-positive curvature are
-skipped rather than forced.
+gradients. Without a Hessian the direction comes from a BFGS inverse-Hessian
+approximation, rescaled after the first update (Nocedal-Wright style), and
+updates with non-positive curvature are skipped rather than forced. With a
+Hessian callback each direction solves ``H p = -g``; an indefinite ``H`` is
+shifted by ``tau I`` until its Cholesky factorization succeeds (Nocedal-Wright
+section 3.4). Both paths share the line search and the stopping test.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, LineSearchError
+from .errors import ConvergenceError, LineSearchError, NumericsError
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
@@ -33,17 +36,20 @@ def bfgs_minimize(
     x0: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 1000,
+    hess: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> MinimizeResult:
     """Minimize ``fun`` from ``x0``; converged when max|grad| < tol.
 
-    Raises ``ConvergenceError`` (with the final gradient norm) at the
-    iteration cap and ``LineSearchError`` after 60 failed step reductions.
+    ``hess(x)``, when given, returns a new dense Hessian, which the solver
+    may overwrite, and Newton steps replace the BFGS metric. Raises
+    ``ConvergenceError`` (with the final gradient norm) at the iteration cap
+    and ``LineSearchError`` after 60 failed step reductions.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.size == 0:
         return MinimizeResult(x, float(fun(x)), 0.0, 0)
     m = x.size
-    hinv = np.eye(m)
+    hinv = np.eye(m) if hess is None else None
     g = np.asarray(grad(x), dtype=float)
     f = float(fun(x))
     if not np.isfinite(f):
@@ -53,11 +59,12 @@ def bfgs_minimize(
         gnorm = float(np.max(np.abs(g)))
         if gnorm < tol:
             return MinimizeResult(x, f, gnorm, iteration)
-        p = -hinv @ g
+        p = -hinv @ g if hess is None else _newton_direction(hess(x), g)
         slope = float(g @ p)
         if slope >= 0.0:  # numerical loss of descent; restart the metric
-            hinv = np.eye(m)
-            first_update = True
+            if hess is None:
+                hinv = np.eye(m)
+                first_update = True
             p = -g
             slope = float(g @ p)
         step = 1.0
@@ -93,7 +100,7 @@ def bfgs_minimize(
             g_new = np.asarray(grad(x_new), dtype=float)
         y = g_new - g
         ys = float(y @ s)
-        if ys > 1e-12 * float(np.linalg.norm(y)) * float(np.linalg.norm(s)):
+        if hess is None and ys > 1e-12 * float(np.linalg.norm(y)) * float(np.linalg.norm(s)):
             if first_update:
                 hinv *= ys / float(y @ y)
                 first_update = False
@@ -108,3 +115,21 @@ def bfgs_minimize(
         f"no convergence within {max_iter} iterations; gradient max-norm {gnorm:.6e}",
         gradient_norm=gnorm,
     )
+
+
+def _newton_direction(hmat: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve ``(H + tau I) p = -g`` with the smallest doubling ``tau >= 0``
+    that makes the shifted matrix positive definite."""
+    hmat = np.asarray(hmat, dtype=float)
+    if not np.isfinite(hmat).all():
+        raise NumericsError("Hessian holds non-finite entries")
+    diag = np.diag(hmat).copy()
+    tau = 0.0
+    while True:
+        try:
+            np.linalg.cholesky(hmat)
+        except np.linalg.LinAlgError:
+            tau = 2.0 * tau if tau else 1e-3 * (float(np.max(np.abs(diag))) or 1.0)
+            np.fill_diagonal(hmat, diag + tau)
+            continue
+        return np.linalg.solve(hmat, -g)

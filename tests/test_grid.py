@@ -46,6 +46,20 @@ def test_from_callable_vector():
     npt.assert_allclose(f.column(1), g.nodes() ** 2)
 
 
+def test_from_callable_rejects_component_major_layout():
+    g = Grid(0.0, 1.0, 8)
+    with pytest.raises(GridMismatchError):
+        GridFunction.from_callable(g, lambda t: np.stack([t, t**2]))
+
+
+def test_from_callable_keeps_node_major_layout_when_dim_equals_node_count():
+    g = Grid(0.0, 1.0, 4)
+    powers = lambda t: np.stack([t**k for k in range(5)], axis=1)
+    f = GridFunction.from_callable(g, powers)
+    assert f.dim == 5
+    npt.assert_array_equal(f.values, powers(g.nodes()))
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     g = Grid(0.0, 1.0, 16)
     rng = np.random.default_rng(7)

@@ -13,6 +13,7 @@ from fracvar.lagrangian import (
     potential_polynomial,
     quadratic_mix,
 )
+from fracvar import minimize, variational
 from fracvar.variational import (
     VariationalProblem,
     action_value,
@@ -21,6 +22,7 @@ from fracvar.variational import (
     solve_extremal,
     _discrete_action,
     _discrete_gradient,
+    _discrete_hessian,
     _interpolant_action_parts,
 )
 
@@ -32,6 +34,49 @@ def line_problem(n=128, alpha=1.0, lagrangian=None):
 
 def line_trajectory(problem):
     return GridFunction(problem.grid, problem.grid.nodes())
+
+
+def coupled_lagrangian():
+    """Dim-2 L with q.w, v0*w1, q1*v0 and quartic terms: every Hessian block is non-zero."""
+
+    def evaluate(t, q, v, w):
+        return (
+            0.5 * np.sum(v * v + w * w, axis=1)
+            + 0.3 * np.sum(q * w, axis=1)
+            + 0.4 * v[:, 0] * w[:, 1]
+            + 0.2 * q[:, 1] * v[:, 0]
+            + 0.5 * (q[:, 0] * q[:, 1]) ** 2
+            + 0.1 * w[:, 0] ** 4
+        )
+
+    def dq(t, q, v, w):
+        return np.stack(
+            (
+                0.3 * w[:, 0] + q[:, 0] * q[:, 1] ** 2,
+                0.3 * w[:, 1] + 0.2 * v[:, 0] + q[:, 0] ** 2 * q[:, 1],
+            ),
+            axis=1,
+        )
+
+    def dv(t, q, v, w):
+        return np.stack((v[:, 0] + 0.4 * w[:, 1] + 0.2 * q[:, 1], v[:, 1]), axis=1)
+
+    def dw(t, q, v, w):
+        return np.stack(
+            (
+                w[:, 0] + 0.3 * q[:, 0] + 0.4 * w[:, 0] ** 3,
+                w[:, 1] + 0.3 * q[:, 1] + 0.4 * v[:, 0],
+            ),
+            axis=1,
+        )
+
+    return LagrangianSpec(dim=2, evaluate=evaluate, dq=dq, dv=dv, dw=dw, name="coupled")
+
+
+def coupled_problem(n):
+    return VariationalProblem(
+        coupled_lagrangian(), Grid(0.0, 1.0, n), 0.5, ([0.0, 1.0], [1.0, -0.5])
+    )
 
 
 def sine_variation(grid, modes=(1,), coeffs=(1.0,)):
@@ -232,12 +277,30 @@ class TestSolveExtremal:
             solve_extremal(p, init=bad)
 
     def test_nonconvergence_reports_gradient_norm(self):
-        p = VariationalProblem(
-            harmonic_oscillator(), Grid(0.0, math.pi / 2.0, 64), 1.0, ([1.0], [0.0])
-        )
+        # a quartic potential: Newton needs 3 steps, so one is not enough
+        quartic = potential_polynomial([0.0, 0.0, 0.5, 0.0, 2.0])
+        p = VariationalProblem(quartic, Grid(0.0, 1.0, 128), 1.0, ([1.0], [-1.0]))
         with pytest.raises(ConvergenceError) as excinfo:
-            solve_extremal(p, max_iter=2)
+            solve_extremal(p, max_iter=1)
         assert excinfo.value.gradient_norm > 0.0
+
+    def test_quadratic_action_converges_in_one_newton_step(self):
+        p = line_problem(n=256, alpha=0.5, lagrangian=quadratic_mix(1.0, 1.0))
+        sol = solve_extremal(p)
+        assert sol.iterations == 1
+        assert sol.gradient_norm < 1e-11
+
+    def test_newton_matches_bfgs_on_coupled_problem(self, monkeypatch):
+        p = coupled_problem(64)
+        newton = solve_extremal(p)
+
+        def bfgs_only(fun, grad, x0, tol, max_iter, hess):
+            return minimize.bfgs_minimize(fun, grad, x0, tol=tol, max_iter=max_iter)
+
+        monkeypatch.setattr(variational, "bfgs_minimize", bfgs_only)
+        bfgs = solve_extremal(p)
+        assert newton.iterations <= 3 < bfgs.iterations
+        npt.assert_allclose(newton.trajectory.values, bfgs.trajectory.values, rtol=0.0, atol=1e-6)
 
     def test_solution_csv_columns(self, tmp_path):
         p = line_problem(n=16)
@@ -269,6 +332,24 @@ class TestInvariants:
                 _discrete_action(p, t, h, cmat, qp) - _discrete_action(p, t, h, cmat, qm)
             ) / (2.0 * step)
         npt.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+
+    def test_discrete_hessian_matches_finite_differences_of_gradient(self):
+        p = coupled_problem(12)
+        t, h, cmat = _interpolant_action_parts(p)
+        rng = np.random.default_rng(17)
+        q = rng.standard_normal((13, 2))
+        analytic = _discrete_hessian(p, t, h, cmat, q)
+        fd = np.empty_like(analytic)
+        step = 1e-6
+        for j in range(q.size):
+            qp, qm = q.copy(), q.copy()
+            qp.flat[j] += step
+            qm.flat[j] -= step
+            fd[:, j] = (
+                _discrete_gradient(p, t, h, cmat, qp) - _discrete_gradient(p, t, h, cmat, qm)
+            ).ravel() / (2.0 * step)
+        npt.assert_array_equal(analytic, analytic.T)
+        npt.assert_allclose(analytic, fd, rtol=0.0, atol=1e-7 * np.max(np.abs(fd)))
 
     def test_solver_output_annihilates_random_variations(self):
         p = VariationalProblem(
