@@ -26,6 +26,7 @@ from __future__ import annotations
 from math import gamma
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .grid import (
@@ -213,14 +214,13 @@ def caputo_left_matrix(n: int, h: float, order) -> np.ndarray:
     alpha = _derivative_order(order)
     if alpha == 1.0:
         return central_difference_matrix(n, h)
-    b = np.concatenate(([0.0], _l1_coeffs(n, alpha)))  # b[k] = b_k, b[0] unused
+    b = _l1_coeffs(n, alpha)  # b[k - 1] = b_k
     scale = h**-alpha / gamma(2.0 - alpha)
-    m = np.zeros((n + 1, n + 1))
-    i = np.arange(n + 1)[:, None]
-    j = np.arange(n + 1)[None, :]
-    lag = i - j
-    plus = np.where((j >= 1) & (lag >= 0) & (lag + 1 <= n), b[np.clip(lag + 1, 0, n)], 0.0)
-    minus = np.where((lag >= 1), b[np.clip(lag, 0, n)], 0.0)
-    m = scale * (plus - minus)
-    m[0, :] = 0.0
+    # lower-triangular Toeplitz in c_0 = b_1, c_k = b_{k+1} - b_k: row i is
+    # a window of the reversed coefficients; column 0 carries -b_i
+    c = np.diff(b, prepend=0.0)
+    padded = np.concatenate(([0.0], c[::-1], np.zeros(n)))
+    m = np.multiply(scale, sliding_window_view(padded, n + 1)[::-1], order="C")
+    m[1:, 0] = -scale * b
+    m[0] = 0.0
     return m

@@ -1,12 +1,9 @@
-"""Dense quasi-Newton and Newton minimizer with an Armijo line search.
+"""Dense Newton minimizer with an Armijo line search.
 
 Small and deterministic; both trajectory solvers drive it with analytic
-gradients. Without a Hessian the direction comes from a BFGS inverse-Hessian
-approximation, rescaled after the first update (Nocedal-Wright style), and
-updates with non-positive curvature are skipped rather than forced. With a
-Hessian callback each direction solves ``H p = -g``; an indefinite ``H`` is
-shifted by ``tau I`` until its Cholesky factorization succeeds (Nocedal-Wright
-section 3.4). Both paths share the line search and the stopping test.
+gradients and assembled Hessians. Each direction solves ``H p = -g``; an
+indefinite ``H`` is shifted by ``tau I`` until its Cholesky factorization
+succeeds (Nocedal-Wright section 3.4).
 """
 
 from __future__ import annotations
@@ -34,37 +31,30 @@ def bfgs_minimize(
     fun: Callable[[np.ndarray], float],
     grad: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
+    hess: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-8,
     max_iter: int = 1000,
-    hess: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> MinimizeResult:
     """Minimize ``fun`` from ``x0``; converged when max|grad| < tol.
 
-    ``hess(x)``, when given, returns a new dense Hessian, which the solver
-    may overwrite, and Newton steps replace the BFGS metric. Raises
-    ``ConvergenceError`` (with the final gradient norm) at the iteration cap
-    and ``LineSearchError`` after 60 failed step reductions.
+    ``hess(x)`` returns a new dense Hessian, which the solver may overwrite.
+    Raises ``ConvergenceError`` (with the final gradient norm) at the
+    iteration cap and ``LineSearchError`` after 60 failed step reductions.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.size == 0:
         return MinimizeResult(x, float(fun(x)), 0.0, 0)
-    m = x.size
-    hinv = np.eye(m) if hess is None else None
     g = np.asarray(grad(x), dtype=float)
     f = float(fun(x))
     if not np.isfinite(f):
         raise LineSearchError("objective is non-finite at the initial point")
-    first_update = True
     for iteration in range(max_iter):
         gnorm = float(np.max(np.abs(g)))
         if gnorm < tol:
             return MinimizeResult(x, f, gnorm, iteration)
-        p = -hinv @ g if hess is None else _newton_direction(hess(x), g)
+        p = _newton_direction(hess(x), g)
         slope = float(g @ p)
-        if slope >= 0.0:  # numerical loss of descent; restart the metric
-            if hess is None:
-                hinv = np.eye(m)
-                first_update = True
+        if slope >= 0.0:  # numerical loss of descent; fall back to steepest descent
             p = -g
             slope = float(g @ p)
         step = 1.0
@@ -94,22 +84,9 @@ def bfgs_minimize(
             else:
                 step *= 0.5
             halvings += 1
-        s = step * p
-        x_new = x + s
-        if g_new is None:
-            g_new = np.asarray(grad(x_new), dtype=float)
-        y = g_new - g
-        ys = float(y @ s)
-        if hess is None and ys > 1e-12 * float(np.linalg.norm(y)) * float(np.linalg.norm(s)):
-            if first_update:
-                hinv *= ys / float(y @ y)
-                first_update = False
-            rho = 1.0 / ys
-            hy = hinv @ y
-            # BFGS inverse update: (I - rho s y') Hinv (I - rho y s') + rho s s'
-            hinv -= rho * (np.outer(s, hy) + np.outer(hy, s))
-            hinv += rho * rho * float(y @ hy) * np.outer(s, s) + rho * np.outer(s, s)
-        x, g, f = x_new, g_new, f_new
+        x = x + step * p
+        g = np.asarray(grad(x), dtype=float) if g_new is None else g_new
+        f = f_new
     gnorm = float(np.max(np.abs(g)))
     raise ConvergenceError(
         f"no convergence within {max_iter} iterations; gradient max-norm {gnorm:.6e}",

@@ -12,7 +12,8 @@ functions p and p_alpha paired with the two velocity channels.
 The solver is a penalty-based direct transcription: all trajectory nodes
 except the fixed initial one, plus every control node, are decision
 variables; both dynamics channels enter as weighted quadratic penalties with
-an increasing weight schedule, and the adjoints are recovered from the
+an increasing weight schedule. Each weight's objective is minimized by Newton
+steps on its assembled Hessian, and the adjoints are recovered from the
 converged penalty multipliers (p = -weight * defect). Adjoint recovery is
 first-order in the final weight - tolerances downstream account for that.
 """
@@ -33,7 +34,7 @@ from .grid import (
     order_value,
     trapezoid_weights,
 )
-from .lagrangian import check_partial
+from .lagrangian import check_partial, fd_partial
 from .minimize import bfgs_minimize
 from .noether import _check_truncation, _series_terms
 from .symmetry import SymmetryGroup
@@ -41,6 +42,7 @@ from .symmetry import SymmetryGroup
 _PROBE_SEED = 9319
 _BASE_WEIGHT = 100.0  # penalty weight of the first round; tenfold per round after
 _ROUNDS = 3
+_MAX_UNKNOWNS = 8192  # a dense Hessian this size takes 512 MiB
 
 
 @dataclass
@@ -86,7 +88,6 @@ class ControlProblem:
         if self.frac_dim < 0:
             raise ValidationError("fractional control dimension must be >= 0")
         self._validate_contracts()
-        self._caputo_matrix_cache = None
 
     def _validate_contracts(self):
         rng = np.random.default_rng(_PROBE_SEED)
@@ -106,11 +107,6 @@ class ControlProblem:
         ):
             if self.frac_dim or not name.endswith("dmu"):
                 check_partial(f"control contract {name}", getattr(self, name), evaluate, args, slot)
-
-    def caputo_matrix(self) -> np.ndarray:
-        if self._caputo_matrix_cache is None:
-            self._caputo_matrix_cache = caputo_left_matrix(self.grid.n, self.grid.h, self.alpha)
-        return self._caputo_matrix_cache
 
 
 @dataclass
@@ -239,8 +235,9 @@ def solve_control(
 
     Decision variables: trajectory nodes 1..n (node 0 carries the initial
     condition) plus every control node of u and mu. Three penalty rounds,
-    weight 100 growing tenfold per round, warm-started; the combined
-    dynamics defect must decrease across rounds or the dynamics are reported
+    weight 100 growing tenfold per round, warm-started, each minimized by
+    Newton steps on the assembled penalty Hessian; the combined dynamics
+    defect must decrease across rounds or the dynamics are reported
     infeasible. ``terminal_state`` adds an optional endpoint penalty.
     """
     n, sd, md, dd = cp.grid.n, cp.state_dim, cp.control_dim, cp.frac_dim
@@ -248,28 +245,36 @@ def solve_control(
         raise ValidationError("solver supports dimensions up to 4 per channel")
     if n > 2048:
         raise ValidationError("solver supports grids up to n = 2048")
+    s = sd + md + dd  # values per node
+    m = (n + 1) * s - sd  # unknowns; node 0's state is fixed
+    if m > _MAX_UNKNOWNS:
+        raise ValidationError(f"solver supports up to {_MAX_UNKNOWNS} unknowns, got {m}")
     h = cp.grid.h
     t = cp.grid.nodes()
     wt = trapezoid_weights(n, h)
     dmat = _sbp_difference_matrix(n, h)
-    cmat = cp.caputo_matrix()
+    cmat = caputo_left_matrix(n, h, cp.alpha)
     q_goal = None
     if terminal_state is not None:
         q_goal = np.atleast_1d(np.asarray(terminal_state, dtype=float))
         if q_goal.shape != (sd,):
             raise ValidationError("terminal state dimension mismatch")
+    gram = dmat.T @ (wt[:, None] * dmat) + cmat.T @ (wt[:, None] * cmat)
 
-    nq = n * sd
-    nu = (n + 1) * md
-    nmu = (n + 1) * dd
+    # pos[k] indexes node k's (q, u, mu) in (q_start, z), which holds all of
+    # q, then all of u, then all of mu, each node-major
+    pos = np.hstack(
+        [
+            (n + 1) * offset + np.arange((n + 1) * width).reshape(n + 1, width)
+            for offset, width in ((0, sd), (sd, md), (sd + md, dd))
+        ]
+    )
+
+    def nodes(z):
+        return np.concatenate((cp.q_start, z))[pos]
 
     def split(z):
-        q = np.empty((n + 1, sd))
-        q[0] = cp.q_start
-        q[1:] = z[:nq].reshape(n, sd)
-        u = z[nq : nq + nu].reshape(n + 1, md)
-        mu = z[nq + nu :].reshape(n + 1, dd)
-        return q, u, mu
+        return np.hsplit(nodes(z), (sd, sd + md))
 
     def defects(q, u, mu):
         e1 = dmat @ q - np.asarray(cp.velocity(t, q, u), dtype=float)
@@ -286,46 +291,70 @@ def solve_control(
             value += 0.5 * weight * float(np.sum((q[-1] - q_goal) ** 2))
         return value
 
-    def gradient(z, weight):
-        q, u, mu = split(z)
-        e1, e2 = defects(q, u, mu)
-        wt_e1 = wt[:, None] * e1
-        wt_e2 = wt[:, None] * e2
+    def node_gradient(y, a, c, weight):
+        """Gradient of each node's term of the objective in the node's own
+        (q, u, mu), with ``a = dmat @ q`` and ``c = cmat @ q`` held fixed,
+        followed by the term's gradient in its row of ``a`` and of ``c``."""
+        q, u, mu = np.hsplit(y, (sd, sd + md))
+        r1 = weight * wt[:, None] * (a - np.asarray(cp.velocity(t, q, u), dtype=float))
+        r2 = weight * wt[:, None] * (c - np.asarray(cp.frac_velocity(t, q, mu), dtype=float))
         gq = wt[:, None] * np.asarray(cp.cost_dq(t, q, u, mu), dtype=float)
-        gq += weight * (dmat.T @ wt_e1)
-        gq -= weight * np.einsum("kij,ki->kj", np.asarray(cp.velocity_dq(t, q, u), float), wt_e1)
-        gq += weight * (cmat.T @ wt_e2)
-        gq -= weight * np.einsum(
-            "kij,ki->kj", np.asarray(cp.frac_velocity_dq(t, q, mu), float), wt_e2
-        )
-        if q_goal is not None:
-            gq[-1] += weight * (q[-1] - q_goal)
+        gq -= np.einsum("kij,ki->kj", np.asarray(cp.velocity_dq(t, q, u), float), r1)
+        gq -= np.einsum("kij,ki->kj", np.asarray(cp.frac_velocity_dq(t, q, mu), float), r2)
         gu = wt[:, None] * np.asarray(cp.cost_du(t, q, u, mu), dtype=float)
-        gu -= weight * np.einsum("kij,ki->kj", np.asarray(cp.velocity_du(t, q, u), float), wt_e1)
+        gu -= np.einsum("kij,ki->kj", np.asarray(cp.velocity_du(t, q, u), float), r1)
+        gmu = np.zeros((n + 1, 0))
         if dd:
             gmu = wt[:, None] * np.asarray(cp.cost_dmu(t, q, u, mu), dtype=float)
-            gmu -= weight * np.einsum(
-                "kij,ki->kj", np.asarray(cp.frac_velocity_dmu(t, q, mu), float), wt_e2
-            )
-        else:
-            gmu = np.zeros((n + 1, 0))
-        return np.concatenate([gq[1:].ravel(), gu.ravel(), gmu.ravel()])
+            gmu -= np.einsum("kij,ki->kj", np.asarray(cp.frac_velocity_dmu(t, q, mu), float), r2)
+        return np.hstack((gq, gu, gmu, r1, r2))
 
-    z = np.zeros(nq + nu + nmu)
-    q0, u0, mu0 = split(z)
-    q0[1:] = cp.q_start[None, :]
-    z[:nq] = q0[1:].ravel()
+    def gradient(z, weight):
+        y = nodes(z)
+        q = y[:, :sd]
+        g = node_gradient(y, dmat @ q, cmat @ q, weight)
+        g[:, :sd] += dmat.T @ g[:, s : s + sd] + cmat.T @ g[:, s + sd :]
+        if q_goal is not None:
+            g[-1, :sd] += weight * (q[-1] - q_goal)
+        flat = np.empty((n + 1) * s)
+        flat[pos] = g[:, :s]
+        return flat[sd:]
+
+    def hessian(z, weight):
+        # second partials are central differences of node_gradient: its
+        # first s columns give each node's own block, the rest the rows that
+        # couple the node to dmat @ q and cmat @ q. Blocks on the diagonal
+        # enter halved, so that the Hessian is hmat + hmat'
+        y = nodes(z)
+        q = y[:, :sd]
+        jac = fd_partial(lambda *args: node_gradient(*args, weight), (y, dmat @ q, cmat @ q), 0)
+        hmat = np.zeros(((n + 1) * s, (n + 1) * s))
+        hmat[pos[:, :, None], pos[:, None, :]] = 0.5 * jac[:, :s]
+        for j in range(sd):
+            qj = pos[:, j]
+            hmat[np.ix_(qj, qj)] += 0.5 * weight * gram
+            for op, rows in ((dmat, jac[:, s + j]), (cmat, jac[:, s + sd + j])):
+                for col in np.flatnonzero(rows.any(axis=0)):
+                    # d2/dq_(i,j) dy_(k,col) = op[k, i] * rows[k, col]
+                    hmat[np.ix_(qj, pos[:, col])] += op.T * rows[:, col]
+        if q_goal is not None:
+            hmat[pos[-1, :sd], pos[-1, :sd]] += 0.5 * weight
+        hmat += hmat.T
+        return hmat[sd:, sd:]
+
+    z = np.zeros(m)
+    z[: n * sd] = np.tile(cp.q_start, n)
     if max_iter is None:
-        max_iter = max(4000, 500 * len(z))
+        max_iter = max(4000, 500 * m)
 
     weights, defect_norms = [], []
-    result = None
     for k in range(_ROUNDS):
         weight = _BASE_WEIGHT * 10.0**k
         result = bfgs_minimize(
             lambda zz: objective(zz, weight),
             lambda zz: gradient(zz, weight),
             z,
+            lambda zz: hessian(zz, weight),
             tol=tol,
             max_iter=max_iter,
         )
@@ -343,8 +372,6 @@ def solve_control(
                 "dynamics penalty defect did not decrease across rounds "
                 f"(history {defect_norms}); dynamics look infeasible"
             )
-    q, u, mu = split(z)
-    e1, e2 = defects(q, u, mu)
     final_weight = weights[-1]
     return PontryaginState(
         q=GridFunction(cp.grid, q),

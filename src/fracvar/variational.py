@@ -59,16 +59,10 @@ class VariationalProblem:
                 f"boundary vectors must have dimension {lagrangian.dim}, "
                 f"got {self.q_a.shape} and {self.q_b.shape}"
             )
-        self._caputo_matrix_cache = None
 
     @property
     def dim(self) -> int:
         return self.lagrangian.dim
-
-    def caputo_matrix(self) -> np.ndarray:
-        if self._caputo_matrix_cache is None:
-            self._caputo_matrix_cache = caputo_left_matrix(self.grid.n, self.grid.h, self.alpha)
-        return self._caputo_matrix_cache
 
     def fields(self, q: GridFunction):
         """Trajectory fields (t, q, v, w) with the node-based conventions."""
@@ -182,7 +176,7 @@ def _interpolant_action_parts(problem: VariationalProblem):
     """Precompute the static pieces of the discrete action."""
     t = problem.grid.nodes()
     h = problem.grid.h
-    cmat = problem.caputo_matrix()
+    cmat = caputo_left_matrix(problem.grid.n, h, problem.alpha)
     return t, h, cmat
 
 
@@ -306,7 +300,7 @@ def solve_extremal(
     def hess(x):
         return _discrete_hessian(problem, t, h, cmat, assemble(x))[d:-d, d:-d]
 
-    result = bfgs_minimize(fun, grad, x0, tol=tol, max_iter=max_iter, hess=hess)
+    result = bfgs_minimize(fun, grad, x0, hess, tol=tol, max_iter=max_iter)
     q = GridFunction(grid, assemble(result.x))
     velocity = GridFunction(grid, central_difference(q.values, h))
     caputo_velocity = caputo_left(q, problem.alpha)

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fracvar import optctrl
 from fracvar.errors import NumericsError, ValidationError
 from fracvar.grid import Grid, GridFunction, central_difference, trapezoid
 from fracvar.lagrangian import quadratic_mix
@@ -45,6 +46,54 @@ def zero_problem(n=32):
         frac_dim=1,
         autonomous=True,
         name="zero",
+    )
+
+
+def nonlinear_problem(n):
+    """State dim 2 with nonlinear cost, phi and rho, so every Hessian block is non-zero."""
+
+    def cost(t, q, u, mu):
+        q0, q1, u0, mu0 = q[:, 0], q[:, 1], u[:, 0], mu[:, 0]
+        return 0.5 * (q0**2 + u0**2) + q0 * q1 * mu0 + 0.25 * mu0**4
+
+    def velocity(t, q, u):
+        return np.stack((q[:, 1] + u[:, 0] * q[:, 0], -np.sin(q[:, 0]) + u[:, 0] ** 2), axis=1)
+
+    def velocity_dq(t, q, u):
+        jac = np.zeros((len(t), 2, 2))
+        jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0] = u[:, 0], 1.0, -np.cos(q[:, 0])
+        return jac
+
+    def frac_velocity(t, q, mu):
+        return np.stack((mu[:, 0] + q[:, 0] * q[:, 1], q[:, 1] - mu[:, 0] ** 2), axis=1)
+
+    def frac_velocity_dq(t, q, mu):
+        jac = np.zeros((len(t), 2, 2))
+        jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 1] = q[:, 1], q[:, 0], 1.0
+        return jac
+
+    return ControlProblem(
+        cost=cost,
+        cost_dq=lambda t, q, u, mu: np.stack(
+            (q[:, 0] + q[:, 1] * mu[:, 0], q[:, 0] * mu[:, 0]), axis=1
+        ),
+        cost_du=lambda t, q, u, mu: u.copy(),
+        cost_dmu=lambda t, q, u, mu: (q[:, 0] * q[:, 1] + mu[:, 0] ** 3)[:, None],
+        velocity=velocity,
+        velocity_dq=velocity_dq,
+        velocity_du=lambda t, q, u: np.stack((q[:, 0], 2.0 * u[:, 0]), axis=1)[:, :, None],
+        frac_velocity=frac_velocity,
+        frac_velocity_dq=frac_velocity_dq,
+        frac_velocity_dmu=lambda t, q, mu: np.stack(
+            (np.ones(len(t)), -2.0 * mu[:, 0]), axis=1
+        )[:, :, None],
+        alpha=0.6,
+        grid=Grid(0.0, 1.0, n),
+        q_start=[0.3, -0.2],
+        state_dim=2,
+        control_dim=1,
+        frac_dim=1,
+        name="nonlinear",
     )
 
 
@@ -248,6 +297,42 @@ class TestSolveControl:
         cp.state_dim = 5
         with pytest.raises(ValidationError):
             solve_control(cp)
+
+    def test_unknowns_capped_before_allocating(self):
+        # n = 2048 with 4 dims per channel: 24,584 unknowns, a 4.8 GB Hessian
+        cp = scalar_tracking_problem(Grid(0.0, 1.0, 2048), 0.5, 1.0)
+        cp.state_dim = cp.control_dim = cp.frac_dim = 4
+        with pytest.raises(ValidationError, match="unknowns"):
+            solve_control(cp)
+
+    def test_penalty_hessian_matches_finite_differences_of_gradient(self, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def spy(fun, grad, x0, hess, **kwargs):
+            raise Captured(grad, hess, x0.size)
+
+        monkeypatch.setattr(optctrl, "bfgs_minimize", spy)
+        with pytest.raises(Captured) as excinfo:
+            solve_control(nonlinear_problem(8), terminal_state=[0.5, -0.4])
+        grad, hess, m = excinfo.value.args
+        z = np.random.default_rng(23).standard_normal(m)
+        analytic = hess(z)
+        fd = np.empty_like(analytic)
+        step = 1e-6
+        for j in range(m):
+            zp, zm = z.copy(), z.copy()
+            zp[j] += step
+            zm[j] -= step
+            fd[:, j] = (grad(zp) - grad(zm)) / (2.0 * step)
+        npt.assert_array_equal(analytic, analytic.T)
+        npt.assert_allclose(analytic, fd, rtol=0.0, atol=1e-7 * np.max(np.abs(fd)))
+
+    def test_linear_quadratic_round_takes_one_newton_step(self):
+        cp = scalar_tracking_problem(Grid(0.0, 1.0, 128), 0.5, 1.0)
+        state = solve_control(cp)
+        assert state.diagnostics.iterations == 1
+        assert state.diagnostics.gradient_norm < 1e-10
 
     def test_hamiltonian_system_consistency(self):
         cp = scalar_tracking_problem(Grid(0.0, 1.0, 64), 0.5, 1.0)

@@ -13,7 +13,6 @@ from fracvar.lagrangian import (
     potential_polynomial,
     quadratic_mix,
 )
-from fracvar import minimize, variational
 from fracvar.variational import (
     VariationalProblem,
     action_value,
@@ -290,17 +289,31 @@ class TestSolveExtremal:
         assert sol.iterations == 1
         assert sol.gradient_norm < 1e-11
 
-    def test_newton_matches_bfgs_on_coupled_problem(self, monkeypatch):
+    def test_newton_matches_bfgs_on_coupled_problem(self):
+        from scipy import optimize
+
         p = coupled_problem(64)
         newton = solve_extremal(p)
+        t, h, cmat = _interpolant_action_parts(p)
+        q = newton.trajectory.values.copy()  # keeps the boundary rows
 
-        def bfgs_only(fun, grad, x0, tol, max_iter, hess):
-            return minimize.bfgs_minimize(fun, grad, x0, tol=tol, max_iter=max_iter)
+        def assemble(x):
+            q[1:-1] = x.reshape(-1, 2)
+            return q
 
-        monkeypatch.setattr(variational, "bfgs_minimize", bfgs_only)
-        bfgs = solve_extremal(p)
-        assert newton.iterations <= 3 < bfgs.iterations
-        npt.assert_allclose(newton.trajectory.values, bfgs.trajectory.values, rtol=0.0, atol=1e-6)
+        frac = t[1:-1, None]
+        x0 = ((1.0 - frac) * p.q_a + frac * p.q_b).ravel()
+        bfgs = optimize.minimize(
+            lambda x: _discrete_action(p, t, h, cmat, assemble(x)),
+            x0,
+            jac=lambda x: _discrete_gradient(p, t, h, cmat, assemble(x))[1:-1].ravel(),
+            method="BFGS",
+            options={"gtol": 1e-8, "maxiter": 10000},
+        )
+        assert newton.iterations <= 3 < bfgs.nit
+        npt.assert_allclose(
+            newton.trajectory.values[1:-1], bfgs.x.reshape(-1, 2), rtol=0.0, atol=1e-6
+        )
 
     def test_solution_csv_columns(self, tmp_path):
         p = line_problem(n=16)
