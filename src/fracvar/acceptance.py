@@ -29,12 +29,12 @@ from .lagrangian import harmonic_oscillator, quadratic_mix
 from .noether import autonomous_quantity, drift_report, transfer_series
 from .optctrl import (
     autonomous_control_quantity,
+    hamiltonian_values,
     pontryagin_residuals,
     reduction_state,
     scalar_tracking_problem,
     solve_control,
     variational_reduction,
-    _hamiltonian_values,
 )
 from .scenarios import parse_scenario, run_scenario
 from .variational import VariationalProblem, el_residual, solve_extremal
@@ -240,17 +240,7 @@ def criterion_control_noether(cache):
         cp = scalar_tracking_problem(Grid(0.0, 1.0, n), 0.5, 1.0, state_weight=1.0)
         state = solve_control(cp)
         corrected = drift_report(autonomous_control_quantity(cp, state))
-        ham = GridFunction(
-            cp.grid,
-            _hamiltonian_values(
-                cp,
-                state.q.values,
-                state.u.values,
-                state.mu.values,
-                state.p.values,
-                state.p_alpha.values,
-            ),
-        )
+        ham = GridFunction(cp.grid, hamiltonian_values(cp, state))
         rows.append((corrected, drift_report(ham)))
     decreasing = all(rows[i][0] > rows[i + 1][0] for i in range(len(rows) - 1))
     never_worse = all(c <= h for c, h in rows)

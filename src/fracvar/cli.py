@@ -106,10 +106,7 @@ def main(argv=None) -> int:
         if args.command == "study":
             return _cmd_study(args)
         return _cmd_accept(args)
-    except ValidationError as exc:
-        print(_error_record("validation", str(exc)), file=sys.stderr)
-        return EXIT_USER_ERROR
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(_error_record("validation", str(exc)), file=sys.stderr)
         return EXIT_USER_ERROR
     except NumericsError as exc:

@@ -5,6 +5,11 @@ code through the reflection t -> a + b - t, which maps one kernel onto the
 other exactly (node i of the right operator is node n - i of the left
 operator applied to the reversed samples).
 
+Every left-sided scheme is one :class:`ToeplitzScheme` (kernel, first
+column, scale), applied through one zero-padded real FFT in O(n log n) and
+built densely for the solvers. Outputs differ from a direct convolution at
+round-off level; repeated runs are bit-identical.
+
 Schemes
 -------
 * Riemann-Liouville integrals: product-trapezoidal quadrature — the kernel
@@ -23,12 +28,13 @@ derivative (one-sided at the ends), matching the classical limit exactly.
 
 from __future__ import annotations
 
-from math import gamma
+from dataclasses import dataclass
+from math import gamma, inf
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 from .grid import (
     GridFunction,
     central_difference,
@@ -48,50 +54,97 @@ __all__ = [
     "rl_derivative_right",
     "ibp_residual",
     "caputo_left_matrix",
+    "ToeplitzScheme",
 ]
 
 
-def _derivative_order(order) -> float:
+def derivative_order(order, what: str = "derivative") -> float:
     alpha = order_value(order)
     if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"derivative order must lie in (0, 1], got {alpha}")
+        raise ValidationError(f"{what} order must lie in (0, 1], got {alpha}")
     return alpha
 
 
-def _integral_order(order) -> float:
+def integral_order(order) -> float:
     beta = order_value(order)
     if not np.isfinite(beta) or beta <= 0.0:
         raise ValidationError(f"integral order must be > 0, got {beta}")
     return beta
 
 
-def _l1_coeffs(n: int, alpha: float) -> np.ndarray:
-    """b_k = k^(1-alpha) - (k-1)^(1-alpha) for k = 1..n."""
-    k = np.arange(0, n + 1, dtype=float)
-    powers = k ** (1.0 - alpha)
-    return powers[1:] - powers[:-1]
+def power_scale(h: float, power: float, gamma_arg: float = 1.0) -> float:
+    """h^power / Gamma(gamma_arg); inf where either overflows, which ToeplitzScheme rejects."""
+    try:
+        return h**power / gamma(gamma_arg)
+    except OverflowError:
+        return inf
 
 
-def _product_trapezoid_coeffs(n: int, beta: float):
-    """Interior convolution weights c_k and the j=0 column a0_i."""
+def _fft_length(m: int) -> int:
+    """Smallest of 2^k and 3 * 2^(k-2) that is >= m; both are fast rfft sizes."""
+    p = 1 << (m - 1).bit_length()
+    return 3 * p // 4 if 3 * p // 4 >= m else p
+
+
+@dataclass(frozen=True, eq=False)
+class ToeplitzScheme:
+    """(M f)_i = scale * (first_column[i] f_0 + sum_{j=1}^{i} kernel[i-j] f_j), i = 0..n.
+
+    ``kernel`` has n entries and ``first_column`` n + 1. Weights or a scale
+    outside double-precision range raise ``NumericsError`` naming the order.
+    """
+
+    order: float
+    scale: float
+    kernel: np.ndarray
+    first_column: np.ndarray
+
+    def __post_init__(self):
+        weights = np.concatenate((self.kernel, self.first_column))
+        if not (np.isfinite(weights).all() and np.finfo(float).tiny <= self.scale < inf):
+            n = len(self.kernel)
+            raise NumericsError(f"order {self.order} at n = {n} leaves double-precision range")
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """M @ values, column by column, through one zero-padded rfft/irfft."""
+        n = len(self.kernel)
+        nfft = _fft_length(2 * n - 1)
+        spectrum = np.fft.rfft(values[1:], nfft, axis=0)
+        spectrum *= np.fft.rfft(self.kernel, nfft)[:, None]
+        out = self.first_column[:, None] * values[0]
+        out[1:] += np.fft.irfft(spectrum, nfft, axis=0)[:n]
+        out *= self.scale
+        return out
+
+    def dense(self) -> np.ndarray:
+        """M as an (n+1, n+1) array; row i is a window of the reversed kernel."""
+        n = len(self.kernel)
+        padded = np.concatenate(([0.0], self.kernel[::-1], np.zeros(n)))
+        m = np.multiply(self.scale, sliding_window_view(padded, n + 1)[::-1], order="C")
+        m[:, 0] = self.scale * self.first_column
+        return m
+
+
+def _l1_scheme(n: int, h: float, alpha: float) -> ToeplitzScheme:
+    """L1 weights b_k = k^(1-alpha) - (k-1)^(1-alpha), k = 1..n.
+
+    The scheme acts on the differences (0, f_1 - f_0, ..., f_n - f_{n-1}),
+    so its column 0 is zero and constants map to exact zeros.
+    """
+    powers = np.arange(0, n + 1, dtype=float) ** (1.0 - alpha)
+    return ToeplitzScheme(alpha, power_scale(h, -alpha, 2.0 - alpha), np.diff(powers), np.zeros(n + 1))
+
+
+def _product_trapezoid_scheme(n: int, h: float, beta: float) -> ToeplitzScheme:
+    """Kernel 1, c_1..c_{n-1}; c_k is a second difference of k^(beta+1)."""
     k = np.arange(0, n + 1, dtype=float)
-    p = k ** (beta + 1.0)
-    c = p[2:] - 2.0 * p[1:-1] + p[:-2]  # c_k for k = 1..n-1
-    i = np.arange(0, n + 1, dtype=float)
-    with np.errstate(invalid="ignore"):
-        a0 = (i - 1.0) ** (beta + 1.0) - i**beta * (i - beta - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = k ** (beta + 1.0)
+        kernel = np.concatenate(([1.0], p[2:] - 2.0 * p[1:-1] + p[:-2]))
+        a0 = (k - 1.0) ** (beta + 1.0) - k**beta * (k - beta - 1.0)
     a0[0] = 0.0
-    if n >= 1:
-        a0[1] = beta  # (i-1)^(beta+1) at i=1 is 0^..., fix explicitly
-    return c, a0
-
-
-def _convolve_columns(kernel: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Column-wise full convolution; fixed summation order, deterministic."""
-    out = np.empty((len(kernel) + cols.shape[0] - 1, cols.shape[1]))
-    for j in range(cols.shape[1]):
-        out[:, j] = np.convolve(cols[:, j], kernel)
-    return out
+    a0[1] = beta  # (k-1)^(beta+1) at k=1 is 0^..., fix explicitly
+    return ToeplitzScheme(beta, power_scale(h, beta, beta + 2.0), kernel, a0)
 
 
 def rl_integral_left(f: GridFunction, order) -> GridFunction:
@@ -100,21 +153,12 @@ def rl_integral_left(f: GridFunction, order) -> GridFunction:
     Node-wise approximation of
     ``(1/Gamma(beta)) * integral_a^t (t - theta)^(beta-1) f(theta) dtheta``
     with the singular kernel integrated exactly against piecewise-linear f.
+    Raises ``NumericsError`` when beta overflows the weights at this n.
     """
-    beta = _integral_order(order)
+    beta = integral_order(order)
     require_finite(f)
-    n, h = f.grid.n, f.grid.h
-    v = f.values
-    scale = h**beta / gamma(beta + 2.0)
-    c, a0 = _product_trapezoid_coeffs(n, beta)
-    out = np.zeros_like(v)
-    if n >= 2:
-        inner = _convolve_columns(c, v[1:n])  # inner[i-2] pairs with node i
-        out[2:] = inner[: n - 1]
-    out[1:] += a0[1:, None] * v[0] + v[1:]
-    out[1:] *= scale
-    out[0] = 0.0
-    return f.with_values(out)
+    scheme = _product_trapezoid_scheme(f.grid.n, f.grid.h, beta)
+    return f.with_values(scheme.apply(f.values))
 
 
 def rl_integral_right(f: GridFunction, order) -> GridFunction:
@@ -125,17 +169,13 @@ def rl_integral_right(f: GridFunction, order) -> GridFunction:
 
 def caputo_left(f: GridFunction, order) -> GridFunction:
     """Left Caputo derivative, L1 scheme; central differences at alpha = 1."""
-    alpha = _derivative_order(order)
+    alpha = derivative_order(order)
     require_finite(f)
     n, h = f.grid.n, f.grid.h
     if alpha == 1.0:
         return f.with_values(central_difference(f.values, h))
-    df = np.diff(f.values, axis=0)
-    b = _l1_coeffs(n, alpha)
-    conv = _convolve_columns(b, df)
-    out = np.zeros_like(f.values)
-    out[1:] = conv[:n] * (h**-alpha / gamma(2.0 - alpha))
-    return f.with_values(out)
+    differences = np.diff(f.values, axis=0, prepend=f.values[:1])
+    return f.with_values(_l1_scheme(n, h, alpha).apply(differences))
 
 
 def caputo_right(f: GridFunction, order) -> GridFunction:
@@ -165,7 +205,7 @@ def rl_derivative_left(f: GridFunction, order) -> GridFunction:
     node at t = a is flagged NaN when f(a) != 0 (the value is genuinely
     singular there).
     """
-    alpha = _derivative_order(order)
+    alpha = derivative_order(order)
     base = caputo_left(f, alpha)
     if alpha == 1.0:
         return base
@@ -174,7 +214,7 @@ def rl_derivative_left(f: GridFunction, order) -> GridFunction:
 
 def rl_derivative_right(f: GridFunction, order) -> GridFunction:
     """Right Riemann-Liouville derivative; singular node flagged at t = b."""
-    alpha = _derivative_order(order)
+    alpha = derivative_order(order)
     base = caputo_right(f, alpha)
     if alpha == 1.0:
         return base
@@ -189,7 +229,7 @@ def ibp_residual(f: GridFunction, g: GridFunction, order) -> float:
     boundary terms); the flagged node of the right derivative is skipped,
     where the exact integrand vanishes because f does.
     """
-    alpha = _derivative_order(order)
+    alpha = derivative_order(order)
     require_same_grid(f, g)
     if f.dim != g.dim:
         raise ValidationError(f"dimension mismatch: {f.dim} vs {g.dim}")
@@ -211,16 +251,10 @@ def caputo_left_matrix(n: int, h: float, order) -> np.ndarray:
     Used by the solvers, whose gradients need the transpose; at alpha = 1
     this is the central-difference matrix.
     """
-    alpha = _derivative_order(order)
+    alpha = derivative_order(order)
     if alpha == 1.0:
         return central_difference_matrix(n, h)
-    b = _l1_coeffs(n, alpha)  # b[k - 1] = b_k
-    scale = h**-alpha / gamma(2.0 - alpha)
-    # lower-triangular Toeplitz in c_0 = b_1, c_k = b_{k+1} - b_k: row i is
-    # a window of the reversed coefficients; column 0 carries -b_i
-    c = np.diff(b, prepend=0.0)
-    padded = np.concatenate(([0.0], c[::-1], np.zeros(n)))
-    m = np.multiply(scale, sliding_window_view(padded, n + 1)[::-1], order="C")
-    m[1:, 0] = -scale * b
-    m[0] = 0.0
-    return m
+    l1 = _l1_scheme(n, h, alpha)
+    # composed with the differences f_j - f_{j-1}: kernel b_{k+1} - b_k, column 0 -b_i
+    b = l1.kernel
+    return ToeplitzScheme(alpha, l1.scale, np.diff(b, prepend=0.0), np.append(0.0, -b)).dense()

@@ -15,6 +15,7 @@ study, and a classical integrator for the limiting equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -175,21 +176,26 @@ def simulate_damped_eom(
     out = np.empty((steps + 1, 2))
     out[0] = (q0, v0)
 
-    def rhs(state):
-        q, v = state
-        return np.array([v, (float(fp.force(np.asarray(q))) - fp.gamma * v) / fp.mass])
+    def accel(q, v):
+        return (float(fp.force(np.asarray(q))) - fp.gamma * v) / fp.mass
 
-    y = np.array([q0, v0], dtype=float)
+    # scalar stages, in the operation order of the vector form y + c * k
+    q, v = float(q0), float(v0)
+    half, sixth = 0.5 * dt, dt / 6.0
     for k in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all() or abs(y[0]) > 1e12:
+        a1 = accel(q, v)
+        q2, v2 = q + half * v, v + half * a1
+        a2 = accel(q2, v2)
+        q3, v3 = q + half * v2, v + half * a2
+        a3 = accel(q3, v3)
+        q4, v4 = q + dt * v3, v + dt * a3
+        a4 = accel(q4, v4)
+        q += sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        if not (math.isfinite(q) and math.isfinite(v)) or abs(q) > 1e12:
             raise NumericsError(
                 f"integration blew up at step {k + 1} (t = {(k + 1) * dt:.6g}); "
                 "reduce the step size"
             )
-        out[k + 1] = y
+        out[k + 1] = (q, v)
     return GridFunction(grid, out)

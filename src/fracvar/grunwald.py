@@ -3,15 +3,17 @@
 An independent first-order discretization behind the same signatures as
 :mod:`fracvar.fracops`. It shares no kernel-weight code with the primary
 schemes, which is the point: the tests cross-check the two discretizations
-against each other to catch weight bugs. Not used by the solvers.
+against each other to catch weight bugs. Only the FFT apply of
+:class:`fracvar.fracops.ToeplitzScheme` is shared; the tests check that one
+against a direct convolution. Not used by the solvers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .fracops import ToeplitzScheme, derivative_order, integral_order, power_scale
 from .grid import GridFunction, require_finite
-from .fracops import _convolve_columns, _derivative_order, _integral_order
 
 __all__ = [
     "gl_rl_derivative_left",
@@ -25,29 +27,22 @@ __all__ = [
 
 def _binomial_weights(n: int, alpha: float) -> np.ndarray:
     """w_j = (-1)^j C(alpha, j) via the stable recurrence, j = 0..n."""
-    w = np.empty(n + 1)
-    w[0] = 1.0
-    for j in range(1, n + 1):
-        w[j] = w[j - 1] * (1.0 - (alpha + 1.0) / j)
-    return w
+    return np.cumprod(np.concatenate(([1.0], 1.0 - (alpha + 1.0) / np.arange(1, n + 1))))
 
 
 def _integral_weights(n: int, beta: float) -> np.ndarray:
     """v_j = C(beta + j - 1, j), the order -beta Grunwald weights."""
-    v = np.empty(n + 1)
-    v[0] = 1.0
-    for j in range(1, n + 1):
-        v[j] = v[j - 1] * (beta + j - 1.0) / j
-    return v
+    j = np.arange(1, n + 1)
+    with np.errstate(over="ignore"):
+        return np.cumprod(np.concatenate(([1.0], (beta + j - 1.0) / j)))
 
 
 def gl_rl_derivative_left(f: GridFunction, order) -> GridFunction:
-    alpha = _derivative_order(order)
+    alpha = derivative_order(order)
     require_finite(f)
     n, h = f.grid.n, f.grid.h
     w = _binomial_weights(n, alpha)
-    conv = _convolve_columns(w, f.values)
-    return f.with_values(conv[: n + 1] * h**-alpha)
+    return f.with_values(ToeplitzScheme(alpha, power_scale(h, -alpha), w[:n], w).apply(f.values))
 
 
 def gl_rl_derivative_right(f: GridFunction, order) -> GridFunction:
@@ -66,12 +61,11 @@ def gl_caputo_right(f: GridFunction, order) -> GridFunction:
 
 
 def gl_rl_integral_left(f: GridFunction, order) -> GridFunction:
-    beta = _integral_order(order)
+    beta = integral_order(order)
     require_finite(f)
     n, h = f.grid.n, f.grid.h
     v = _integral_weights(n, beta)
-    conv = _convolve_columns(v, f.values)
-    return f.with_values(conv[: n + 1] * h**beta)
+    return f.with_values(ToeplitzScheme(beta, power_scale(h, beta), v[:n], v).apply(f.values))
 
 
 def gl_rl_integral_right(f: GridFunction, order) -> GridFunction:

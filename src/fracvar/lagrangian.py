@@ -10,7 +10,7 @@ finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -74,7 +74,6 @@ class LagrangianSpec:
     dw: Optional[Partial] = None
     autonomous: bool = False
     name: str = "custom"
-    _validated: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 1:
@@ -100,7 +99,6 @@ class LagrangianSpec:
                     args,
                     slot,
                 )
-        self._validated = True
 
     def _fd_fallback(self, slot: int) -> Partial:
         return lambda t, q, v, w: fd_partial(self.evaluate, (t, q, v, w), slot)

@@ -8,10 +8,12 @@ alpha in (0, 1),
                        + f^(r) . I_right^(r+1-alpha) g ] ,
 
 valid when both term sequences decay uniformly. Truncating the sum at order
-R gives computable conserved-quantity candidates; the last included term is
-reported as ``tail_estimate`` so callers can see what the truncation costs.
-Higher derivatives are raw iterated central differences - noisy for large R,
-which is why truncation orders above 6 are rejected outright.
+R gives computable conserved-quantity candidates; the last included term's
+max on the panel [a + (b-a)/16, b - (b-a)/16] is reported as
+``tail_estimate`` so callers can see what the truncation costs. Higher
+derivatives are raw iterated central differences - noisy for large R, which
+is why truncation orders above 6 are rejected outright; their one-sided end
+stencils amplify round-off by about h^-R, so the tail leaves the ends out.
 """
 
 from __future__ import annotations
@@ -21,8 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .fracops import caputo_left, rl_derivative_right, rl_integral_left, rl_integral_right
-from .grid import GridFunction, central_difference, trapezoid_weights
+from .fracops import (
+    caputo_left,
+    derivative_order,
+    rl_derivative_right,
+    rl_integral_left,
+    rl_integral_right,
+)
+from .grid import (
+    GridFunction,
+    central_difference,
+    require_finite,
+    require_same_grid,
+    trapezoid_weights,
+)
 from .symmetry import SymmetryGroup
 from .variational import ExtremalSolution, VariationalProblem, el_residual
 
@@ -39,13 +53,13 @@ class InvariantSeries:
 
     truncation_order: int
     terms: np.ndarray  # shape (R + 1, n + 1)
-    tail_estimate: float
+    tail_estimate: float  # max |terms[R]| on the interior panel
 
     def total(self) -> np.ndarray:
         return self.terms.sum(axis=0)
 
 
-def _check_truncation(truncation: int) -> int:
+def check_truncation(truncation: int) -> int:
     if int(truncation) != truncation or truncation < 0:
         raise ValidationError(f"truncation order must be a non-negative integer, got {truncation}")
     if truncation > _MAX_TRUNCATION:
@@ -71,7 +85,7 @@ def _iterated_derivatives(values: np.ndarray, h: float, upto: int) -> list:
     return out
 
 
-def _series_terms(f2: np.ndarray, g: np.ndarray, grid, alpha: float, truncation: int) -> np.ndarray:
+def series_terms(f2: np.ndarray, g: np.ndarray, grid, alpha: float, truncation: int) -> np.ndarray:
     """Node values of each term; f2 plays f and g plays g in the identity."""
     h = grid.h
     f2_shift = GridFunction(grid, f2 - f2[0])
@@ -89,19 +103,15 @@ def _series_terms(f2: np.ndarray, g: np.ndarray, grid, alpha: float, truncation:
 
 def transfer_series(f2: GridFunction, g: GridFunction, alpha, truncation: int) -> InvariantSeries:
     """Evaluate the truncated transfer-formula series for the pair (f2, g)."""
-    from .grid import order_value, require_finite, require_same_grid
-
-    truncation = _check_truncation(truncation)
+    truncation = check_truncation(truncation)
     require_same_grid(f2, g)
     if f2.dim != g.dim:
         raise ValidationError(f"dimension mismatch: {f2.dim} vs {g.dim}")
     require_finite(f2)
     require_finite(g)
-    a = order_value(alpha)
-    if not 0.0 < a <= 1.0:
-        raise ValidationError(f"series order must lie in (0, 1], got {a}")
-    terms = _series_terms(f2.values, g.values, f2.grid, a, truncation)
-    tail = float(np.max(np.abs(terms[-1])))
+    terms = series_terms(f2.values, g.values, f2.grid, derivative_order(alpha, "series"), truncation)
+    i_a, i_b = _panel_indices(f2.grid.n)[1]
+    tail = float(np.max(np.abs(terms[-1, i_a : i_b + 1])))
     return InvariantSeries(truncation_order=truncation, terms=terms, tail_estimate=tail)
 
 
@@ -191,26 +201,20 @@ def invariance_defect(
     if s.dim != problem.dim:
         raise ValidationError(f"symmetry dimension {s.dim} != problem dimension {problem.dim}")
     _check_extremality(problem, q, el_tol)
-    n = problem.grid.n
-    panels = _panel_indices(n)
-    defects = []
     if time_transform:
         grid_p, integrand_p = _transformed_integrand(problem, q, s, eps)
         grid_m, integrand_m = _transformed_integrand(problem, q, s, -eps)
-        for i_a, i_b in panels:
-            plus = _segment_integral(integrand_p, grid_p.h, i_a, i_b)
-            minus = _segment_integral(integrand_m, grid_m.h, i_a, i_b)
-            defects.append(abs(plus - minus) / (2.0 * eps))
     else:
-        grid = problem.grid
+        grid_p = grid_m = problem.grid
         q_p = np.asarray(s.state_map(eps, q.values), dtype=float)
         q_m = np.asarray(s.state_map(-eps, q.values), dtype=float)
-        integrand_p = _action_integrand(problem, grid, q_p)
-        integrand_m = _action_integrand(problem, grid, q_m)
-        for i_a, i_b in panels:
-            plus = _segment_integral(integrand_p, grid.h, i_a, i_b)
-            minus = _segment_integral(integrand_m, grid.h, i_a, i_b)
-            defects.append(abs(plus - minus) / (2.0 * eps))
+        integrand_p = _action_integrand(problem, grid_p, q_p)
+        integrand_m = _action_integrand(problem, grid_m, q_m)
+    defects = []
+    for i_a, i_b in _panel_indices(problem.grid.n):
+        plus = _segment_integral(integrand_p, grid_p.h, i_a, i_b)
+        minus = _segment_integral(integrand_m, grid_m.h, i_a, i_b)
+        defects.append(abs(plus - minus) / (2.0 * eps))
     return max(defects)
 
 
@@ -269,7 +273,7 @@ def noether_quantity(
 
     With tau = 0 this is the no-time-change form; R is the series truncation.
     """
-    truncation = _check_truncation(truncation)
+    truncation = check_truncation(truncation)
     if s.dim != problem.dim:
         raise ValidationError(f"symmetry dimension {s.dim} != problem dimension {problem.dim}")
     grid = problem.grid
@@ -282,7 +286,7 @@ def noether_quantity(
     d3 = np.asarray(lag.dv(t, qv, v, w), dtype=float)
     d4 = np.asarray(lag.dw(t, qv, v, w), dtype=float)
     tau, f2 = s.rates_on(t, qv)
-    series = _series_terms(f2, d4, grid, problem.alpha, truncation).sum(axis=0)
+    series = series_terms(f2, d4, grid, problem.alpha, truncation).sum(axis=0)
     energy_like = lvals - np.sum(v * d3, axis=1) - problem.alpha * np.sum(d4 * w, axis=1)
     c = np.sum(f2 * d3, axis=1) + series + tau * energy_like
     return GridFunction(grid, c)

@@ -26,17 +26,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .fracops import caputo_left, caputo_left_matrix, rl_derivative_right
+from .fracops import caputo_left, caputo_left_matrix, derivative_order, rl_derivative_right
 from .grid import (
     Grid,
     GridFunction,
     central_difference,
-    order_value,
+    central_difference_matrix,
     trapezoid_weights,
 )
 from .lagrangian import check_partial, fd_partial
 from .minimize import bfgs_minimize
-from .noether import _check_truncation, _series_terms
+from .noether import check_truncation, series_terms
 from .symmetry import SymmetryGroup
 
 _PROBE_SEED = 9319
@@ -76,9 +76,7 @@ class ControlProblem:
     name: str = "custom"
 
     def __post_init__(self):
-        self.alpha = order_value(self.alpha)
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValidationError(f"control order must lie in (0, 1], got {self.alpha}")
+        self.alpha = derivative_order(self.alpha, "control")
         self.q_start = np.atleast_1d(np.asarray(self.q_start, dtype=float))
         if self.q_start.shape != (self.state_dim,):
             raise ValidationError("initial state dimension mismatch")
@@ -159,6 +157,11 @@ def hamiltonian(cp: ControlProblem, state: PontryaginState, t_index: int) -> flo
     return float(_hamiltonian_values(cp, q, u, mu, p, pa)[t_index])
 
 
+def hamiltonian_values(cp: ControlProblem, state: PontryaginState) -> np.ndarray:
+    """H = L + p . phi + p_alpha . rho at every node."""
+    return _hamiltonian_values(cp, *_state_arrays(cp, state))
+
+
 def _hamiltonian_values(cp, q, u, mu, p, pa) -> np.ndarray:
     t = cp.grid.nodes()
     lvals = np.asarray(cp.cost(t, q, u, mu), dtype=float)
@@ -216,12 +219,9 @@ def _sbp_difference_matrix(n: int, h: float) -> np.ndarray:
     """Central interior, first-order one-sided ends; adjoint-compatible with
     trapezoid weights, which is what makes the penalty multipliers consistent
     estimates of the adjoint functions."""
-    m = np.zeros((n + 1, n + 1))
-    idx = np.arange(1, n)
-    m[idx, idx + 1] = 1.0 / (2.0 * h)
-    m[idx, idx - 1] = -1.0 / (2.0 * h)
-    m[0, 0], m[0, 1] = -1.0 / h, 1.0 / h
-    m[n, n], m[n, n - 1] = 1.0 / h, -1.0 / h
+    m = central_difference_matrix(n, h)
+    m[0, :3] = -1.0 / h, 1.0 / h, 0.0
+    m[n, n - 2 :] = 0.0, -1.0 / h, 1.0 / h
     return m
 
 
@@ -401,13 +401,13 @@ def control_noether_quantity(
                            + f2^(r) . I_right^(r+1-alpha) p_alpha ]
          + tau (H - (1 - alpha) p_alpha . D_C^alpha q)
     """
-    truncation = _check_truncation(truncation)
+    truncation = check_truncation(truncation)
     if s.dim != cp.state_dim:
         raise ValidationError(f"symmetry dimension {s.dim} != state dimension {cp.state_dim}")
     q, u, mu, p, pa = _state_arrays(cp, state)
     t = cp.grid.nodes()
     tau, f2 = s.rates_on(t, q)
-    series = _series_terms(f2, pa, cp.grid, cp.alpha, truncation).sum(axis=0)
+    series = series_terms(f2, pa, cp.grid, cp.alpha, truncation).sum(axis=0)
     cap_q = caputo_left(GridFunction(cp.grid, q), cp.alpha).values
     ham = _hamiltonian_values(cp, q, u, mu, p, pa)
     corrected = ham - (1.0 - cp.alpha) * np.sum(pa * cap_q, axis=1)
@@ -438,15 +438,11 @@ def variational_reduction(lagrangian, grid: Grid, alpha, q_start) -> ControlProb
     """
     d = lagrangian.dim
     eye = np.eye(d)
-
-    def as_v(t, q, u, mu):
-        return lagrangian.evaluate(t, q, u, mu)
-
     return ControlProblem(
-        cost=as_v,
-        cost_dq=lambda t, q, u, mu: lagrangian.dq(t, q, u, mu),
-        cost_du=lambda t, q, u, mu: lagrangian.dv(t, q, u, mu),
-        cost_dmu=lambda t, q, u, mu: lagrangian.dw(t, q, u, mu),
+        cost=lagrangian.evaluate,
+        cost_dq=lagrangian.dq,
+        cost_du=lagrangian.dv,
+        cost_dmu=lagrangian.dw,
         velocity=lambda t, q, u: u,
         velocity_dq=lambda t, q, u: np.zeros((len(t), d, d)),
         velocity_du=lambda t, q, u: np.broadcast_to(eye, (len(t), d, d)).copy(),

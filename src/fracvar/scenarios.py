@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +52,9 @@ from .noether import (
 from .optctrl import (
     autonomous_control_quantity,
     scalar_tracking_problem,
+    hamiltonian_values,
     solve_control,
     variational_reduction,
-    _hamiltonian_values,
 )
 from .symmetry import rotation, space_translation, time_translation
 from .variational import VariationalProblem, solve_extremal
@@ -84,16 +84,7 @@ class RunManifest:
     files: list = field(default_factory=list)  # [{"name": ..., "sha256": ...}]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scenario": self.scenario,
-                "version": self.version,
-                "wall_clock_sec": self.wall_clock_sec,
-                "files": self.files,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 class _Params:
@@ -422,14 +413,7 @@ def _run_control(params: _Params, out: Path):
     terminal_vec = None if terminal is None else params.vector("terminal")
     state = solve_control(cp, tol=params.number("tolerance", 1e-6), terminal_state=terminal_vec)
     quantity = autonomous_control_quantity(cp, state)
-    ham = _hamiltonian_values(
-        cp,
-        state.q.values,
-        state.u.values,
-        state.mu.values if cp.frac_dim else np.zeros((grid.n + 1, 0)),
-        state.p.values,
-        state.p_alpha.values,
-    )
+    ham = hamiltonian_values(cp, state)
     fields = (
         ("q", state.q), ("u", state.u), ("mu", state.mu), ("p", state.p), ("p_alpha", state.p_alpha)
     )

@@ -28,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NumericsError, ValidationError
-from .fracops import caputo_left, caputo_left_matrix, rl_derivative_right
+from .fracops import caputo_left, caputo_left_matrix, derivative_order, rl_derivative_right
 from .grid import (
     Grid,
     GridFunction,
     central_difference,
-    order_value,
     require_finite,
     trapezoid,
     write_csv,
@@ -48,9 +47,7 @@ class VariationalProblem:
     def __init__(self, lagrangian: LagrangianSpec, grid: Grid, alpha, boundary):
         self.lagrangian = lagrangian
         self.grid = grid
-        self.alpha = order_value(alpha)
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValidationError(f"problem order must lie in (0, 1], got {self.alpha}")
+        self.alpha = derivative_order(alpha, "problem")
         q_a, q_b = boundary
         self.q_a = np.atleast_1d(np.asarray(q_a, dtype=float))
         self.q_b = np.atleast_1d(np.asarray(q_b, dtype=float))

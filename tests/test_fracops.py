@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracvar.errors import ValidationError
+from fracvar.errors import NumericsError, ValidationError
 from fracvar.fracops import (
+    ToeplitzScheme,
+    _fft_length,
     caputo_left,
     caputo_left_matrix,
     caputo_right,
@@ -92,6 +94,15 @@ class TestRlIntegralLeft:
         vals[3] = np.nan
         with pytest.raises(ValidationError):
             rl_integral_left(GridFunction(g, vals), 0.5)
+
+    @pytest.mark.parametrize("beta", [120.0, 300.0])
+    def test_overflowing_order_fails_fast(self, beta):
+        # 120: k^(beta+1) overflows the weights; 300: Gamma(beta+2) overflows
+        f = sample(Grid(0.0, 1.0, 1024), np.sin)
+        with pytest.raises(NumericsError, match=f"order {beta} at n = 1024"):
+            rl_integral_left(f, beta)
+        with pytest.raises(NumericsError, match=f"order {beta} at n = 1024"):
+            rl_integral_right(f, beta)
 
     def test_large_order_power_rule(self):
         # orders above 1 feed the transfer series: I^beta t = t^(1+beta)/Gamma(2+beta)
@@ -393,10 +404,59 @@ def test_operators_accept_order_objects():
 
 
 def test_caputo_matrix_agrees_with_operator():
-    g = Grid(0.0, 1.0, 96)
-    t = g.nodes()
-    vals = np.sin(2.0 * t) + t**2
-    for alpha in (0.35, 1.0):
-        m = caputo_left_matrix(g.n, g.h, alpha)
-        direct = caputo_left(GridFunction(g, vals), alpha).column()
-        npt.assert_allclose(m @ vals, direct, atol=1e-12)
+    # the matrix and the operator share the L1 kernel; small n exercises
+    # the first rows and column 0, larger n the Toeplitz windows; the largest
+    # gap is 1.5e-13 (n = 512, alpha = 0.9)
+    for n in (2, 3, 17, 96, 512):
+        g = Grid(0.0, 1.0, n)
+        t = g.nodes()
+        vals = np.sin(2.0 * t) + t**2
+        for alpha in (0.1, 0.35, 0.5, 0.9, 1.0):
+            m = caputo_left_matrix(g.n, g.h, alpha)
+            direct = caputo_left(GridFunction(g, vals), alpha).column()
+            npt.assert_allclose(m @ vals, direct, atol=1e-12)
+
+
+# ------------------------------------------------------ Toeplitz apply
+
+
+def direct_apply(scheme, values):
+    """Reference for ToeplitzScheme.apply: one direct np.convolve per column."""
+    n = len(scheme.kernel)
+    out = scheme.first_column[:, None] * values[0]
+    for j in range(values.shape[1]):
+        out[1:, j] += np.convolve(scheme.kernel, values[1:, j])[:n]
+    return scheme.scale * out
+
+
+@pytest.mark.parametrize("n,dim", [(1, 1), (2, 1), (2, 3), (7, 1), (33, 2), (1000, 4), (65537, 1)])
+def test_fft_apply_matches_direct_convolution(n, dim):
+    # n = 65537 gives a full convolution of length 131073, padded to 3 * 2^16
+    rng = np.random.default_rng(n)
+    scheme = ToeplitzScheme(0.5, 1.7, rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n + 1))
+    values = rng.uniform(-1.0, 1.0, (n + 1, dim))
+    ref = direct_apply(scheme, values)
+    out = scheme.apply(values)
+    assert out.shape == values.shape
+    npt.assert_allclose(out, ref, rtol=0.0, atol=1e-13 * np.sqrt(n) * np.max(np.abs(ref)))
+    if n <= 1000:
+        npt.assert_allclose(scheme.dense() @ values, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_fft_length_is_the_smaller_fast_size():
+    assert [_fft_length(m) for m in (1, 2, 3, 4, 5, 7, 9, 13)] == [1, 2, 3, 4, 6, 8, 12, 16]
+    assert _fft_length(131073) == 3 * 2**16
+    assert _fft_length(131072) == 2**17
+    assert _fft_length(196609) == 2**18
+
+
+def test_scheme_rejects_non_finite_weights_and_scale():
+    ones = np.ones(5)
+    for kernel, column, scale in (
+        (np.array([1.0, np.inf, 1.0, 1.0]), ones, 1.0),
+        (ones[:4], np.array([0.0, np.nan, 1.0, 1.0, 1.0]), 1.0),
+        (ones[:4], ones, np.inf),
+        (ones[:4], ones, 0.0),
+    ):
+        with pytest.raises(NumericsError, match="order 2.5 at n = 4"):
+            ToeplitzScheme(2.5, scale, kernel, column)

@@ -185,6 +185,27 @@ class TestSimulateDampedEom:
         energy = 0.5 * out.values[:, 1] ** 2 + 0.5 * out.values[:, 0] ** 2
         assert np.max(np.abs(energy - energy[0])) < 1e-8
 
+    def test_matches_vector_stage_reference_bitwise(self):
+        # reference: RK4 with array-valued stages, the same operation order
+        fp = make_problem(mass=1.03, gamma=0.7, potential=(lambda q: q**4, lambda q: 4.0 * q**3))
+        steps, horizon = 2048, 2.0
+        dt = horizon / steps
+
+        def rhs(y):
+            return np.array([y[1], (float(fp.force(np.asarray(y[0]))) - fp.gamma * y[1]) / fp.mass])
+
+        y = np.array([1.02, -0.05])
+        ref = [y]
+        for _ in range(steps):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ref.append(y)
+        out = simulate_damped_eom(fp, q0=1.02, v0=-0.05, horizon=horizon, steps=steps)
+        npt.assert_array_equal(out.values, np.array(ref))
+
     def test_blowup_detected(self):
         stiff = (lambda q: -0.5e9 * q**2, lambda q: -1e9 * q)  # repulsive, unstable
         fp = make_problem(gamma=0.0, potential=stiff)

@@ -6,7 +6,9 @@ catches kernel-weight mistakes in either one.
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
+from fracvar.errors import NumericsError
 from fracvar.fracops import (
     caputo_left,
     caputo_right,
@@ -16,6 +18,8 @@ from fracvar.fracops import (
 )
 from fracvar.grid import Grid, GridFunction
 from fracvar.grunwald import (
+    _binomial_weights,
+    _integral_weights,
     gl_caputo_left,
     gl_caputo_right,
     gl_rl_derivative_left,
@@ -89,3 +93,23 @@ def test_gl_classical_limit_is_backward_difference():
     backward[0] = t[0] ** 2 / g.h
     backward[1:] = (t[1:] ** 2 - t[:-1] ** 2) / g.h
     npt.assert_allclose(out, backward, atol=1e-12)
+
+
+def test_weights_match_their_recurrences():
+    n = 4096
+    for alpha in (0.1, 0.5, 0.9, 1.0):
+        w = [1.0]
+        for j in range(1, n + 1):
+            w.append(w[-1] * (1.0 - (alpha + 1.0) / j))
+        npt.assert_array_equal(_binomial_weights(n, alpha), w)
+    for beta in (0.3, 1.7, 6.5):
+        v = [1.0]
+        for j in range(1, n + 1):
+            v.append(v[-1] * (beta + j - 1.0) / j)
+        npt.assert_allclose(_integral_weights(n, beta), v, rtol=1e-13)
+
+
+def test_overflowing_integral_order_fails_fast():
+    f = GridFunction(Grid(0.0, 1.0, 1024), np.ones(1025))
+    with pytest.raises(NumericsError, match="order 300.0 at n = 1024"):
+        gl_rl_integral_left(f, 300.0)

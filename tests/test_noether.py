@@ -190,6 +190,19 @@ class TestTransferSeries:
         npt.assert_array_equal(series.terms, 0.0)
         assert series.tail_estimate == 0.0
 
+    def test_tail_estimate_leaves_out_the_end_stencils(self):
+        # constant f2 (a space-translation rate): the order-6 term vanishes on
+        # the interior panel; the one-sided end differences there are h^-6
+        # amplified round-off and must not be reported as the tail
+        n = 16384
+        grid = Grid(0.0, 1.0, n)
+        s = 1.0 - grid.nodes()
+        f2 = GridFunction(grid, np.full(n + 1, 1.2))
+        g = GridFunction(grid, 0.9 * s + 1.1 * s**2 + 0.8 * s**3)
+        series = transfer_series(f2, g, 0.5, 6)
+        assert np.max(np.abs(series.terms[-1])) > 1.0
+        assert series.tail_estimate == 0.0
+
     def test_identity_against_direct_operators(self):
         # d/dt of the truncated series vs g . D_C f2 - f2 . D_right g for
         # quadratic polynomials: every iterated difference stencil is exact,
