@@ -16,7 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .fracops import caputo_left, ibp_residual, rl_derivative_left, rl_derivative_right
+from .fracops import (
+    caputo_left,
+    caputo_right,
+    ibp_residual,
+    rl_derivative_left,
+    rl_derivative_right,
+)
 from .friction import (
     FrictionProblem,
     friction_diagnostics,
@@ -25,7 +31,7 @@ from .friction import (
     window_shrink_study,
 )
 from .grid import Grid, GridFunction, central_difference
-from .lagrangian import harmonic_oscillator, quadratic_mix
+from .lagrangian import harmonic_oscillator, polynomial_potential, quadratic_mix
 from .noether import autonomous_quantity, drift_report, transfer_series
 from .optctrl import (
     autonomous_control_quantity,
@@ -86,8 +92,6 @@ def criterion_operator_accuracy(cache):
 
 @_criterion(2, "classical-limit reduction at alpha=1", 1.0)
 def criterion_classical_limit(cache):
-    from .fracops import caputo_right
-
     g = Grid(0.0, 1.0, 128)
     t = g.nodes()
     worst = 0.0
@@ -181,8 +185,7 @@ def criterion_transfer_formula(cache):
 
 @_criterion(8, "friction demo (limit EOM, shrink law, non-conservation)", 30.0)
 def criterion_friction_demo(cache):
-    zero_u = (lambda q: np.zeros_like(q), lambda q: np.zeros_like(q))
-    fp_free = FrictionProblem(1.0, 1.0, *zero_u, Grid(0.0, 1.0, 64))
+    fp_free = FrictionProblem(1.0, 1.0, *polynomial_potential([]), Grid(0.0, 1.0, 64))
     sim = simulate_damped_eom(fp_free, q0=0.0, v0=1.0, horizon=1.0, steps=1024)
     eom_err = abs(sim.values[-1, 0] - (1.0 - math.exp(-1.0)))
 

@@ -17,6 +17,7 @@ from .errors import ConvergenceError, LineSearchError, NumericsError
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
+MAX_ITER = 50  # default cap: over 8x the most Newton steps any test solve takes (6)
 
 
 @dataclass
@@ -33,7 +34,7 @@ def bfgs_minimize(
     x0: np.ndarray,
     hess: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-8,
-    max_iter: int = 1000,
+    max_iter: int = MAX_ITER,
 ) -> MinimizeResult:
     """Minimize ``fun`` from ``x0``; converged when max|grad| < tol.
 

@@ -14,6 +14,9 @@ max on the panel [a + (b-a)/16, b - (b-a)/16] is reported as
 derivatives are raw iterated central differences - noisy for large R, which
 is why truncation orders above 6 are rejected outright; their one-sided end
 stencils amplify round-off by about h^-R, so the tail leaves the ends out.
+
+The energy-type :func:`autonomous_quantity` is the time-translation instance
+(tau = 1, f2 = 0) of :func:`noether_quantity`, the one conserved-quantity formula.
 """
 
 from __future__ import annotations
@@ -31,14 +34,15 @@ from .fracops import (
     rl_integral_right,
 )
 from .grid import (
+    Grid,
     GridFunction,
     central_difference,
     require_finite,
     require_same_grid,
     trapezoid_weights,
 )
-from .symmetry import SymmetryGroup
-from .variational import ExtremalSolution, VariationalProblem, el_residual
+from .symmetry import SymmetryGroup, time_translation
+from .variational import ExtremalSolution, VariationalProblem, el_residual_norm
 
 _MAX_TRUNCATION = 6
 _DEFAULT_EPS = 1e-4
@@ -118,12 +122,12 @@ def transfer_series(f2: GridFunction, g: GridFunction, alpha, truncation: int) -
 # ------------------------------------------------------------- invariance
 
 
-def _check_extremality(problem, q, el_tol):
-    if el_tol is None:
-        return
-    res = el_residual(problem, q).values
-    norm = float(np.max(np.abs(res[1:-1])))
-    if norm > el_tol:
+def _check_invariance_inputs(problem, q, s, el_tol):
+    """Trajectory and symmetry dimension; with ``el_tol``, that q is an extremal."""
+    problem.check_trajectory(q, boundary=False)
+    if s.dim != problem.dim:
+        raise ValidationError(f"symmetry dimension {s.dim} != problem dimension {problem.dim}")
+    if el_tol is not None and (norm := el_residual_norm(problem, q)) > el_tol:
         raise ValidationError(
             f"trajectory is not an extremal at tolerance {el_tol:.3g} "
             f"(residual max-norm {norm:.3g}); invariance is defined along extremals"
@@ -165,8 +169,6 @@ def _transformed_integrand(problem, q: GridFunction, s: SymmetryGroup, eps: floa
     Only maps whose node image stays uniform are computable on this grid
     type; anything else is rejected.
     """
-    from .grid import Grid
-
     t = q.grid.nodes()
     s_nodes = np.asarray(s.time_map(eps, t), dtype=float)
     diffs = np.diff(s_nodes)
@@ -197,10 +199,7 @@ def invariance_defect(
     stays at a); ``True`` also reparametrizes time through psi1, integrating
     on the image of each panel. Central eps-difference with the given step.
     """
-    problem._check_trajectory(q, boundary=False)
-    if s.dim != problem.dim:
-        raise ValidationError(f"symmetry dimension {s.dim} != problem dimension {problem.dim}")
-    _check_extremality(problem, q, el_tol)
+    _check_invariance_inputs(problem, q, s, el_tol)
     if time_transform:
         grid_p, integrand_p = _transformed_integrand(problem, q, s, eps)
         grid_m, integrand_m = _transformed_integrand(problem, q, s, -eps)
@@ -230,10 +229,7 @@ def invariance_necessary_residual(
        - f2 . D_right^alpha dL/dw ;
     small along extremals of an invariant functional. Endpoint nodes zero.
     """
-    problem._check_trajectory(q, boundary=False)
-    if s.dim != problem.dim:
-        raise ValidationError(f"symmetry dimension {s.dim} != problem dimension {problem.dim}")
-    _check_extremality(problem, q, el_tol)
+    _check_invariance_inputs(problem, q, s, el_tol)
     grid = problem.grid
     t, qv, v, w = problem.fields(q)
     lag = problem.lagrangian
@@ -293,19 +289,11 @@ def noether_quantity(
 
 
 def autonomous_quantity(problem: VariationalProblem, sol: ExtremalSolution) -> GridFunction:
-    """L - qdot . dL/dv - alpha dL/dw . D_C^alpha q, for autonomous Lagrangians."""
+    """L - qdot . dL/dv - alpha dL/dw . D_C^alpha q, for autonomous Lagrangians:
+    the time-translation instance (tau = 1, f2 = 0) of :func:`noether_quantity`."""
     if not problem.lagrangian.autonomous:
         raise ValidationError("autonomous_quantity requires an autonomous Lagrangian")
-    t = problem.grid.nodes()
-    qv = sol.trajectory.values
-    v = sol.velocity.values
-    w = sol.caputo_velocity.values
-    lag = problem.lagrangian
-    lvals = np.asarray(lag.evaluate(t, qv, v, w), dtype=float)
-    d3 = np.asarray(lag.dv(t, qv, v, w), dtype=float)
-    d4 = np.asarray(lag.dw(t, qv, v, w), dtype=float)
-    c = lvals - np.sum(v * d3, axis=1) - problem.alpha * np.sum(d4 * w, axis=1)
-    return GridFunction(problem.grid, c)
+    return noether_quantity(problem, sol, time_translation(problem.dim), truncation=0)
 
 
 def drift_report(c: GridFunction) -> float:

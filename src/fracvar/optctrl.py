@@ -16,6 +16,11 @@ an increasing weight schedule. Each weight's objective is minimized by Newton
 steps on its assembled Hessian, and the adjoints are recovered from the
 converged penalty multipliers (p = -weight * defect). Adjoint recovery is
 first-order in the final weight - tolerances downstream account for that.
+
+Special cases are calls to their general form: the linear-quadratic family
+is the :func:`variational_reduction` (phi = u, rho = mu) of
+``lagrangian.quadratic_mix``, and :func:`autonomous_control_quantity` is the
+time-translation instance of :func:`control_noether_quantity`.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ from .grid import (
     central_difference_matrix,
     trapezoid_weights,
 )
-from .lagrangian import check_partial, fd_partial
+from .lagrangian import check_partial, fd_partial, quadratic_mix
 from .minimize import bfgs_minimize
 from .noether import check_truncation, series_terms
-from .symmetry import SymmetryGroup
+from .symmetry import SymmetryGroup, time_translation
 
 _PROBE_SEED = 9319
 _BASE_WEIGHT = 100.0  # penalty weight of the first round; tenfold per round after
@@ -151,10 +156,9 @@ def _state_arrays(cp: ControlProblem, state: PontryaginState):
 
 def hamiltonian(cp: ControlProblem, state: PontryaginState, t_index: int) -> float:
     """H = L + p . phi + p_alpha . rho at one node."""
-    q, u, mu, p, pa = _state_arrays(cp, state)
     if not 0 <= t_index <= cp.grid.n:
         raise ValidationError(f"node index {t_index} outside the grid")
-    return float(_hamiltonian_values(cp, q, u, mu, p, pa)[t_index])
+    return float(hamiltonian_values(cp, state)[t_index])
 
 
 def hamiltonian_values(cp: ControlProblem, state: PontryaginState) -> np.ndarray:
@@ -225,12 +229,7 @@ def _sbp_difference_matrix(n: int, h: float) -> np.ndarray:
     return m
 
 
-def solve_control(
-    cp: ControlProblem,
-    tol: float = 1e-6,
-    max_iter: int | None = None,
-    terminal_state=None,
-) -> PontryaginState:
+def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) -> PontryaginState:
     """Penalty-based direct transcription with adjoint recovery.
 
     Decision variables: trajectory nodes 1..n (node 0 carries the initial
@@ -344,8 +343,6 @@ def solve_control(
 
     z = np.zeros(m)
     z[: n * sd] = np.tile(cp.q_start, n)
-    if max_iter is None:
-        max_iter = max(4000, 500 * m)
 
     weights, defect_norms = [], []
     for k in range(_ROUNDS):
@@ -356,7 +353,6 @@ def solve_control(
             z,
             lambda zz: hessian(zz, weight),
             tol=tol,
-            max_iter=max_iter,
         )
         z = result.x
         q, u, mu = split(z)
@@ -416,14 +412,11 @@ def control_noether_quantity(
 
 
 def autonomous_control_quantity(cp: ControlProblem, state: PontryaginState) -> GridFunction:
-    """H - (1 - alpha) p_alpha . D_C^alpha q; equals H itself at alpha = 1."""
+    """H - (1 - alpha) p_alpha . D_C^alpha q, H itself at alpha = 1: the
+    time-translation instance (tau = 1, f2 = 0) of :func:`control_noether_quantity`."""
     if not cp.autonomous:
         raise ValidationError("autonomous_control_quantity requires an autonomous problem")
-    q, u, mu, p, pa = _state_arrays(cp, state)
-    ham = _hamiltonian_values(cp, q, u, mu, p, pa)
-    cap_q = caputo_left(GridFunction(cp.grid, q), cp.alpha).values
-    c = ham - (1.0 - cp.alpha) * np.sum(pa * cap_q, axis=1)
-    return GridFunction(cp.grid, c)
+    return control_noether_quantity(cp, state, time_translation(cp.state_dim), truncation=0)
 
 
 # ------------------------------------------------------ registered families
@@ -486,34 +479,9 @@ def scalar_tracking_problem(
     frac_weight: float = 1.0,
 ) -> ControlProblem:
     """Scalar linear-quadratic family: L = (cq q^2 + cu u^2 + cmu mu^2)/2,
-    phi = u, rho = mu."""
-
-    def cost(t, q, u, mu):
-        return 0.5 * (
-            state_weight * q[:, 0] ** 2
-            + control_weight * u[:, 0] ** 2
-            + frac_weight * mu[:, 0] ** 2
-        )
-
-    ones = lambda t: np.ones((len(t), 1, 1))
-    zeros = lambda t: np.zeros((len(t), 1, 1))
-    return ControlProblem(
-        cost=cost,
-        cost_dq=lambda t, q, u, mu: state_weight * q,
-        cost_du=lambda t, q, u, mu: control_weight * u,
-        cost_dmu=lambda t, q, u, mu: frac_weight * mu,
-        velocity=lambda t, q, u: u,
-        velocity_dq=lambda t, q, u: zeros(t),
-        velocity_du=lambda t, q, u: ones(t),
-        frac_velocity=lambda t, q, mu: mu,
-        frac_velocity_dq=lambda t, q, mu: zeros(t),
-        frac_velocity_dmu=lambda t, q, mu: ones(t),
-        alpha=alpha,
-        grid=grid,
-        q_start=[q_start],
-        state_dim=1,
-        control_dim=1,
-        frac_dim=1,
-        autonomous=True,
-        name="linear-quadratic",
-    )
+    phi = u, rho = mu; the :func:`variational_reduction` of
+    ``quadratic_mix(cu, cmu, cq)``."""
+    lag = quadratic_mix(control_weight, frac_weight, state_weight)
+    cp = variational_reduction(lag, grid, alpha, [q_start])
+    cp.name = "linear-quadratic"
+    return cp

@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .friction import (
     FrictionProblem,
     friction_diagnostics,
+    friction_lagrangian,
     simulate_damped_eom,
     window_shrink_study,
 )
@@ -40,6 +41,7 @@ from .grid import Grid, GridFunction, write_csv
 from .lagrangian import (
     free_particle,
     harmonic_oscillator,
+    polynomial_potential,
     potential_polynomial,
     quadratic_mix,
 )
@@ -173,11 +175,8 @@ def build_lagrangian(params: _Params):
     if family == "friction":
         mass = params.number("mass", 1.0)
         gamma = params.number("gamma", 1.0)
-        coeffs = params.vector("potential", "0")
-        fp = _friction_problem_from(mass, gamma, coeffs, Grid(0.0, 1.0, 2))
-        from .friction import friction_lagrangian
-
-        return friction_lagrangian(fp)
+        potential = polynomial_potential(params.vector("potential", "0"))
+        return friction_lagrangian(FrictionProblem(mass, gamma, *potential, Grid(0.0, 1.0, 2)))
     if family == "custom-coefficients":
         return quadratic_mix(
             velocity_weight=params.number("velocity_weight", 1.0),
@@ -203,19 +202,6 @@ def build_symmetry(params: _Params, dim: int):
             raise ValidationError("key 'symmetry' = rotation needs a 2-dimensional problem")
         return rotation(params.number("omega", 1.0))
     raise ValidationError(f"key 'symmetry' names an unknown family {family!r}")
-
-
-def _friction_problem_from(mass, gamma, coeffs, window):
-    c = np.asarray(coeffs, dtype=float)
-    dc = c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(0)
-
-    def u(q):
-        return np.polyval(c[::-1], q) if len(c) else np.zeros_like(q)
-
-    def du(q):
-        return np.polyval(dc[::-1], q) if len(dc) else np.zeros_like(q)
-
-    return FrictionProblem(mass, gamma, u, du, window)
 
 
 def _variational_problem(params: _Params) -> VariationalProblem:
@@ -341,13 +327,13 @@ def _run_noether(params: _Params, out: Path):
 def _run_friction(params: _Params, out: Path):
     mass = params.number("mass", 1.0)
     gamma = params.number("gamma")
-    coeffs = params.vector("potential", "0")
+    potential = polynomial_potential(params.vector("potential", "0"))
     window = Grid(
         params.number("window_a", 0.0),
         params.number("window_b", 1.0),
         params.integer("window_n", 512),
     )
-    fp = _friction_problem_from(mass, gamma, coeffs, window)
+    fp = FrictionProblem(mass, gamma, *potential, window)
     sim = simulate_damped_eom(
         fp,
         q0=params.number("q0", 0.0),

@@ -38,7 +38,7 @@ from .grid import (
     write_csv,
 )
 from .lagrangian import LagrangianSpec, fd_partial
-from .minimize import bfgs_minimize
+from .minimize import MAX_ITER, bfgs_minimize
 
 
 class VariationalProblem:
@@ -63,13 +63,15 @@ class VariationalProblem:
 
     def fields(self, q: GridFunction):
         """Trajectory fields (t, q, v, w) with the node-based conventions."""
-        self._check_trajectory(q, boundary=False)
+        self.check_trajectory(q, boundary=False)
         t = self.grid.nodes()
         v = central_difference(q.values, self.grid.h)
         w = caputo_left(q, self.alpha).values
         return t, q.values, v, w
 
-    def _check_trajectory(self, q: GridFunction, boundary: bool) -> None:
+    def check_trajectory(self, q: GridFunction, boundary: bool) -> None:
+        """Raise unless ``q`` is a finite trajectory on the problem grid
+        (that meets the boundary values, with ``boundary``)."""
         if q.grid != self.grid:
             raise GridMismatchError("trajectory grid does not match the problem grid")
         if q.dim != self.dim:
@@ -111,7 +113,7 @@ class ExtremalSolution:
 
 def action_value(problem: VariationalProblem, q: GridFunction) -> float:
     """Trapezoid quadrature of L(t, q, dq/dt, D^alpha q) over the grid."""
-    problem._check_trajectory(q, boundary=True)
+    problem.check_trajectory(q, boundary=True)
     t, qv, v, w = problem.fields(q)
     lvals = np.asarray(problem.lagrangian.evaluate(t, qv, v, w), dtype=float)
     if not np.isfinite(lvals).all():
@@ -126,7 +128,7 @@ def frechet_differential(
     problem: VariationalProblem, q: GridFunction, h: GridFunction
 ) -> float:
     """Directional differential: int [dL/dq . h + dL/dv . h' + dL/dw . D^alpha h]."""
-    problem._check_trajectory(q, boundary=False)
+    problem.check_trajectory(q, boundary=False)
     if h.grid != problem.grid or h.dim != problem.dim:
         raise GridMismatchError("variation does not live on the problem grid")
     require_finite(h, "variation")
@@ -259,7 +261,7 @@ def solve_extremal(
     problem: VariationalProblem,
     init: GridFunction | None = None,
     tol: float = 1e-8,
-    max_iter: int | None = None,
+    max_iter: int = MAX_ITER,
 ) -> ExtremalSolution:
     """Minimize the discretized action over interior nodes (endpoints fixed).
 
@@ -270,11 +272,9 @@ def solve_extremal(
     """
     grid, d = problem.grid, problem.dim
     n = grid.n
-    if max_iter is None:
-        max_iter = 500 * d * n
     t, h, cmat = _interpolant_action_parts(problem)
     if init is not None:
-        problem._check_trajectory(init, boundary=True)
+        problem.check_trajectory(init, boundary=True)
         x0 = init.values[1:-1].ravel()
     else:
         frac = ((t - grid.a) / (grid.b - grid.a))[:, None]

@@ -325,6 +325,29 @@ class TestAutonomousQuantity:
         npt.assert_allclose(c.values[1:-1, 0], -energy[1:-1], atol=1e-3)
         assert drift_report(c) < 1e-4
 
+    @pytest.mark.parametrize(
+        "lag, alpha, boundary",
+        [
+            (quadratic_mix(1.0, 1.0, -0.5, 0.2), 0.5, ([0.0], [1.0])),
+            (quadratic_mix(0.8, 1.2, dim=2), 0.7, ([1.0, 0.0], [0.0, 0.5])),
+            (harmonic_oscillator(), 1.0, ([1.0], [0.0])),
+        ],
+    )
+    def test_equals_its_formula(self, lag, alpha, boundary):
+        p = VariationalProblem(lag, Grid(0.0, 1.0, 64), alpha, boundary)
+        sol = solve_extremal(p)
+        t = p.grid.nodes()
+        q, v, w = sol.trajectory.values, sol.velocity.values, sol.caputo_velocity.values
+        formula = (
+            lag.evaluate(t, q, v, w)
+            - np.sum(v * lag.dv(t, q, v, w), axis=1)
+            - alpha * np.sum(lag.dw(t, q, v, w) * w, axis=1)
+        )
+        c = autonomous_quantity(p, sol)
+        npt.assert_array_equal(c.values[:, 0], formula)
+        full = noether_quantity(p, sol, time_translation(lag.dim), truncation=2)
+        npt.assert_array_equal(full.values, c.values)
+
     def test_constant_trajectory(self):
         lag = quadratic_mix(1.0, 0.0, 0.0, 0.0)
         p = VariationalProblem(lag, Grid(0.0, 1.0, 64), 1.0, ([2.0], [2.0]))

@@ -4,6 +4,7 @@ import pytest
 
 from fracvar import optctrl
 from fracvar.errors import NumericsError, ValidationError
+from fracvar.fracops import caputo_left
 from fracvar.grid import Grid, GridFunction, central_difference, trapezoid
 from fracvar.lagrangian import quadratic_mix
 from fracvar.noether import drift_report
@@ -352,7 +353,17 @@ class TestControlQuantities:
         state = solve_control(cp)
         c_full = control_noether_quantity(cp, state, time_translation(), truncation=2)
         c_auto = autonomous_control_quantity(cp, state)
-        npt.assert_allclose(c_full.values, c_auto.values, atol=1e-14)
+        npt.assert_array_equal(c_full.values, c_auto.values)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_autonomous_quantity_equals_its_formula(self, alpha):
+        cp = scalar_tracking_problem(Grid(0.0, 1.0, 48), alpha, 1.0, state_weight=0.8)
+        state = solve_control(cp)
+        cap_q = caputo_left(state.q, alpha).values
+        formula = optctrl.hamiltonian_values(cp, state) - (1.0 - alpha) * np.sum(
+            state.p_alpha.values * cap_q, axis=1
+        )
+        npt.assert_array_equal(autonomous_control_quantity(cp, state).values[:, 0], formula)
 
     def test_classical_hamiltonian_preserved(self):
         cp = scalar_tracking_problem(Grid(0.0, 1.0, 64), 1.0, 1.0, frac_weight=0.0)
@@ -465,3 +476,66 @@ class TestContractValidation:
         state = PontryaginState(q=one, u=one, mu=one, p=one, p_alpha=one)
         with pytest.raises(ValidationError):
             pontryagin_residuals(cp, state)  # q(a) = 1 but q_start = 0.5
+
+
+# ------------------------------------------------ the linear-quadratic family
+
+
+def explicit_lq_problem(grid, alpha, q_start, state_weight, control_weight, frac_weight):
+    """The linear-quadratic problem written out with its own lambdas."""
+
+    def cost(t, q, u, mu):
+        return 0.5 * (
+            state_weight * q[:, 0] ** 2
+            + control_weight * u[:, 0] ** 2
+            + frac_weight * mu[:, 0] ** 2
+        )
+
+    ones = lambda t: np.ones((len(t), 1, 1))
+    zeros = lambda t: np.zeros((len(t), 1, 1))
+    return ControlProblem(
+        cost=cost,
+        cost_dq=lambda t, q, u, mu: state_weight * q,
+        cost_du=lambda t, q, u, mu: control_weight * u,
+        cost_dmu=lambda t, q, u, mu: frac_weight * mu,
+        velocity=lambda t, q, u: u,
+        velocity_dq=lambda t, q, u: zeros(t),
+        velocity_du=lambda t, q, u: ones(t),
+        frac_velocity=lambda t, q, mu: mu,
+        frac_velocity_dq=lambda t, q, mu: zeros(t),
+        frac_velocity_dmu=lambda t, q, mu: ones(t),
+        alpha=alpha,
+        grid=grid,
+        q_start=[q_start],
+        state_dim=1,
+        control_dim=1,
+        frac_dim=1,
+        autonomous=True,
+        name="linear-quadratic",
+    )
+
+
+class TestLinearQuadraticFamily:
+    @pytest.mark.parametrize(
+        "n, alpha, q_start, weights, terminal",
+        [
+            (64, 0.5, 1.0, (1.0, 1.0, 1.0), None),
+            (48, 0.37, 0.9, (1.07, 0.93, 1.02), None),
+            (32, 1.0, -0.6, (0.0, 1.3, 0.0), [0.4]),
+        ],
+    )
+    def test_matches_explicit_problem(self, n, alpha, q_start, weights, terminal):
+        grid = Grid(0.0, 1.0, n)
+        kw = dict(zip(("state_weight", "control_weight", "frac_weight"), weights))
+        cp = scalar_tracking_problem(grid, alpha, q_start, **kw)
+        ref_cp = explicit_lq_problem(grid, alpha, q_start, *weights)
+        assert (cp.name, cp.autonomous) == ("linear-quadratic", True)
+        state = solve_control(cp, terminal_state=terminal)
+        ref = solve_control(ref_cp, terminal_state=terminal)
+        for label in ("q", "u", "mu", "p", "p_alpha"):
+            npt.assert_array_equal(getattr(state, label).values, getattr(ref, label).values)
+        assert state.diagnostics == ref.diagnostics
+        # the two costs sum their terms in different orders
+        ham = optctrl.hamiltonian_values(cp, state)
+        ham_ref = optctrl.hamiltonian_values(ref_cp, ref)
+        assert np.all(np.abs(ham - ham_ref) <= 2.0 * np.spacing(np.abs(ham_ref)))

@@ -1,0 +1,78 @@
+"""Module boundaries inside the package: no module uses another's private names.
+
+Each module under ``src/fracvar`` is parsed with ``ast``. A module may not
+import an underscore name from another package module, and ``obj._name`` is
+allowed only where ``_name`` is bound or assigned in the same module (or the
+object is ``self``/``cls``). Dunder names are not private.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import fracvar
+
+MODULES = sorted(pathlib.Path(fracvar.__file__).resolve().parent.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _bound_names(tree: ast.AST) -> set:
+    """Names the module defines, assigns (also as attributes), takes as parameters or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def violations(source: str, module: str) -> list:
+    """One line per cross-module private import or private attribute access."""
+    tree = ast.parse(source)
+    bound = _bound_names(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "fracvar":
+                found += [
+                    f"{module}:{node.lineno} imports {alias.name} from {node.module}"
+                    for alias in node.names
+                    if _private(alias.name)
+                ]
+        elif isinstance(node, ast.Attribute) and _private(node.attr) and node.attr not in bound:
+            if not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+                found.append(f"{module}:{node.lineno} reads {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_across_modules(path):
+    assert violations(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_checker_flags_each_pattern():
+    source = (
+        "from .grid import _x, Grid\n"
+        "from .variational import el_residual as _alias\n"
+        "class A:\n"
+        "    def f(self, problem, other):\n"
+        "        self._own = 1\n"
+        "        problem._check_trajectory(other)\n"
+        "        other._own\n"
+        "        return cls._anything, other.__class__, _alias\n"
+    )
+    assert violations(source, "m.py") == [
+        "m.py:1 imports _x from grid",
+        "m.py:6 reads problem._check_trajectory",
+    ]
