@@ -17,6 +17,10 @@ stencils amplify round-off by about h^-R, so the tail leaves the ends out.
 
 The energy-type :func:`autonomous_quantity` is the time-translation instance
 (tau = 1, f2 = 0) of :func:`noether_quantity`, the one conserved-quantity formula.
+Every quantity here reads its trajectory fields from ``variational.along``.
+:func:`invariance_defect` pushes the trajectory through both maps of the group;
+for a state-only group the time map is the identity, so the nodes and the
+Caputo anchor stay where they are.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import ValidationError
 from .fracops import (
     caputo_left,
     derivative_order,
@@ -39,10 +43,10 @@ from .grid import (
     central_difference,
     require_finite,
     require_same_grid,
-    trapezoid_weights,
+    trapezoid,
 )
 from .symmetry import SymmetryGroup, time_translation
-from .variational import ExtremalSolution, VariationalProblem, el_residual_norm
+from .variational import ExtremalSolution, VariationalProblem, along, el_residual_norm
 
 _MAX_TRUNCATION = 6
 _DEFAULT_EPS = 1e-4
@@ -90,7 +94,10 @@ def _iterated_derivatives(values: np.ndarray, h: float, upto: int) -> list:
 
 
 def series_terms(f2: np.ndarray, g: np.ndarray, grid, alpha: float, truncation: int) -> np.ndarray:
-    """Node values of each term; f2 plays f and g plays g in the identity."""
+    """Node values of each term; f2 plays f and g plays g in the identity.
+    Every term vanishes for f2 = 0, where no integral is evaluated."""
+    if not f2.any():
+        return np.zeros((truncation + 1, grid.n + 1))
     h = grid.h
     f2_shift = GridFunction(grid, f2 - f2[0])
     f2_derivs = _iterated_derivatives(f2, h, truncation)
@@ -144,21 +151,6 @@ def _panel_indices(n: int):
     return panels
 
 
-def _segment_integral(values: np.ndarray, h: float, i_a: int, i_b: int) -> float:
-    w = trapezoid_weights(i_b - i_a, h)
-    return float(np.dot(w, values[i_a : i_b + 1]))
-
-
-def _action_integrand(problem, grid, q_values) -> np.ndarray:
-    t = grid.nodes()
-    v = central_difference(q_values, grid.h)
-    w = caputo_left(GridFunction(grid, q_values), problem.alpha).values
-    lvals = np.asarray(problem.lagrangian.evaluate(t, q_values, v, w), dtype=float)
-    if not np.isfinite(lvals).all():
-        raise NumericsError("non-finite Lagrangian during invariance evaluation")
-    return lvals
-
-
 def _transformed_integrand(problem, q: GridFunction, s: SymmetryGroup, eps: float) -> tuple:
     """Integrand of the transformed action on the image grid.
 
@@ -180,41 +172,34 @@ def _transformed_integrand(problem, q: GridFunction, s: SymmetryGroup, eps: floa
             "time map sends the uniform grid to a nonuniform one; the transformed "
             "Caputo term is not computable on this grid type"
         )
-    grid_new = Grid(float(s_nodes[0]), float(s_nodes[-1]), q.grid.n)
-    q_new = np.asarray(s.state_map(eps, q.values), dtype=float)
-    return grid_new, _action_integrand(problem, grid_new, q_new)
+    # image of [a, b]: t[-1] can miss b by an ulp, and the identity must keep the grid
+    a_new, b_new = np.asarray(s.time_map(eps, np.array([q.grid.a, q.grid.b])), dtype=float)
+    grid_new = Grid(float(a_new), float(b_new), q.grid.n)
+    q_new = s.state_map(eps, q.values)
+    return grid_new, along(problem.lagrangian, grid_new, problem.alpha, q_new).L
 
 
 def invariance_defect(
     problem: VariationalProblem,
     q: GridFunction,
     s: SymmetryGroup,
-    time_transform: bool = False,
     eps: float = _DEFAULT_EPS,
     el_tol: float | None = None,
 ) -> float:
     """Max over the panel of |d/d(eps) transformed action| at eps = 0.
 
-    ``time_transform=False`` transforms the state only (the Caputo anchor
-    stays at a); ``True`` also reparametrizes time through psi1, integrating
-    on the image of each panel. Central eps-difference with the given step.
+    Time is reparametrized through psi1 and the state through psi2,
+    integrating on the image of each panel. Central eps-difference with the
+    given step.
     """
     _check_invariance_inputs(problem, q, s, el_tol)
-    if time_transform:
-        grid_p, integrand_p = _transformed_integrand(problem, q, s, eps)
-        grid_m, integrand_m = _transformed_integrand(problem, q, s, -eps)
-    else:
-        grid_p = grid_m = problem.grid
-        q_p = np.asarray(s.state_map(eps, q.values), dtype=float)
-        q_m = np.asarray(s.state_map(-eps, q.values), dtype=float)
-        integrand_p = _action_integrand(problem, grid_p, q_p)
-        integrand_m = _action_integrand(problem, grid_m, q_m)
-    defects = []
-    for i_a, i_b in _panel_indices(problem.grid.n):
-        plus = _segment_integral(integrand_p, grid_p.h, i_a, i_b)
-        minus = _segment_integral(integrand_m, grid_m.h, i_a, i_b)
-        defects.append(abs(plus - minus) / (2.0 * eps))
-    return max(defects)
+    grid_p, plus = _transformed_integrand(problem, q, s, eps)
+    grid_m, minus = _transformed_integrand(problem, q, s, -eps)
+    return max(
+        abs(trapezoid(plus[i_a : i_b + 1], grid_p.h) - trapezoid(minus[i_a : i_b + 1], grid_m.h))
+        / (2.0 * eps)
+        for i_a, i_b in _panel_indices(problem.grid.n)
+    )
 
 
 def invariance_necessary_residual(
@@ -231,20 +216,17 @@ def invariance_necessary_residual(
     """
     _check_invariance_inputs(problem, q, s, el_tol)
     grid = problem.grid
-    t, qv, v, w = problem.fields(q)
-    lag = problem.lagrangian
-    d3 = np.asarray(lag.dv(t, qv, v, w), dtype=float)
-    d4 = np.asarray(lag.dw(t, qv, v, w), dtype=float)
-    _, f2 = s.rates_on(t, qv)
-    ddt_d3 = central_difference(d3, grid.h)
+    f = problem.along(q)
+    _, f2 = s.rates_on(f.t, f.q)
+    ddt_dv = central_difference(f.dv, grid.h)
     ddt_f2 = central_difference(f2, grid.h)
     cap_f2 = caputo_left(GridFunction(grid, f2), problem.alpha).values
-    rl_d4 = rl_derivative_right(GridFunction(grid, d4), problem.alpha).values
+    rl_dw = rl_derivative_right(GridFunction(grid, f.dw), problem.alpha).values
     residual = (
-        np.sum(f2 * ddt_d3, axis=1)
-        + np.sum(d3 * ddt_f2, axis=1)
-        + np.sum(d4 * cap_f2, axis=1)
-        - np.sum(f2 * rl_d4, axis=1)
+        np.sum(f2 * ddt_dv, axis=1)
+        + np.sum(f.dv * ddt_f2, axis=1)
+        + np.sum(f.dw * cap_f2, axis=1)
+        - np.sum(f2 * rl_dw, axis=1)
     )
     residual[0] = 0.0
     residual[-1] = 0.0
@@ -270,22 +252,13 @@ def noether_quantity(
     With tau = 0 this is the no-time-change form; R is the series truncation.
     """
     truncation = check_truncation(truncation)
-    if s.dim != problem.dim:
-        raise ValidationError(f"symmetry dimension {s.dim} != problem dimension {problem.dim}")
-    grid = problem.grid
-    t = grid.nodes()
-    qv = sol.trajectory.values
-    v = sol.velocity.values
-    w = sol.caputo_velocity.values
-    lag = problem.lagrangian
-    lvals = np.asarray(lag.evaluate(t, qv, v, w), dtype=float)
-    d3 = np.asarray(lag.dv(t, qv, v, w), dtype=float)
-    d4 = np.asarray(lag.dw(t, qv, v, w), dtype=float)
-    tau, f2 = s.rates_on(t, qv)
-    series = series_terms(f2, d4, grid, problem.alpha, truncation).sum(axis=0)
-    energy_like = lvals - np.sum(v * d3, axis=1) - problem.alpha * np.sum(d4 * w, axis=1)
-    c = np.sum(f2 * d3, axis=1) + series + tau * energy_like
-    return GridFunction(grid, c)
+    _check_invariance_inputs(problem, sol.trajectory, s, None)
+    f = problem.along(sol.trajectory)
+    tau, f2 = s.rates_on(f.t, f.q)
+    series = series_terms(f2, f.dw, problem.grid, problem.alpha, truncation).sum(axis=0)
+    energy_like = f.L - np.sum(f.v * f.dv, axis=1) - problem.alpha * np.sum(f.dw * f.w, axis=1)
+    c = np.sum(f2 * f.dv, axis=1) + series + tau * energy_like
+    return GridFunction(problem.grid, c)
 
 
 def autonomous_quantity(problem: VariationalProblem, sol: ExtremalSolution) -> GridFunction:

@@ -43,11 +43,15 @@ from .lagrangian import check_partial, fd_partial, quadratic_mix
 from .minimize import bfgs_minimize
 from .noether import check_truncation, series_terms
 from .symmetry import SymmetryGroup, time_translation
+from .variational import along
 
 _PROBE_SEED = 9319
 _BASE_WEIGHT = 100.0  # penalty weight of the first round; tenfold per round after
 _ROUNDS = 3
-_MAX_UNKNOWNS = 8192  # a dense Hessian this size takes 512 MiB
+# a solve peaks at about 3.7 dense m x m matrices (ru_maxrss at n = 512 and 1024):
+# the Hessian, the hmat + hmat' temporary, the Cholesky factor and the LU copy.
+# At this cap that is about 1.9 GiB
+_MAX_UNKNOWNS = 8192
 
 
 @dataclass
@@ -456,17 +460,13 @@ def variational_reduction(lagrangian, grid: Grid, alpha, q_start) -> ControlProb
 def reduction_state(cp: ControlProblem, q: GridFunction, lagrangian) -> PontryaginState:
     """Substituted state for reduction problems: u = dq/dt, mu = D_C^alpha q,
     p = -dL/dv, p_alpha = -dL/dw."""
-    t = cp.grid.nodes()
-    u = central_difference(q.values, cp.grid.h)
-    mu = caputo_left(q, cp.alpha).values
-    p = -np.asarray(lagrangian.dv(t, q.values, u, mu), dtype=float)
-    pa = -np.asarray(lagrangian.dw(t, q.values, u, mu), dtype=float)
+    f = along(lagrangian, cp.grid, cp.alpha, q.values)
     return PontryaginState(
         q=q,
-        u=GridFunction(cp.grid, u),
-        mu=GridFunction(cp.grid, mu),
-        p=GridFunction(cp.grid, p),
-        p_alpha=GridFunction(cp.grid, pa),
+        u=GridFunction(cp.grid, f.v),
+        mu=GridFunction(cp.grid, f.w),
+        p=GridFunction(cp.grid, -f.dv),
+        p_alpha=GridFunction(cp.grid, -f.dw),
     )
 
 

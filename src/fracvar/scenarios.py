@@ -292,28 +292,18 @@ def _run_noether(params: _Params, out: Path):
     symmetry = build_symmetry(params, problem.dim)
     r = params.integer("truncation", 2)
     quantity = noether_quantity(problem, sol, symmetry, truncation=r)
-    t = problem.grid.nodes()
-    q, v, w = sol.trajectory.values, sol.velocity.values, sol.caputo_velocity.values
-    tau, f2 = symmetry.rates_on(t, q)
-    dw = problem.lagrangian.dw(t, q, v, w)
+    f = problem.along(sol.trajectory)
+    tau, f2 = symmetry.rates_on(f.t, f.q)
     series = transfer_series(
-        GridFunction(problem.grid, f2),
-        GridFunction(problem.grid, np.asarray(dw, dtype=float)),
-        problem.alpha,
-        r,
+        GridFunction(problem.grid, f2), GridFunction(problem.grid, f.dw), problem.alpha, r
     )
-    defect = invariance_defect(
-        problem,
-        sol.trajectory,
-        symmetry,
-        time_transform=symmetry.name == "time-translation",
-    )
+    defect = invariance_defect(problem, sol.trajectory, symmetry)
     drift = drift_report(quantity)
-    write_csv(out / "invariant.csv", ["t", "c"], [t, quantity.values[:, 0]])
+    write_csv(out / "invariant.csv", ["t", "c"], [f.t, quantity.values[:, 0]])
     write_csv(
         out / "symmetry.csv",
         ["t", "tau"] + [f"f2_{j}" for j in range(problem.dim)],
-        [t, tau, f2],
+        [f.t, tau, f2],
     )
     write_csv(
         out / "noether_summary.csv",

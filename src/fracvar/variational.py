@@ -16,13 +16,15 @@ interpolant (per-cell trapezoid in t with the cell slope as velocity). The
 node-based central-difference velocity paired with nodal trapezoid weights
 is *not* variationally consistent - with that pairing even the free particle
 has a non-zero discrete gradient at the straight line - while the
-interpolant action is, and is second-order accurate. Diagnostics
-(``action_value``, ``el_residual``, the exported velocity) keep the
-node-based central-difference convention.
+interpolant action is, and is second-order accurate. Every diagnostic here
+and in ``noether``, ``optctrl`` and ``scenarios`` keeps the node-based
+convention by reading one record, :func:`along`: t, q, v, w, and L with its
+partials, checked finite node by node.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +63,10 @@ class VariationalProblem:
     def dim(self) -> int:
         return self.lagrangian.dim
 
-    def fields(self, q: GridFunction):
-        """Trajectory fields (t, q, v, w) with the node-based conventions."""
+    def along(self, q: GridFunction) -> TrajectoryFields:
+        """:func:`along` for a checked trajectory ``q`` on the problem grid."""
         self.check_trajectory(q, boundary=False)
-        t = self.grid.nodes()
-        v = central_difference(q.values, self.grid.h)
-        w = caputo_left(q, self.alpha).values
-        return t, q.values, v, w
+        return along(self.lagrangian, self.grid, self.alpha, q.values)
 
     def check_trajectory(self, q: GridFunction, boundary: bool) -> None:
         """Raise unless ``q`` is a finite trajectory on the problem grid
@@ -86,6 +85,33 @@ class VariationalProblem:
                 or np.max(np.abs(q.values[-1] - self.q_b)) > 1e-12 * scale
             ):
                 raise ValidationError("trajectory does not satisfy the boundary values")
+
+
+#: node values along a trajectory: t, q, v = dq/dt, w = D_C^alpha q, and L with
+#: its partials in q, v and w; each of shape (n+1,) or (n+1, dim)
+TrajectoryFields = namedtuple("TrajectoryFields", "t q v w L dq dv dw")
+
+
+def along(lagrangian: LagrangianSpec, grid: Grid, alpha, q_values) -> TrajectoryFields:
+    """The fields every variational diagnostic reads, with the node-based
+    conventions; ``NumericsError`` names the first node where one is non-finite."""
+    q = GridFunction(grid, q_values)
+    t = grid.nodes()
+    v = central_difference(q.values, grid.h)
+    w = caputo_left(q, alpha).values
+    values = [v, w] + [
+        np.asarray(f(t, q.values, v, w), dtype=float)
+        for f in (lagrangian.evaluate, lagrangian.dq, lagrangian.dv, lagrangian.dw)
+    ]
+    bad = np.stack([~np.isfinite(x.reshape(len(t), -1)).all(axis=1) for x in values])
+    if bad.any():
+        node = int(np.argmax(bad.any(axis=0)))
+        names = ("v", "w", "L", "dL/dq", "dL/dv", "dL/dw")
+        which = ", ".join(name for name, b in zip(names, bad[:, node]) if b)
+        raise NumericsError(
+            f"non-finite {which} along the trajectory at node {node} (t = {t[node]:.6g})"
+        )
+    return TrajectoryFields(t, q.values, *values)
 
 
 @dataclass
@@ -114,50 +140,32 @@ class ExtremalSolution:
 def action_value(problem: VariationalProblem, q: GridFunction) -> float:
     """Trapezoid quadrature of L(t, q, dq/dt, D^alpha q) over the grid."""
     problem.check_trajectory(q, boundary=True)
-    t, qv, v, w = problem.fields(q)
-    lvals = np.asarray(problem.lagrangian.evaluate(t, qv, v, w), dtype=float)
-    if not np.isfinite(lvals).all():
-        node = int(np.argmax(~np.isfinite(lvals)))
-        raise NumericsError(
-            f"non-finite Lagrangian value at node {node} (t = {t[node]:.6g})"
-        )
-    return trapezoid(lvals, problem.grid.h)
+    return trapezoid(problem.along(q).L, problem.grid.h)
 
 
 def frechet_differential(
     problem: VariationalProblem, q: GridFunction, h: GridFunction
 ) -> float:
     """Directional differential: int [dL/dq . h + dL/dv . h' + dL/dw . D^alpha h]."""
-    problem.check_trajectory(q, boundary=False)
+    f = problem.along(q)
     if h.grid != problem.grid or h.dim != problem.dim:
         raise GridMismatchError("variation does not live on the problem grid")
     require_finite(h, "variation")
     scale = 1.0 + float(np.max(np.abs(h.values)))
     if max(np.max(np.abs(h.values[0])), np.max(np.abs(h.values[-1]))) > 1e-12 * scale:
         raise ValidationError("admissible variations must vanish at both endpoints")
-    t, qv, v, w = problem.fields(q)
-    lag = problem.lagrangian
-    d2 = np.asarray(lag.dq(t, qv, v, w), dtype=float)
-    d3 = np.asarray(lag.dv(t, qv, v, w), dtype=float)
-    d4 = np.asarray(lag.dw(t, qv, v, w), dtype=float)
     hdot = central_difference(h.values, problem.grid.h)
     hcap = caputo_left(h, problem.alpha).values
-    integrand = np.sum(d2 * h.values + d3 * hdot + d4 * hcap, axis=1)
+    integrand = np.sum(f.dq * h.values + f.dv * hdot + f.dw * hcap, axis=1)
     return trapezoid(integrand, problem.grid.h)
 
 
 def el_residual(problem: VariationalProblem, q: GridFunction) -> GridFunction:
     """Node-wise Euler-Lagrange residual; endpoint nodes are zero by convention."""
-    t, qv, v, w = problem.fields(q)
-    lag = problem.lagrangian
-    d2 = np.asarray(lag.dq(t, qv, v, w), dtype=float)
-    d3 = np.asarray(lag.dv(t, qv, v, w), dtype=float)
-    d4 = np.asarray(lag.dw(t, qv, v, w), dtype=float)
-    if not (np.isfinite(d2).all() and np.isfinite(d3).all() and np.isfinite(d4).all()):
-        raise NumericsError("non-finite Lagrangian partials along the trajectory")
-    ddt_d3 = central_difference(d3, problem.grid.h)
-    rl_term = rl_derivative_right(GridFunction(problem.grid, d4), problem.alpha).values
-    residual = d2 - ddt_d3 + rl_term
+    f = problem.along(q)
+    ddt_dv = central_difference(f.dv, problem.grid.h)
+    rl_term = rl_derivative_right(GridFunction(problem.grid, f.dw), problem.alpha).values
+    residual = f.dq - ddt_dv + rl_term
     residual[0] = 0.0
     residual[-1] = 0.0
     return GridFunction(problem.grid, residual)
@@ -299,15 +307,14 @@ def solve_extremal(
 
     result = bfgs_minimize(fun, grad, x0, hess, tol=tol, max_iter=max_iter)
     q = GridFunction(grid, assemble(result.x))
-    velocity = GridFunction(grid, central_difference(q.values, h))
-    caputo_velocity = caputo_left(q, problem.alpha)
+    f = problem.along(q)
     residual = el_residual(problem, q)
     return ExtremalSolution(
         trajectory=q,
-        velocity=velocity,
-        caputo_velocity=caputo_velocity,
+        velocity=GridFunction(grid, f.v),
+        caputo_velocity=GridFunction(grid, f.w),
         residual=residual,
-        action=action_value(problem, q),
+        action=trapezoid(f.L, h),
         el_residual_norm=float(np.max(np.abs(residual.values[1:-1]))),
         gradient_norm=result.gradient_norm,
         iterations=result.iterations,

@@ -7,8 +7,9 @@ import pytest
 from fracvar.errors import ValidationError
 from fracvar.fracops import caputo_left, rl_derivative_right, rl_integral_right
 from fracvar.grid import Grid, GridFunction, central_difference
-from fracvar.lagrangian import free_particle, harmonic_oscillator, quadratic_mix
+from fracvar.lagrangian import LagrangianSpec, free_particle, harmonic_oscillator, quadratic_mix
 from fracvar.noether import (
+    _transformed_integrand,
     autonomous_quantity,
     drift_report,
     invariance_defect,
@@ -77,8 +78,30 @@ class TestInvarianceDefect:
             quadratic_mix(1.0, 1.0), Grid(0.0, 1.0, 256), 0.5, ([0.0], [1.0])
         )
         sol = solve_extremal(p)
-        defect = invariance_defect(p, sol.trajectory, time_translation(), time_transform=True)
+        defect = invariance_defect(p, sol.trajectory, time_translation())
         assert defect < 1e-5
+
+    def test_time_translation_of_non_autonomous_problem(self):
+        # L = (1 + t) v^2/2 + w^2/2 depends on t, so time translation is not a
+        # symmetry; transforming the state alone would read exactly 0 here
+        lag = LagrangianSpec(
+            dim=1,
+            evaluate=lambda t, q, v, w: 0.5 * (1.0 + t) * v[:, 0] ** 2 + 0.5 * w[:, 0] ** 2,
+            dq=lambda t, q, v, w: np.zeros_like(q),
+            dv=lambda t, q, v, w: (1.0 + t)[:, None] * v,
+            dw=lambda t, q, v, w: w,
+        )
+        p = VariationalProblem(lag, Grid(0.0, 1.0, 128), 0.5, ([0.0], [1.0]))
+        sol = solve_extremal(p)
+        assert invariance_defect(p, sol.trajectory, time_translation()) > 0.1
+
+    def test_state_only_group_keeps_the_grid(self):
+        # the last node of Grid(0, 3.7, 13) misses 3.7 by an ulp; the image
+        # grid of an identity time map must still be the problem grid
+        p = VariationalProblem(free_particle(), Grid(0.0, 3.7, 13), 1.0, ([0.0], [1.0]))
+        q = GridFunction(p.grid, p.grid.nodes() / 3.7)
+        grid, _ = _transformed_integrand(p, q, space_translation([1.0]), 1e-4)
+        assert grid == p.grid
 
     def test_space_translation_of_q_independent_lagrangian(self):
         p = VariationalProblem(free_particle(), Grid(0.0, 1.0, 128), 1.0, ([0.0], [1.0]))
@@ -120,7 +143,7 @@ class TestInvarianceDefect:
             name="moebius",
         )
         with pytest.raises(ValidationError):
-            invariance_defect(p, sol.trajectory, moebius, time_transform=True)
+            invariance_defect(p, sol.trajectory, moebius)
 
     def test_richardson_step_consistency(self):
         # for a non-invariant pair the eps^2 truncation error must shrink ~4x
@@ -356,8 +379,6 @@ class TestAutonomousQuantity:
         npt.assert_allclose(c.values, 0.0, atol=1e-12)
 
     def test_rejects_non_autonomous(self):
-        from fracvar.lagrangian import LagrangianSpec
-
         lag = LagrangianSpec(
             dim=1,
             evaluate=lambda t, q, v, w: 0.5 * np.sum(v * v, axis=1) + t,

@@ -1,9 +1,12 @@
-"""Module boundaries inside the package: no module uses another's private names.
+"""Module boundaries inside the package: no module uses another's private names,
+and none imports a name it never reads.
 
 Each module under ``src/fracvar`` is parsed with ``ast``. A module may not
 import an underscore name from another package module, and ``obj._name`` is
 allowed only where ``_name`` is bound or assigned in the same module (or the
-object is ``self``/``cls``). Dunder names are not private.
+object is ``self``/``cls``). Dunder names are not private. Every imported
+name must be read somewhere in its module; ``__init__.py`` is exempt, since
+its imports are the package's re-exports.
 """
 
 import ast
@@ -75,4 +78,43 @@ def test_checker_flags_each_pattern():
     assert violations(source, "m.py") == [
         "m.py:1 imports _x from grid",
         "m.py:6 reads problem._check_trajectory",
+    ]
+
+
+def unused_imports(source: str, module: str) -> list:
+    """One line per imported name that the module never reads."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    found.append(f"{module}:{node.lineno} imports {name} unused")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_unused_import_checker_flags_each_pattern():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .grid import Grid, trapezoid\n"
+        "from .errors import NumericsError as Failure\n"
+        "def f(g: Grid):\n"
+        "    return np.zeros(1), os.path\n"
+    )
+    assert unused_imports(source, "m.py") == [
+        "m.py:4 imports trapezoid unused",
+        "m.py:5 imports Failure unused",
     ]

@@ -1,11 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fracvar.errors import ConvergenceError, GridMismatchError, ValidationError
-from fracvar.grid import Grid, GridFunction
+from fracvar.errors import ConvergenceError, GridMismatchError, NumericsError, ValidationError
+from fracvar.fracops import caputo_left
+from fracvar.grid import Grid, GridFunction, central_difference
 from fracvar.lagrangian import (
     LagrangianSpec,
     free_particle,
@@ -13,9 +15,12 @@ from fracvar.lagrangian import (
     potential_polynomial,
     quadratic_mix,
 )
+from fracvar.noether import noether_quantity
+from fracvar.symmetry import time_translation
 from fracvar.variational import (
     VariationalProblem,
     action_value,
+    along,
     el_residual,
     frechet_differential,
     solve_extremal,
@@ -194,6 +199,48 @@ class TestFrechetDifferential:
         h_l1 = float(np.sum(np.abs(h.values)) * p.grid.h)
         bound = sol.el_residual_norm * h_l1 * (p.grid.b - p.grid.a)
         assert abs(value) < max(bound, 1e-10)
+
+
+# ------------------------------------------------------- non-finite fields
+
+
+class TestNonFiniteFields:
+    """L = v^2/2 + sqrt(10 - q) along q = 12 sin(pi t): sqrt leaves its domain
+    where q > 10, first at node 11 of 32, so L and dL/dq are NaN there."""
+
+    @pytest.fixture
+    def case(self):
+        lag = LagrangianSpec(
+            dim=1,
+            evaluate=lambda t, q, v, w: 0.5 * v[:, 0] ** 2 + np.sqrt(10.0 - q[:, 0]),
+            dq=lambda t, q, v, w: -0.5 / np.sqrt(10.0 - q),
+            dv=lambda t, q, v, w: v,
+            dw=lambda t, q, v, w: np.zeros_like(w),
+        )
+        p = VariationalProblem(lag, Grid(0.0, 1.0, 32), 0.5, ([0.0], [0.0]))
+        q = GridFunction.from_callable(p.grid, lambda t: 12.0 * np.sin(np.pi * t))
+        with np.errstate(invalid="ignore"):
+            yield p, q
+
+    def test_along_names_the_first_bad_node(self, case):
+        p, q = case
+        with pytest.raises(NumericsError, match=r"L, dL/dq .* node 11 "):
+            along(p.lagrangian, p.grid, p.alpha, q.values)
+
+    def test_frechet_differential_raises(self, case):
+        p, q = case
+        with pytest.raises(NumericsError):
+            frechet_differential(p, q, sine_variation(p.grid))
+
+    def test_noether_quantity_raises(self, case):
+        p, q = case
+        sol = SimpleNamespace(
+            trajectory=q,
+            velocity=GridFunction(p.grid, central_difference(q.values, p.grid.h)),
+            caputo_velocity=caputo_left(q, p.alpha),
+        )
+        with pytest.raises(NumericsError):
+            noether_quantity(p, sol, time_translation(), truncation=0)
 
 
 # ------------------------------------------------------------ EL residual
