@@ -26,7 +26,6 @@ from .fracops import (
 from .friction import (
     FrictionProblem,
     friction_diagnostics,
-    quadratic_potential,
     simulate_damped_eom,
     window_shrink_study,
 )
@@ -195,7 +194,7 @@ def criterion_friction_demo(cache):
     halving = [energy[i + 1] / energy[i] for i in range(len(energy) - 1)]
     halving_ok = all(abs(r - 0.5) <= 0.05 for r in halving)
 
-    u, du = quadratic_potential(1.0)
+    u, du = polynomial_potential([0.0, 0.0, 0.5])
     drifts = {}
     for gamma_value in (1.0, 0.0):
         fp = FrictionProblem(1.0, gamma_value, u, du, Grid(0.0, 1.0, 1024))

@@ -54,11 +54,6 @@ class FrictionProblem:
         return -np.asarray(self.potential_grad(q), dtype=float)
 
 
-def quadratic_potential(stiffness: float = 1.0):
-    """Convenience U(q) = k q^2 / 2 with its gradient."""
-    return (lambda q: 0.5 * stiffness * q**2, lambda q: stiffness * q)
-
-
 @dataclass
 class FrictionDiagnostics:
     """Momenta, Hamiltonian and the dissipation-corrected energy defect."""

@@ -1,9 +1,11 @@
-"""Dense Newton minimizer with an Armijo line search.
+"""Dense Newton minimizer with an Armijo line search, and the objective
+structure both trajectory solvers share.
 
-Small and deterministic; both trajectory solvers drive it with analytic
-gradients and assembled Hessians. Each direction solves ``H p = -g``; an
-indefinite ``H`` is shifted by ``tau I`` until its Cholesky factorization
-succeeds (Nocedal-Wright section 3.4).
+Each direction solves ``H p = -g``; an indefinite ``H`` is shifted by
+``tau I`` until its Cholesky factorization succeeds (Nocedal-Wright
+section 3.4). Both solvers' objectives are sums of pointwise terms over a
+few linear images J of the node values, so their Hessians are ``J' B J``
+with block-diagonal B: :class:`PointwiseSum` assembles both.
 """
 
 from __future__ import annotations
@@ -18,6 +20,68 @@ from .errors import ConvergenceError, LineSearchError, NumericsError
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 MAX_ITER = 50  # default cap: over 8x the most Newton steps any test solve takes (6)
+
+
+class PointwiseSum:
+    """F(X) = sum_p f(args_p) for node values X of shape ``(nodes, width)``.
+
+    ``slots`` lists ``(columns, terms)``, each term ``(matrix, rows, coef)``
+    with integer arrays ``columns`` and ``rows``: slot s's argument at point
+    p is the sum over its terms of ``coef * (matrix @ X[:, columns])[rows[p]]``,
+    where ``None`` is the identity matrix. Matrices are ``(nodes, nodes)``;
+    slots with one come last, hold one term and read the same rows. The
+    caller evaluates f and its partials at :meth:`args`; :meth:`gradient` and
+    :meth:`hessian` chain them back to X.
+    """
+
+    def __init__(self, shape, slots):
+        self.shape, self.slots = shape, slots
+
+    def args(self, x: np.ndarray) -> list:
+        """Each slot's argument at every point, shape ``(points, |columns|)``."""
+        return [
+            sum(c * (x[:, cols] if m is None else m @ x[:, cols])[rows] for m, rows, c in terms)
+            for cols, terms in self.slots
+        ]
+
+    def gradient(self, partials) -> np.ndarray:
+        """dF/dX from each slot's partials of f, shape ``(points, |columns|)``."""
+        g = np.zeros(self.shape)
+        for (cols, terms), part in zip(self.slots, partials):
+            for m, rows, c in terms:
+                scattered = np.zeros((self.shape[0], len(cols)))
+                np.add.at(scattered, rows, c * part)
+                g[:, cols] += scattered if m is None else m.T @ scattered
+        return g
+
+    def hessian(self, blocks) -> np.ndarray:
+        """d2F/dX2 in ``X.ravel()`` from the second partials of f, as blocks
+        ``{(s, t): (points, |columns_s|, |columns_t|)}`` for slots s <= t.
+        Diagonal blocks enter halved and the result is ``part + part'``, so
+        that it is exactly symmetric."""
+        nodes, width = self.shape
+        part = np.zeros((nodes, width, nodes, width))
+        for (s, t), block in blocks.items():
+            if not block.any():
+                continue
+            (cols_s, terms_s), (cols_t, terms_t) = self.slots[s], self.slots[t]
+            for ma, ra, ca in terms_s:
+                for mb, rb, cb in terms_t:
+                    b = (0.5 if s == t else 1.0) * ca * cb * block
+                    if mb is None:  # identity x identity
+                        index = (ra[:, None, None], cols_s[:, None], rb[:, None, None], cols_t)
+                        np.add.at(part, index, b)
+                        continue
+                    for i, j in zip(*np.nonzero(b.any(axis=0))):
+                        view = part[:, cols_s[i], :, cols_t[j]]
+                        if ma is not None:  # matrix x matrix
+                            view += ma.T @ (np.bincount(ra, b[:, i, j], nodes)[:, None] * mb)
+                        elif np.array_equal(ra, rb):  # both read the point's own node
+                            view += np.bincount(ra, b[:, i, j], nodes)[:, None] * mb
+                        else:
+                            np.add.at(view, ra, b[:, i, j, None] * mb[rb])
+        part = part.reshape(nodes * width, nodes * width)
+        return part + part.T
 
 
 @dataclass

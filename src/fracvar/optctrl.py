@@ -40,7 +40,7 @@ from .grid import (
     trapezoid_weights,
 )
 from .lagrangian import check_partial, fd_partial, quadratic_mix
-from .minimize import bfgs_minimize
+from .minimize import PointwiseSum, bfgs_minimize
 from .noether import check_truncation, series_terms
 from .symmetry import SymmetryGroup, time_translation
 from .variational import along
@@ -49,9 +49,9 @@ _PROBE_SEED = 9319
 _BASE_WEIGHT = 100.0  # penalty weight of the first round; tenfold per round after
 _ROUNDS = 3
 # a solve peaks at about 3.7 dense m x m matrices (ru_maxrss at n = 512 and 1024):
-# the Hessian, the hmat + hmat' temporary, the Cholesky factor and the LU copy.
-# At this cap that is about 1.9 GiB
-_MAX_UNKNOWNS = 8192
+# the Hessian, the part + part' temporary, the Cholesky factor and the LU copy.
+# Four of them fit in 512 MiB at this cap, which also bounds n below 2048
+_MAX_UNKNOWNS = 4096
 
 
 @dataclass
@@ -236,58 +236,53 @@ def _sbp_difference_matrix(n: int, h: float) -> np.ndarray:
 def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) -> PontryaginState:
     """Penalty-based direct transcription with adjoint recovery.
 
-    Decision variables: trajectory nodes 1..n (node 0 carries the initial
-    condition) plus every control node of u and mu. Three penalty rounds,
-    weight 100 growing tenfold per round, warm-started, each minimized by
-    Newton steps on the assembled penalty Hessian; the combined dynamics
-    defect must decrease across rounds or the dynamics are reported
-    infeasible. ``terminal_state`` adds an optional endpoint penalty.
+    Decision variables: each node's y = (q, u, mu) in node order, without
+    node 0's q (the initial condition). The penalty objective is a
+    :class:`~fracvar.minimize.PointwiseSum` over y and the node's rows
+    a = D q and c = C q of the difference and L1 Caputo matrices. Three
+    penalty rounds, weight 100 growing tenfold per round, warm-started, each
+    minimized by Newton steps; the combined dynamics defect must decrease
+    across rounds or the dynamics are reported infeasible.
+    ``terminal_state`` adds an optional endpoint penalty.
     """
     n, sd, md, dd = cp.grid.n, cp.state_dim, cp.control_dim, cp.frac_dim
     if max(sd, md, dd) > 4:
         raise ValidationError("solver supports dimensions up to 4 per channel")
-    if n > 2048:
-        raise ValidationError("solver supports grids up to n = 2048")
     s = sd + md + dd  # values per node
     m = (n + 1) * s - sd  # unknowns; node 0's state is fixed
     if m > _MAX_UNKNOWNS:
         raise ValidationError(f"solver supports up to {_MAX_UNKNOWNS} unknowns, got {m}")
-    h = cp.grid.h
-    t = cp.grid.nodes()
+    h, t = cp.grid.h, cp.grid.nodes()
     wt = trapezoid_weights(n, h)
-    dmat = _sbp_difference_matrix(n, h)
-    cmat = caputo_left_matrix(n, h, cp.alpha)
     q_goal = None
     if terminal_state is not None:
         q_goal = np.atleast_1d(np.asarray(terminal_state, dtype=float))
         if q_goal.shape != (sd,):
             raise ValidationError("terminal state dimension mismatch")
-    gram = dmat.T @ (wt[:, None] * dmat) + cmat.T @ (wt[:, None] * cmat)
-
-    # pos[k] indexes node k's (q, u, mu) in (q_start, z), which holds all of
-    # q, then all of u, then all of mu, each node-major
-    pos = np.hstack(
+    k, q_columns = np.arange(n + 1), np.arange(sd)
+    penalty = PointwiseSum(
+        (n + 1, s),
         [
-            (n + 1) * offset + np.arange((n + 1) * width).reshape(n + 1, width)
-            for offset, width in ((0, sd), (sd, md), (sd + md, dd))
-        ]
+            (np.arange(s), [(None, k, 1.0)]),
+            (q_columns, [(_sbp_difference_matrix(n, h), k, 1.0)]),
+            (q_columns, [(caputo_left_matrix(n, h, cp.alpha), k, 1.0)]),
+        ],
     )
 
     def nodes(z):
-        return np.concatenate((cp.q_start, z))[pos]
+        return np.concatenate((cp.q_start, z)).reshape(n + 1, s)
 
     def split(z):
-        return np.hsplit(nodes(z), (sd, sd + md))
-
-    def defects(q, u, mu):
-        e1 = dmat @ q - np.asarray(cp.velocity(t, q, u), dtype=float)
-        e2 = cmat @ q - np.asarray(cp.frac_velocity(t, q, mu), dtype=float)
-        return e1, e2
+        """q, u, mu and the two dynamics defects."""
+        y, a, c = penalty.args(nodes(z))
+        q, u, mu = np.hsplit(y, (sd, sd + md))
+        e1 = a - np.asarray(cp.velocity(t, q, u), dtype=float)
+        e2 = c - np.asarray(cp.frac_velocity(t, q, mu), dtype=float)
+        return q, u, mu, e1, e2
 
     def objective(z, weight):
-        q, u, mu = split(z)
+        q, u, mu, e1, e2 = split(z)
         lvals = np.asarray(cp.cost(t, q, u, mu), dtype=float)
-        e1, e2 = defects(q, u, mu)
         value = float(wt @ lvals)
         value += 0.5 * weight * float(wt @ np.sum(e1 * e1 + e2 * e2, axis=1))
         if q_goal is not None:
@@ -295,8 +290,7 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
         return value
 
     def node_gradient(y, a, c, weight):
-        """Gradient of each node's term of the objective in the node's own
-        (q, u, mu), with ``a = dmat @ q`` and ``c = cmat @ q`` held fixed,
+        """Gradient of each node's term of the objective in its own y,
         followed by the term's gradient in its row of ``a`` and of ``c``."""
         q, u, mu = np.hsplit(y, (sd, sd + md))
         r1 = weight * wt[:, None] * (a - np.asarray(cp.velocity(t, q, u), dtype=float))
@@ -314,39 +308,24 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
 
     def gradient(z, weight):
         y = nodes(z)
-        q = y[:, :sd]
-        g = node_gradient(y, dmat @ q, cmat @ q, weight)
-        g[:, :sd] += dmat.T @ g[:, s : s + sd] + cmat.T @ g[:, s + sd :]
+        g = penalty.gradient(np.hsplit(node_gradient(*penalty.args(y), weight), (s, s + sd)))
         if q_goal is not None:
-            g[-1, :sd] += weight * (q[-1] - q_goal)
-        flat = np.empty((n + 1) * s)
-        flat[pos] = g[:, :s]
-        return flat[sd:]
+            g[-1, :sd] += weight * (y[-1, :sd] - q_goal)
+        return g.ravel()[sd:]
 
     def hessian(z, weight):
-        # second partials are central differences of node_gradient: its
-        # first s columns give each node's own block, the rest the rows that
-        # couple the node to dmat @ q and cmat @ q. Blocks on the diagonal
-        # enter halved, so that the Hessian is hmat + hmat'
-        y = nodes(z)
-        q = y[:, :sd]
-        jac = fd_partial(lambda *args: node_gradient(*args, weight), (y, dmat @ q, cmat @ q), 0)
-        hmat = np.zeros(((n + 1) * s, (n + 1) * s))
-        hmat[pos[:, :, None], pos[:, None, :]] = 0.5 * jac[:, :s]
-        for j in range(sd):
-            qj = pos[:, j]
-            hmat[np.ix_(qj, qj)] += 0.5 * weight * gram
-            for op, rows in ((dmat, jac[:, s + j]), (cmat, jac[:, s + sd + j])):
-                for col in np.flatnonzero(rows.any(axis=0)):
-                    # d2/dq_(i,j) dy_(k,col) = op[k, i] * rows[k, col]
-                    hmat[np.ix_(qj, pos[:, col])] += op.T * rows[:, col]
+        # the (y, y) block is a central difference of node_gradient in y,
+        # whose r1 and r2 rows give the (y, a) and (y, c) blocks; the (a, a)
+        # and (c, c) blocks are exactly weight * wt * I
+        jac = fd_partial(node_gradient, (*penalty.args(nodes(z)), weight), 0)
+        ya, yc = jac[:, s : s + sd].transpose(0, 2, 1), jac[:, s + sd :].transpose(0, 2, 1)
+        aa = weight * wt[:, None, None] * np.eye(sd)
+        hmat = penalty.hessian({(0, 0): jac[:, :s], (0, 1): ya, (0, 2): yc, (1, 1): aa, (2, 2): aa})
         if q_goal is not None:
-            hmat[pos[-1, :sd], pos[-1, :sd]] += 0.5 * weight
-        hmat += hmat.T
+            hmat[n * s + q_columns, n * s + q_columns] += weight
         return hmat[sd:, sd:]
 
-    z = np.zeros(m)
-    z[: n * sd] = np.tile(cp.q_start, n)
+    z = np.tile(np.concatenate((cp.q_start, np.zeros(md + dd))), n + 1)[sd:]
 
     weights, defect_norms = [], []
     for k in range(_ROUNDS):
@@ -359,8 +338,7 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
             tol=tol,
         )
         z = result.x
-        q, u, mu = split(z)
-        e1, e2 = defects(q, u, mu)
+        q, u, mu, e1, e2 = split(z)
         norm = float(np.sqrt(wt @ np.sum(e1 * e1 + e2 * e2, axis=1)))
         weights.append(weight)
         defect_norms.append(norm)

@@ -40,7 +40,7 @@ from .grid import (
     write_csv,
 )
 from .lagrangian import LagrangianSpec, fd_partial
-from .minimize import MAX_ITER, bfgs_minimize
+from .minimize import MAX_ITER, PointwiseSum, bfgs_minimize
 
 
 class VariationalProblem:
@@ -179,133 +179,55 @@ def el_residual_norm(problem: VariationalProblem, q: GridFunction) -> float:
 # ------------------------------------------------------------- the solver
 
 
-def _interpolant_action_parts(problem: VariationalProblem):
-    """Precompute the static pieces of the discrete action."""
-    t = problem.grid.nodes()
-    h = problem.grid.h
-    cmat = caputo_left_matrix(problem.grid.n, h, problem.alpha)
-    return t, h, cmat
-
-
-def _discrete_action(problem, t, h, cmat, q):
-    lag = problem.lagrangian
-    vcell = np.diff(q, axis=0) / h
-    w = cmat @ q
-    left = np.asarray(lag.evaluate(t[:-1], q[:-1], vcell, w[:-1]), dtype=float)
-    right = np.asarray(lag.evaluate(t[1:], q[1:], vcell, w[1:]), dtype=float)
-    return 0.5 * h * (np.sum(left) + np.sum(right))
-
-
-def _discrete_gradient(problem, t, h, cmat, q):
-    lag = problem.lagrangian
-    vcell = np.diff(q, axis=0) / h
-    w = cmat @ q
-    args_l = (t[:-1], q[:-1], vcell, w[:-1])
-    args_r = (t[1:], q[1:], vcell, w[1:])
-    d2l, d2r = np.asarray(lag.dq(*args_l), float), np.asarray(lag.dq(*args_r), float)
-    d3l, d3r = np.asarray(lag.dv(*args_l), float), np.asarray(lag.dv(*args_r), float)
-    d4l, d4r = np.asarray(lag.dw(*args_l), float), np.asarray(lag.dw(*args_r), float)
-    g = np.zeros_like(q)
-    g[:-1] += 0.5 * h * d2l
-    g[1:] += 0.5 * h * d2r
-    cell_momentum = 0.5 * (d3l + d3r)  # d(action)/d(vcell) / h
-    g[:-1] -= cell_momentum
-    g[1:] += cell_momentum
-    s = np.zeros_like(q)
-    s[:-1] += 0.5 * h * d4l
-    s[1:] += 0.5 * h * d4r
-    g += cmat.T @ s
-    return g
-
-
-def _discrete_hessian(problem, t, h, cmat, q):
-    """Hessian of :func:`_discrete_action` in the node values ``q.ravel()``.
-
-    Each evaluation point contributes ``J' (h/2 d2L) J``, where J maps the
-    nodes to the point's node value, cell slope and row of ``cmat``. The
-    second partials are central differences of the analytic first partials:
-    they steer Newton steps, while the analytic gradient certifies
-    convergence.
-    """
-    lag = problem.lagrangian
-    n, d = q.shape[0] - 1, q.shape[1]
-    lo, hi = np.arange(n), np.arange(1, n + 1)
-    vcell = np.diff(q, axis=0) / h
-    # left points of all cells, then right points; node[k] also names the
-    # cmat row that gives the point's w
-    node = np.concatenate((lo, hi))
-    args = (t[node], q[node], np.concatenate((vcell, vcell)), (cmat @ q)[node])
-    cell_lo, cell_hi = np.concatenate((lo, lo)), np.concatenate((hi, hi))
-    jac = {"q": ((node, 1.0),), "v": ((cell_hi, 1.0 / h), (cell_lo, -1.0 / h))}
-    partials = {"q": lag.dq, "v": lag.dv, "w": lag.dw}
-    slots = {"q": 1, "v": 2, "w": 3}
-    every = slice(None)
-    # sum of J_x' B J_y over slot pairs x <= y, with the x == y blocks
-    # halved, so that the Hessian is part + part'
-    part = np.zeros((n + 1, d, n + 1, d))
-    for x, y in (("q", "q"), ("q", "v"), ("v", "v"), ("q", "w"), ("v", "w"), ("w", "w")):
-        block = (0.25 if x == y else 0.5) * h * fd_partial(partials[x], args, slots[y])
-        if not block.any():
-            continue
-        if y != "w":  # banded: add each point's node pairs by index
-            for rows, a in jac[x]:
-                for cols, b in jac[y]:
-                    np.add.at(part, (rows, every, cols, every), a * b * block)
-            continue
-        for ca, cb in zip(*np.nonzero(block.any(axis=0))):
-            if x == "w":  # both sides read rows of the same cmat
-                weights = np.bincount(node, block[:, ca, cb], n + 1)
-                part[:, ca, :, cb] += cmat.T @ (weights[:, None] * cmat)
-            else:  # row-scaled rows of cmat
-                for rows, a in jac[x]:
-                    np.add.at(
-                        part[:, ca, :, cb], rows, (a * block[:, ca, cb])[:, None] * cmat[node]
-                    )
-    part = part.reshape((n + 1) * d, (n + 1) * d)
-    return part + part.T
-
-
 def solve_extremal(
-    problem: VariationalProblem,
-    init: GridFunction | None = None,
-    tol: float = 1e-8,
-    max_iter: int = MAX_ITER,
+    problem: VariationalProblem, tol: float = 1e-8, max_iter: int = MAX_ITER
 ) -> ExtremalSolution:
     """Minimize the discretized action over interior nodes (endpoints fixed).
 
-    Steps are Newton steps on :func:`_discrete_hessian`. The default
-    initial guess is the linear interpolant of the boundary values.
-    Convergence means the discrete gradient max-norm fell below ``tol``;
-    non-convergence raises ``ConvergenceError`` carrying the final norm.
+    The interpolant action is a :class:`~fracvar.minimize.PointwiseSum`
+    over the node value, the cell slope and the node's row of the L1 Caputo
+    matrix, at both ends of every cell. Newton steps start from the linear
+    interpolant of the boundary values; their second partials are central
+    differences of the analytic first partials. A gradient max-norm not
+    below ``tol`` raises ``ConvergenceError`` carrying the final norm.
     """
-    grid, d = problem.grid, problem.dim
-    n = grid.n
-    t, h, cmat = _interpolant_action_parts(problem)
-    if init is not None:
-        problem.check_trajectory(init, boundary=True)
-        x0 = init.values[1:-1].ravel()
-    else:
-        frac = ((t - grid.a) / (grid.b - grid.a))[:, None]
-        straight = (1.0 - frac) * problem.q_a[None, :] + frac * problem.q_b[None, :]
-        x0 = straight[1:-1].ravel()
+    grid, d, lag = problem.grid, problem.dim, problem.lagrangian
+    n, h, t = grid.n, grid.h, grid.nodes()
+    cell = np.tile(np.arange(n), 2)  # the left ends of all cells, then the right ends
+    node, columns = cell + np.repeat([0, 1], n), np.arange(d)
+    action = PointwiseSum(
+        (n + 1, d),
+        [
+            (columns, [(None, node, 1.0)]),
+            (columns, [(None, cell + 1, 1.0 / h), (None, cell, -1.0 / h)]),
+            (columns, [(caputo_left_matrix(n, h, problem.alpha), node, 1.0)]),
+        ],
+    )
+    partials = (lag.dq, lag.dv, lag.dw)
 
     def assemble(x):
-        q = np.empty((n + 1, d))
-        q[0] = problem.q_a
-        q[-1] = problem.q_b
-        q[1:-1] = x.reshape(n - 1, d)
-        return q
+        return np.vstack((problem.q_a, x.reshape(n - 1, d), problem.q_b))
+
+    def args(x):
+        return (t[node], *action.args(assemble(x)))
 
     def fun(x):
-        return _discrete_action(problem, t, h, cmat, assemble(x))
+        return 0.5 * h * float(np.sum(np.asarray(lag.evaluate(*args(x)), dtype=float)))
 
     def grad(x):
-        return _discrete_gradient(problem, t, h, cmat, assemble(x))[1:-1].ravel()
+        a = args(x)
+        g = action.gradient([0.5 * h * np.asarray(f(*a), dtype=float) for f in partials])
+        return g[1:-1].ravel()
 
     def hess(x):
-        return _discrete_hessian(problem, t, h, cmat, assemble(x))[d:-d, d:-d]
+        a = args(x)
+        pairs = [(s, r) for s in range(3) for r in range(s, 3)]
+        blocks = {(s, r): 0.5 * h * fd_partial(partials[s], a, 1 + r) for s, r in pairs}
+        return action.hessian(blocks)[d:-d, d:-d]
 
-    result = bfgs_minimize(fun, grad, x0, hess, tol=tol, max_iter=max_iter)
+    frac = ((t - grid.a) / (grid.b - grid.a))[:, None]
+    straight = (1.0 - frac) * problem.q_a[None, :] + frac * problem.q_b[None, :]
+    result = bfgs_minimize(fun, grad, straight[1:-1].ravel(), hess, tol=tol, max_iter=max_iter)
     q = GridFunction(grid, assemble(result.x))
     f = problem.along(q)
     residual = el_residual(problem, q)

@@ -12,11 +12,11 @@ from fracvar.friction import (
     friction_diagnostics,
     friction_lagrangian,
     friction_variational_problem,
-    quadratic_potential,
     simulate_damped_eom,
     window_shrink_study,
 )
 from fracvar.grid import Grid, GridFunction, central_difference
+from fracvar.lagrangian import polynomial_potential
 from fracvar.noether import drift_report
 from fracvar.variational import el_residual, solve_extremal
 
@@ -50,7 +50,7 @@ class TestFrictionLagrangian:
         assert out[0, 0] == pytest.approx(6.0, abs=1e-15)
 
     def test_partials_match_finite_differences(self):
-        u, du = quadratic_potential(1.3)
+        u, du = polynomial_potential([0.0, 0.0, 0.65])
         fp = make_problem(mass=1.2, gamma=0.7, potential=(u, du))
         lag = friction_lagrangian(fp)
         rng = np.random.default_rng(12)
@@ -81,7 +81,7 @@ class TestFrictionLagrangian:
 
 class TestFrictionDiagnostics:
     def test_frictionless_hamiltonian_is_classical_energy(self):
-        u, du = quadratic_potential(1.0)
+        u, du = polynomial_potential([0.0, 0.0, 0.5])
         win = Grid(0.0, math.pi / 2.0, 512)
         fp = make_problem(gamma=0.0, potential=(u, du), window=win)
         q = GridFunction(win, np.cos(win.nodes()))
@@ -102,7 +102,7 @@ class TestFrictionDiagnostics:
         npt.assert_allclose(diag.half_momentum.column()[1:], expected[1:], atol=2e-3)
 
     def test_defect_identity_by_construction(self):
-        u, du = quadratic_potential(2.0)
+        u, du = polynomial_potential([0.0, 0.0, 1.0])
         win = Grid(0.0, 1.0, 64)
         fp = make_problem(gamma=1.5, potential=(u, du), window=win)
         q = GridFunction(win, np.sin(win.nodes()))
@@ -179,7 +179,7 @@ class TestSimulateDampedEom:
         npt.assert_allclose(out.values[:, 0], 0.25 + 2.0 * t, atol=1e-12)
 
     def test_oscillator_energy_conservation(self):
-        u, du = quadratic_potential(1.0)
+        u, du = polynomial_potential([0.0, 0.0, 0.5])
         fp = make_problem(gamma=0.0, potential=(u, du))
         out = simulate_damped_eom(fp, q0=1.0, v0=0.0, horizon=10.0, steps=4096)
         energy = 0.5 * out.values[:, 1] ** 2 + 0.5 * out.values[:, 0] ** 2
@@ -225,7 +225,7 @@ class TestFrictionInvariants:
     def test_el_residual_matches_damped_form(self):
         # same-arithmetic identity: the variational residual equals
         # -(m qdd - gamma D_right^(1/2) D_C^(1/2) q - F(q)) node-wise
-        u, du = quadratic_potential(1.0)
+        u, du = polynomial_potential([0.0, 0.0, 0.5])
         win = Grid(0.0, 1.0, 128)
         fp = make_problem(mass=1.3, gamma=0.6, potential=(u, du), window=win)
         q = GridFunction(win, np.sin(win.nodes()) + 0.2 * win.nodes())
@@ -244,7 +244,7 @@ class TestFrictionInvariants:
     def test_defect_improves_on_hamiltonian_along_extremal(self):
         # the dissipation-corrected quantity varies less than H itself (the
         # true drift of both plateaus with n; the correction only helps)
-        u, du = quadratic_potential(1.0)
+        u, du = polynomial_potential([0.0, 0.0, 0.5])
         drifts = []
         for n in (128, 256):
             fp = make_problem(gamma=0.5, potential=(u, du), window=Grid(0.0, 0.5, n))
@@ -261,7 +261,7 @@ class TestFrictionInvariants:
         # ((gamma/2) w^2 - H); both reduce to -(m qdot^2/2 + U)
         from fracvar.noether import autonomous_quantity
 
-        u, du = quadratic_potential(1.0)
+        u, du = polynomial_potential([0.0, 0.0, 0.5])
         fp = make_problem(gamma=0.8, potential=(u, du), window=Grid(0.0, 0.5, 128))
         problem = friction_variational_problem(fp, 0.0, 0.3)
         sol = solve_extremal(problem)
@@ -272,7 +272,7 @@ class TestFrictionInvariants:
         )
 
     def test_nonconservation_detectable_against_matched_frictionless_run(self):
-        u, du = quadratic_potential(1.0)
+        u, du = polynomial_potential([0.0, 0.0, 0.5])
         steps = 1024
         runs = {}
         for gamma in (1.0, 0.0):

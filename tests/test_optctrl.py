@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -306,6 +308,19 @@ class TestSolveControl:
         with pytest.raises(ValidationError, match="unknowns"):
             solve_control(cp)
 
+    def test_unknowns_cap_refuses_4097_before_allocating(self):
+        # n = 1365 with (q, u, mu) per node: 3 * 1366 - 1 = 4097 unknowns,
+        # one past the cap at which four dense Hessians fill 512 MiB
+        cp = scalar_tracking_problem(Grid(0.0, 1.0, 1365), 0.5, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="up to 4096 unknowns, got 4097"):
+                solve_control(cp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_penalty_hessian_matches_finite_differences_of_gradient(self, monkeypatch):
         class Captured(Exception):
             pass
@@ -484,11 +499,12 @@ class TestContractValidation:
 def explicit_lq_problem(grid, alpha, q_start, state_weight, control_weight, frac_weight):
     """The linear-quadratic problem written out with its own lambdas."""
 
-    def cost(t, q, u, mu):
-        return 0.5 * (
-            state_weight * q[:, 0] ** 2
-            + control_weight * u[:, 0] ** 2
-            + frac_weight * mu[:, 0] ** 2
+    def cost(t, q, u, mu):  # quadratic_mix's terms, in its order
+        return (
+            0.5 * control_weight * u[:, 0] ** 2
+            + 0.5 * frac_weight * mu[:, 0] ** 2
+            + 0.5 * state_weight * q[:, 0] ** 2
+            + 0.0 * q[:, 0]
         )
 
     ones = lambda t: np.ones((len(t), 1, 1))
@@ -535,7 +551,6 @@ class TestLinearQuadraticFamily:
         for label in ("q", "u", "mu", "p", "p_alpha"):
             npt.assert_array_equal(getattr(state, label).values, getattr(ref, label).values)
         assert state.diagnostics == ref.diagnostics
-        # the two costs sum their terms in different orders
-        ham = optctrl.hamiltonian_values(cp, state)
-        ham_ref = optctrl.hamiltonian_values(ref_cp, ref)
-        assert np.all(np.abs(ham - ham_ref) <= 2.0 * np.spacing(np.abs(ham_ref)))
+        npt.assert_array_equal(
+            optctrl.hamiltonian_values(cp, state), optctrl.hamiltonian_values(ref_cp, ref)
+        )

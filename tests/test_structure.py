@@ -1,15 +1,19 @@
 """Module boundaries inside the package: no module uses another's private names,
-and none imports a name it never reads.
+none imports a name it never reads, and every function the benchmark traces
+exists.
 
 Each module under ``src/fracvar`` is parsed with ``ast``. A module may not
 import an underscore name from another package module, and ``obj._name`` is
 allowed only where ``_name`` is bound or assigned in the same module (or the
 object is ``self``/``cls``). Dunder names are not private. Every imported
 name must be read somewhere in its module; ``__init__.py`` is exempt, since
-its imports are the package's re-exports.
+its imports are the package's re-exports. ``perfbench/tracer.py`` names the
+functions it wraps in ``TARGETS``; the tests here do not run the benchmark,
+so a renamed function would otherwise break it unnoticed.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -118,3 +122,30 @@ def test_unused_import_checker_flags_each_pattern():
         "m.py:4 imports trapezoid unused",
         "m.py:5 imports Failure unused",
     ]
+
+
+TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def missing_targets(source: str) -> list:
+    """One line per name in the ``TARGETS`` literal that its module lacks."""
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    ]
+    return [
+        f"{module}.{name} is missing"
+        for module, names in targets.items()
+        for name in names
+        if not hasattr(importlib.import_module(module), name)
+    ]
+
+
+def test_traced_functions_exist():
+    assert missing_targets(TRACER.read_text(encoding="utf-8")) == []
+
+
+def test_traced_function_checker_flags_a_missing_name():
+    source = 'TARGETS = {"fracvar.minimize": ("bfgs_minimize", "no_such_solver")}\n'
+    assert missing_targets(source) == ["fracvar.minimize.no_such_solver is missing"]

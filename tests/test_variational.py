@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fracvar import variational
 from fracvar.errors import ConvergenceError, GridMismatchError, NumericsError, ValidationError
 from fracvar.fracops import caputo_left
 from fracvar.grid import Grid, GridFunction, central_difference
@@ -24,16 +25,29 @@ from fracvar.variational import (
     el_residual,
     frechet_differential,
     solve_extremal,
-    _discrete_action,
-    _discrete_gradient,
-    _discrete_hessian,
-    _interpolant_action_parts,
 )
 
 
 def line_problem(n=128, alpha=1.0, lagrangian=None):
     lag = lagrangian if lagrangian is not None else free_particle()
     return VariationalProblem(lag, Grid(0.0, 1.0, n), alpha, ([0.0], [1.0]))
+
+
+def captured_objective(monkeypatch, problem):
+    """(fun, grad, x0, hess) that solve_extremal hands to the minimizer;
+    x holds the interior nodes."""
+
+    class Captured(Exception):
+        pass
+
+    def spy(fun, grad, x0, hess, **kwargs):
+        raise Captured(fun, grad, x0, hess)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(variational, "bfgs_minimize", spy)
+        with pytest.raises(Captured) as excinfo:
+            solve_extremal(problem)
+    return excinfo.value.args
 
 
 def line_trajectory(problem):
@@ -316,12 +330,6 @@ class TestSolveExtremal:
         assert window_norm[0] / window_norm[1] > 1.5
         assert window_norm[1] / window_norm[2] > 1.5
 
-    def test_init_must_match_boundary(self):
-        p = line_problem(n=32)
-        bad = GridFunction(p.grid, np.linspace(0.5, 1.0, 33))
-        with pytest.raises(ValidationError):
-            solve_extremal(p, init=bad)
-
     def test_nonconvergence_reports_gradient_norm(self):
         # a quartic potential: Newton needs 3 steps, so one is not enough
         quartic = potential_polynomial([0.0, 0.0, 0.5, 0.0, 2.0])
@@ -336,26 +344,14 @@ class TestSolveExtremal:
         assert sol.iterations == 1
         assert sol.gradient_norm < 1e-11
 
-    def test_newton_matches_bfgs_on_coupled_problem(self):
+    def test_newton_matches_bfgs_on_coupled_problem(self, monkeypatch):
         from scipy import optimize
 
         p = coupled_problem(64)
         newton = solve_extremal(p)
-        t, h, cmat = _interpolant_action_parts(p)
-        q = newton.trajectory.values.copy()  # keeps the boundary rows
-
-        def assemble(x):
-            q[1:-1] = x.reshape(-1, 2)
-            return q
-
-        frac = t[1:-1, None]
-        x0 = ((1.0 - frac) * p.q_a + frac * p.q_b).ravel()
+        fun, grad, x0, _ = captured_objective(monkeypatch, p)
         bfgs = optimize.minimize(
-            lambda x: _discrete_action(p, t, h, cmat, assemble(x)),
-            x0,
-            jac=lambda x: _discrete_gradient(p, t, h, cmat, assemble(x))[1:-1].ravel(),
-            method="BFGS",
-            options={"gtol": 1e-8, "maxiter": 10000},
+            fun, x0, jac=grad, method="BFGS", options={"gtol": 1e-8, "maxiter": 10000}
         )
         assert newton.iterations <= 3 < bfgs.nit
         npt.assert_allclose(
@@ -375,39 +371,34 @@ class TestSolveExtremal:
 
 
 class TestInvariants:
-    def test_discrete_gradient_matches_finite_differences(self):
+    def test_discrete_gradient_matches_finite_differences(self, monkeypatch):
         p = line_problem(n=24, alpha=0.5, lagrangian=quadratic_mix(1.0, 0.7, 0.4))
-        t, h, cmat = _interpolant_action_parts(p)
+        fun, grad, _, _ = captured_objective(monkeypatch, p)
         rng = np.random.default_rng(11)
         q = np.linspace(0.0, 1.0, 25)[:, None] + 0.1 * rng.standard_normal((25, 1))
-        q[0], q[-1] = 0.0, 1.0
-        analytic = _discrete_gradient(p, t, h, cmat, q)[1:-1].ravel()
+        x = q[1:-1].ravel()
+        analytic = grad(x)
         fd = np.empty_like(analytic)
         for j in range(len(fd)):
             step = 1e-6
-            qp, qm = q.copy(), q.copy()
-            qp[1 + j, 0] += step
-            qm[1 + j, 0] -= step
-            fd[j] = (
-                _discrete_action(p, t, h, cmat, qp) - _discrete_action(p, t, h, cmat, qm)
-            ) / (2.0 * step)
+            xp, xm = x.copy(), x.copy()
+            xp[j] += step
+            xm[j] -= step
+            fd[j] = (fun(xp) - fun(xm)) / (2.0 * step)
         npt.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
 
-    def test_discrete_hessian_matches_finite_differences_of_gradient(self):
+    def test_discrete_hessian_matches_finite_differences_of_gradient(self, monkeypatch):
         p = coupled_problem(12)
-        t, h, cmat = _interpolant_action_parts(p)
-        rng = np.random.default_rng(17)
-        q = rng.standard_normal((13, 2))
-        analytic = _discrete_hessian(p, t, h, cmat, q)
+        _, grad, _, hess = captured_objective(monkeypatch, p)
+        x = np.random.default_rng(17).standard_normal((13, 2))[1:-1].ravel()
+        analytic = hess(x)
         fd = np.empty_like(analytic)
         step = 1e-6
-        for j in range(q.size):
-            qp, qm = q.copy(), q.copy()
-            qp.flat[j] += step
-            qm.flat[j] -= step
-            fd[:, j] = (
-                _discrete_gradient(p, t, h, cmat, qp) - _discrete_gradient(p, t, h, cmat, qm)
-            ).ravel() / (2.0 * step)
+        for j in range(x.size):
+            xp, xm = x.copy(), x.copy()
+            xp[j] += step
+            xm[j] -= step
+            fd[:, j] = (grad(xp) - grad(xm)) / (2.0 * step)
         npt.assert_array_equal(analytic, analytic.T)
         npt.assert_allclose(analytic, fd, rtol=0.0, atol=1e-7 * np.max(np.abs(fd)))
 
