@@ -33,7 +33,12 @@ FRICTION_ORDER = 0.5
 
 @dataclass
 class FrictionProblem:
-    """Particle of mass m with drag coefficient gamma in potential U."""
+    """Particle of mass m with drag coefficient gamma in potential U.
+
+    ``simulate_damped_eom`` calls ``potential_grad`` on Python floats; the
+    Lagrangian and the diagnostics call ``potential`` and ``potential_grad``
+    on arrays.
+    """
 
     mass: float
     gamma: float
@@ -161,6 +166,11 @@ def simulate_damped_eom(
     This is the window-shrink limit of the stationarity condition, an
     ordinary ODE; the fractional content lives in the window diagnostics.
     Returns columns (q, qdot) on a fresh grid over [0, horizon].
+
+    The stages run on Python floats, so ``fp.potential_grad`` is called on a
+    float and its result taken with ``float``; the diagnostics call it on
+    arrays. Raises ``NumericsError`` at the first step whose state is
+    non-finite or exceeds 1e12 in magnitude.
     """
     if steps < 16:
         raise ValidationError(f"steps must be >= 16, got {steps}")
@@ -171,8 +181,10 @@ def simulate_damped_eom(
     out = np.empty((steps + 1, 2))
     out[0] = (q0, v0)
 
+    grad, gamma, mass = fp.potential_grad, float(fp.gamma), float(fp.mass)
+
     def accel(q, v):
-        return (float(fp.force(np.asarray(q))) - fp.gamma * v) / fp.mass
+        return (-float(grad(q)) - gamma * v) / mass
 
     # scalar stages, in the operation order of the vector form y + c * k
     q, v = float(q0), float(v0)

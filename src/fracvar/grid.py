@@ -15,6 +15,8 @@ from .errors import GridMismatchError, ValidationError
 
 #: printf format used for all CSV output; round-trips IEEE doubles exactly.
 CSV_FLOAT_FORMAT = "%.17g"
+# rows that write_csv formats with one ``%``: bounds the string it builds
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -150,16 +152,17 @@ def write_csv(path, header, columns) -> None:
     """Write a comma-separated table at full double precision.
 
     ``columns`` are 1-D arrays (one column each) or 2-D blocks (one column
-    per block column), all with the same number of rows.
+    per block column), all with the same number of rows. The bytes are those
+    of ``np.savetxt`` with this header and format; rows are formatted from
+    Python floats, a block of rows per ``%``.
     """
-    np.savetxt(
-        path,
-        np.column_stack(columns),
-        fmt=CSV_FLOAT_FORMAT,
-        delimiter=",",
-        header=",".join(header),
-        comments="",
-    )
+    table = np.column_stack(columns)
+    row = ",".join([CSV_FLOAT_FORMAT] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def central_difference(values: np.ndarray, h: float) -> np.ndarray:

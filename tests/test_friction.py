@@ -173,7 +173,8 @@ class TestSimulateDampedEom:
         assert out.values[-1, 0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-8)
 
     def test_frictionless_free_motion_is_exact(self):
-        fp = make_problem(gamma=0.0)
+        # U' = np.zeros_like, which returns a 0-d array on a Python float
+        fp = make_problem(gamma=0.0, potential=polynomial_potential([]))
         out = simulate_damped_eom(fp, q0=0.25, v0=2.0, horizon=3.0, steps=64)
         t = out.grid.nodes()
         npt.assert_allclose(out.values[:, 0], 0.25 + 2.0 * t, atol=1e-12)
@@ -185,16 +186,15 @@ class TestSimulateDampedEom:
         energy = 0.5 * out.values[:, 1] ** 2 + 0.5 * out.values[:, 0] ** 2
         assert np.max(np.abs(energy - energy[0])) < 1e-8
 
-    def test_matches_vector_stage_reference_bitwise(self):
-        # reference: RK4 with array-valued stages, the same operation order
-        fp = make_problem(mass=1.03, gamma=0.7, potential=(lambda q: q**4, lambda q: 4.0 * q**3))
-        steps, horizon = 2048, 2.0
+    @staticmethod
+    def vector_stage_reference(fp, force, q0, v0, horizon, steps):
+        """RK4 with array-valued stages y + c * k, the operation order the integrator keeps."""
         dt = horizon / steps
 
         def rhs(y):
-            return np.array([y[1], (float(fp.force(np.asarray(y[0]))) - fp.gamma * y[1]) / fp.mass])
+            return np.array([y[1], (force(y[0]) - fp.gamma * y[1]) / fp.mass])
 
-        y = np.array([1.02, -0.05])
+        y = np.array([q0, v0])
         ref = [y]
         for _ in range(steps):
             k1 = rhs(y)
@@ -203,14 +203,45 @@ class TestSimulateDampedEom:
             k4 = rhs(y + dt * k3)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             ref.append(y)
-        out = simulate_damped_eom(fp, q0=1.02, v0=-0.05, horizon=horizon, steps=steps)
-        npt.assert_array_equal(out.values, np.array(ref))
+        return np.array(ref)
+
+    def test_matches_vector_stage_reference_bitwise(self):
+        # the force is evaluated as the integrator does, on a Python float:
+        # q**4 is libm pow there and numpy's power ufunc on a 0-d array,
+        # which differ in the last ulp on some inputs
+        fp = make_problem(mass=1.03, gamma=0.7, potential=(lambda q: q**4, lambda q: 4.0 * q**3))
+        ref = self.vector_stage_reference(
+            fp, lambda q: -float(fp.potential_grad(float(q))), 1.02, -0.05, 2.0, 2048
+        )
+        out = simulate_damped_eom(fp, q0=1.02, v0=-0.05, horizon=2.0, steps=2048)
+        npt.assert_array_equal(out.values, ref)
+
+    def test_polynomial_potential_matches_zero_d_array_reference_bitwise(self):
+        # the scenario's potential: Horner's rule gives the same bits on a
+        # Python float as the force callback gives on a 0-d array
+        fp = make_problem(
+            mass=1.03, gamma=0.7, potential=polynomial_potential([0.3, -0.2, 2.1, 0.4])
+        )
+        ref = self.vector_stage_reference(
+            fp, lambda q: float(fp.force(np.asarray(q))), 1.02, -0.05, 2.0, 2048
+        )
+        out = simulate_damped_eom(fp, q0=1.02, v0=-0.05, horizon=2.0, steps=2048)
+        npt.assert_array_equal(out.values, ref)
+
+    @staticmethod
+    def blowup_message(stiffness):
+        stiff = (lambda q: -0.5 * stiffness * q**2, lambda q: -stiffness * q)  # repulsive, unstable
+        fp = make_problem(gamma=0.0, potential=stiff)
+        with pytest.raises(NumericsError) as info:
+            simulate_damped_eom(fp, q0=1.0, v0=0.0, horizon=10.0, steps=16)
+        return str(info.value)
 
     def test_blowup_detected(self):
-        stiff = (lambda q: -0.5e9 * q**2, lambda q: -1e9 * q)  # repulsive, unstable
-        fp = make_problem(gamma=0.0, potential=stiff)
-        with pytest.raises(NumericsError):
-            simulate_damped_eom(fp, q0=1.0, v0=0.0, horizon=10.0, steps=16)
+        assert "blew up at step 1 (t = 0.625);" in self.blowup_message(1e9)
+
+    def test_blowup_detected_at_the_step_it_happens(self):
+        # checked after every step, not once at the end
+        assert "blew up at step 12 (t = 7.5);" in self.blowup_message(16.0)
 
     def test_step_floor(self):
         fp = make_problem()

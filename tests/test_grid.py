@@ -13,6 +13,7 @@ from fracvar.grid import (
     central_difference_matrix,
     trapezoid,
     trapezoid_weights,
+    write_csv,
 )
 
 
@@ -71,6 +72,29 @@ def test_csv_round_trip_is_exact(tmp_path):
     npt.assert_array_equal(back.values, f.values)
     header = path.read_text().splitlines()[0]
     assert header == "t,v0,v1"
+
+
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -3.7e-301, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 5000])
+def test_write_csv_bytes_equal_savetxt(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    column = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 301, rows)
+    block = rng.standard_normal((rows, 3))
+    cells = rng.choice(rows * 3, size=min(rows * 3, len(SPECIAL_VALUES)), replace=False)
+    block.flat[cells] = SPECIAL_VALUES[: len(cells)]
+    header = ["t", "a", "b", "c"]
+    write_csv(tmp_path / "ours.csv", header, [column, block])
+    np.savetxt(
+        tmp_path / "savetxt.csv",
+        np.column_stack([column, block]),
+        fmt="%.17g",
+        delimiter=",",
+        header=",".join(header),
+        comments="",
+    )
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
 def test_fractional_order_validation():

@@ -9,7 +9,8 @@ object is ``self``/``cls``). Dunder names are not private. Every imported
 name must be read somewhere in its module; ``__init__.py`` is exempt, since
 its imports are the package's re-exports. ``perfbench/tracer.py`` names the
 functions it wraps in ``TARGETS``; the tests here do not run the benchmark,
-so a renamed function would otherwise break it unnoticed.
+so a renamed function would otherwise break it unnoticed. No module calls or
+imports ``savetxt``: ``grid.write_csv`` is the one CSV writer.
 """
 
 import ast
@@ -121,6 +122,40 @@ def test_unused_import_checker_flags_each_pattern():
     assert unused_imports(source, "m.py") == [
         "m.py:4 imports trapezoid unused",
         "m.py:5 imports Failure unused",
+    ]
+
+
+def savetxt_uses(source: str, module: str) -> list:
+    """One line per ``savetxt`` the module reads or imports; text in strings is not code."""
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "savetxt")
+        or (isinstance(node, ast.Name) and node.id == "savetxt")
+        or (isinstance(node, ast.alias) and node.name == "savetxt")
+    )
+    return [f"{module}:{line} uses savetxt" for line in lines]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_write_csv_is_the_only_csv_writer(path):
+    assert savetxt_uses(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_savetxt_checker_flags_each_pattern():
+    source = (
+        '"""Bytes as np.savetxt(path, x) would write them."""\n'
+        "import numpy as np\n"
+        "from numpy import savetxt as save\n"
+        "np.savetxt('a.csv', np.zeros(2))\n"
+        "writer = np.savetxt\n"
+        "savetxt('b.csv', [])\n"
+    )
+    assert savetxt_uses(source, "m.py") == [
+        "m.py:3 uses savetxt",
+        "m.py:4 uses savetxt",
+        "m.py:5 uses savetxt",
+        "m.py:6 uses savetxt",
     ]
 
 
