@@ -4,7 +4,7 @@ problems, and numerical verification of the associated conserved quantities.
 
 __version__ = "0.1.0"
 
-from .grid import Grid, GridFunction, FractionalOrder
+from .grid import Grid, GridFunction
 from .fracops import (
     rl_integral_left,
     rl_integral_right,
@@ -54,7 +54,6 @@ from .optctrl import (
 __all__ = [
     "Grid",
     "GridFunction",
-    "FractionalOrder",
     "rl_integral_left",
     "rl_integral_right",
     "caputo_left",

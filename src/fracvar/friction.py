@@ -55,9 +55,6 @@ class FrictionProblem:
         if not np.isfinite(np.asarray(self.potential(probes), dtype=float)).all():
             raise ValidationError("potential is not finite on probe points")
 
-    def force(self, q: np.ndarray) -> np.ndarray:
-        return -np.asarray(self.potential_grad(q), dtype=float)
-
 
 @dataclass
 class FrictionDiagnostics:

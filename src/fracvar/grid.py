@@ -1,4 +1,4 @@
-"""Uniform grids, sampled functions on them, and fractional orders.
+"""Uniform grids and sampled functions on them.
 
 ``GridFunction`` is the substrate every operator in the package works on:
 vector-valued samples on the nodes ``t_i = a + i*h`` of a uniform grid.
@@ -32,7 +32,7 @@ class Grid:
             raise ValidationError("grid endpoints must be finite")
         if not self.a < self.b:
             raise ValidationError(f"grid requires a < b, got a={self.a}, b={self.b}")
-        if int(self.n) != self.n or self.n < 2:
+        if not np.isfinite(self.n) or int(self.n) != self.n or self.n < 2:
             raise ValidationError(f"grid requires an integer n >= 2, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 
@@ -44,26 +44,8 @@ class Grid:
         return self.a + self.h * np.arange(self.n + 1)
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Order of a fractional operator.
-
-    Derivatives require 0 < alpha <= 1; integrals accept any alpha > 0
-    (the transfer-series machinery needs orders r + 1 - alpha > 1).
-    The value is stored exactly as given; nothing is snapped to 1.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha <= 0.0:
-            raise ValidationError(f"fractional order must be finite and > 0, got {self.alpha}")
-
-
 def order_value(order) -> float:
-    """Accept a FractionalOrder or a bare number; return the float order."""
-    if isinstance(order, FractionalOrder):
-        return float(order.alpha)
+    """The float value of an operator order (the package itself calls ``float``)."""
     return float(order)
 
 
@@ -123,27 +105,6 @@ class GridFunction:
         g = self.grid
         return f"GridFunction(n={g.n}, dim={self.dim}, [{g.a}, {g.b}])"
 
-    # -- CSV round trip ------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        """Write ``t,v0[,v1,...]`` rows at full double precision."""
-        header = ["t"] + [f"v{j}" for j in range(self.dim)]
-        write_csv(path, header, [self.grid.nodes(), self.values])
-
-    @classmethod
-    def read_csv(cls, path) -> "GridFunction":
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().strip().split(",")
-            if not header or header[0] != "t":
-                raise ValidationError(f"unexpected CSV header in {path}: {header}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        t = data[:, 0]
-        n = len(t) - 1
-        if n < 2:
-            raise ValidationError("CSV must contain at least 3 nodes")
-        grid = Grid(float(t[0]), float(t[-1]), n)
-        return cls(grid, data[:, 1:])
-
 
 # -- shared array helpers ---------------------------------------------
 
@@ -192,15 +153,9 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def trapezoid(values: np.ndarray, h: float, skip_nonfinite: bool = False) -> float:
-    """Composite trapezoid rule over the nodes.
-
-    With ``skip_nonfinite`` the flagged-singularity sentinel nodes contribute
-    zero; callers use this only where the exact integrand vanishes there.
-    """
+def trapezoid(values: np.ndarray, h: float) -> float:
+    """Composite trapezoid rule over the nodes."""
     v = np.asarray(values, dtype=float)
-    if skip_nonfinite:
-        v = np.where(np.isfinite(v), v, 0.0)
     w = trapezoid_weights(len(v) - 1, h)
     return float(np.dot(w, v))
 

@@ -20,6 +20,11 @@ from .errors import ConvergenceError, LineSearchError, NumericsError
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 MAX_ITER = 50  # default cap: over 8x the most Newton steps any test solve takes (6)
+# largest m either solver accepts, checked before it allocates. A solve peaks
+# at about 3.7 (control, n = 512 and 1024) and 4.4 (extremal, n = 2048)
+# dense m x m matrices by ru_maxrss: the Hessian, the part + part'
+# temporary, the Cholesky factor and the LU copy. At this cap, 470-560 MiB
+MAX_UNKNOWNS = 4096
 
 
 class PointwiseSum:
@@ -87,7 +92,6 @@ class PointwiseSum:
 @dataclass
 class MinimizeResult:
     x: np.ndarray
-    value: float
     gradient_norm: float
     iterations: int
 
@@ -108,7 +112,7 @@ def bfgs_minimize(
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.size == 0:
-        return MinimizeResult(x, float(fun(x)), 0.0, 0)
+        return MinimizeResult(x, 0.0, 0)
     g = np.asarray(grad(x), dtype=float)
     f = float(fun(x))
     if not np.isfinite(f):
@@ -116,7 +120,7 @@ def bfgs_minimize(
     for iteration in range(max_iter):
         gnorm = float(np.max(np.abs(g)))
         if gnorm < tol:
-            return MinimizeResult(x, f, gnorm, iteration)
+            return MinimizeResult(x, gnorm, iteration)
         p = _newton_direction(hess(x), g)
         slope = float(g @ p)
         if slope >= 0.0:  # numerical loss of descent; fall back to steepest descent

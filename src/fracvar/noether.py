@@ -59,7 +59,6 @@ _PANEL_FRACTIONS = tuple((k / 16.0, 1.0 - k / 16.0) for k in range(8))
 class InvariantSeries:
     """Truncated transfer-formula series: one row of node values per order."""
 
-    truncation_order: int
     terms: np.ndarray  # shape (R + 1, n + 1)
     tail_estimate: float  # max |terms[R]| on the interior panel
 
@@ -123,7 +122,7 @@ def transfer_series(f2: GridFunction, g: GridFunction, alpha, truncation: int) -
     terms = series_terms(f2.values, g.values, f2.grid, derivative_order(alpha, "series"), truncation)
     i_a, i_b = _panel_indices(f2.grid.n)[1]
     tail = float(np.max(np.abs(terms[-1, i_a : i_b + 1])))
-    return InvariantSeries(truncation_order=truncation, terms=terms, tail_estimate=tail)
+    return InvariantSeries(terms=terms, tail_estimate=tail)
 
 
 # ------------------------------------------------------------- invariance

@@ -40,7 +40,7 @@ from .grid import (
     trapezoid_weights,
 )
 from .lagrangian import check_partial, fd_partial, quadratic_mix
-from .minimize import PointwiseSum, bfgs_minimize
+from .minimize import MAX_UNKNOWNS, PointwiseSum, bfgs_minimize
 from .noether import check_truncation, series_terms
 from .symmetry import SymmetryGroup, time_translation
 from .variational import along
@@ -48,10 +48,6 @@ from .variational import along
 _PROBE_SEED = 9319
 _BASE_WEIGHT = 100.0  # penalty weight of the first round; tenfold per round after
 _ROUNDS = 3
-# a solve peaks at about 3.7 dense m x m matrices (ru_maxrss at n = 512 and 1024):
-# the Hessian, the part + part' temporary, the Cholesky factor and the LU copy.
-# Four of them fit in 512 MiB at this cap, which also bounds n below 2048
-_MAX_UNKNOWNS = 4096
 
 
 @dataclass
@@ -89,6 +85,8 @@ class ControlProblem:
         self.q_start = np.atleast_1d(np.asarray(self.q_start, dtype=float))
         if self.q_start.shape != (self.state_dim,):
             raise ValidationError("initial state dimension mismatch")
+        if not np.isfinite(self.q_start).all():
+            raise ValidationError(f"initial state must be finite, got {self.q_start}")
         for d, label in ((self.state_dim, "state"), (self.control_dim, "control")):
             if d < 1:
                 raise ValidationError(f"{label} dimension must be >= 1")
@@ -250,8 +248,8 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
         raise ValidationError("solver supports dimensions up to 4 per channel")
     s = sd + md + dd  # values per node
     m = (n + 1) * s - sd  # unknowns; node 0's state is fixed
-    if m > _MAX_UNKNOWNS:
-        raise ValidationError(f"solver supports up to {_MAX_UNKNOWNS} unknowns, got {m}")
+    if m > MAX_UNKNOWNS:
+        raise ValidationError(f"solver supports up to {MAX_UNKNOWNS} unknowns, got {m}")
     h, t = cp.grid.h, cp.grid.nodes()
     wt = trapezoid_weights(n, h)
     q_goal = None
@@ -259,6 +257,8 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
         q_goal = np.atleast_1d(np.asarray(terminal_state, dtype=float))
         if q_goal.shape != (sd,):
             raise ValidationError("terminal state dimension mismatch")
+        if not np.isfinite(q_goal).all():
+            raise ValidationError(f"terminal state must be finite, got {q_goal}")
     k, q_columns = np.arange(n + 1), np.arange(sd)
     penalty = PointwiseSum(
         (n + 1, s),

@@ -113,7 +113,7 @@ class _Params:
 
     def integer(self, key: str, default=None) -> int:
         value = self.number(key, default)
-        if int(value) != value:
+        if not math.isfinite(value) or int(value) != value:
             raise ValidationError(f"key '{key}' must be an integer, got {value!r}")
         return int(value)
 
@@ -130,7 +130,7 @@ class _Params:
         vec = self.vector(key, default)
         out = []
         for v in vec:
-            if int(v) != v:
+            if not math.isfinite(v) or int(v) != v:
                 raise ValidationError(f"key '{key}' must list integers")
             out.append(int(v))
         return out

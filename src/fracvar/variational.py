@@ -40,7 +40,7 @@ from .grid import (
     write_csv,
 )
 from .lagrangian import LagrangianSpec, fd_partial
-from .minimize import MAX_ITER, PointwiseSum, bfgs_minimize
+from .minimize import MAX_ITER, MAX_UNKNOWNS, PointwiseSum, bfgs_minimize
 
 
 class VariationalProblem:
@@ -58,6 +58,8 @@ class VariationalProblem:
                 f"boundary vectors must have dimension {lagrangian.dim}, "
                 f"got {self.q_a.shape} and {self.q_b.shape}"
             )
+        if not (np.isfinite(self.q_a).all() and np.isfinite(self.q_b).all()):
+            raise ValidationError(f"boundary values must be finite, got {self.q_a} and {self.q_b}")
 
     @property
     def dim(self) -> int:
@@ -189,9 +191,14 @@ def solve_extremal(
     matrix, at both ends of every cell. Newton steps start from the linear
     interpolant of the boundary values; their second partials are central
     differences of the analytic first partials. A gradient max-norm not
-    below ``tol`` raises ``ConvergenceError`` carrying the final norm.
+    below ``tol`` raises ``ConvergenceError`` carrying the final norm. More
+    than ``MAX_UNKNOWNS`` interior values raise ``ValidationError`` before
+    anything is allocated.
     """
     grid, d, lag = problem.grid, problem.dim, problem.lagrangian
+    m = (grid.n - 1) * d  # unknowns; the endpoint values are fixed
+    if m > MAX_UNKNOWNS:
+        raise ValidationError(f"solver supports up to {MAX_UNKNOWNS} unknowns, got {m}")
     n, h, t = grid.n, grid.h, grid.nodes()
     cell = np.tile(np.arange(n), 2)  # the left ends of all cells, then the right ends
     node, columns = cell + np.repeat([0, 1], n), np.arange(d)

@@ -113,6 +113,13 @@ class TestParsing:
             run(path, out_dir=tmp_path / "out")
         assert "'alpha'" in str(err.value)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_integer_keys_name_the_key(self, raw):
+        with pytest.raises(ValidationError, match="key 'n' must be an integer"):
+            _Params("x", {"n": raw}).integer("n")
+        with pytest.raises(ValidationError, match="key 'grids' must list integers"):
+            _Params("x", {"grids": f"64,{raw}"}).int_list("grids")
+
     def test_lagrangian_families(self):
         for family, extra in (
             ("free", {}),
@@ -263,6 +270,25 @@ class TestCommandLine:
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"] == "validation"
         assert "alpha" in record["message"]
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_n_exits_one_with_key_name(self, tmp_path, raw):
+        path = tmp_path / "s.ini"
+        path.write_text(EXTREMAL_INI.replace("n = 64", f"n = {raw}"))
+        proc = cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"] == "validation"
+        assert "'n'" in record["message"]
+
+    def test_non_finite_boundary_value_exits_one(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text(EXTREMAL_INI.replace("q_b = 0.0", "q_b = nan"))
+        proc = cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"] == "validation"
+        assert "boundary values must be finite" in record["message"]
 
     def test_nonexistent_file_exits_one(self, tmp_path):
         proc = cli("run", str(tmp_path / "nope.ini"))

@@ -390,19 +390,6 @@ def test_vector_valued_columns_are_independent():
     npt.assert_array_equal(out.values[:, 1], out1.column())
 
 
-def test_operators_accept_order_objects():
-    from fracvar.grid import FractionalOrder
-
-    g = Grid(0.0, 1.0, 64)
-    f = sample(g, lambda t: t)
-    npt.assert_array_equal(
-        caputo_left(f, FractionalOrder(0.5)).values, caputo_left(f, 0.5).values
-    )
-    npt.assert_array_equal(
-        rl_integral_left(f, FractionalOrder(1.5)).values, rl_integral_left(f, 1.5).values
-    )
-
-
 def test_caputo_matrix_agrees_with_operator():
     # the matrix and the operator share the L1 kernel; small n exercises
     # the first rows and column 0, larger n the Toeplitz windows; the largest

@@ -222,9 +222,8 @@ class TestSimulateDampedEom:
         fp = make_problem(
             mass=1.03, gamma=0.7, potential=polynomial_potential([0.3, -0.2, 2.1, 0.4])
         )
-        ref = self.vector_stage_reference(
-            fp, lambda q: float(fp.force(np.asarray(q))), 1.02, -0.05, 2.0, 2048
-        )
+        force = lambda q: float(-np.asarray(fp.potential_grad(np.asarray(q)), dtype=float))
+        ref = self.vector_stage_reference(fp, force, 1.02, -0.05, 2.0, 2048)
         out = simulate_damped_eom(fp, q0=1.02, v0=-0.05, horizon=2.0, steps=2048)
         npt.assert_array_equal(out.values, ref)
 
@@ -269,7 +268,8 @@ class TestFrictionInvariants:
 
         w = caputo_left(q, FRICTION_ORDER)
         rl = rl_derivative_right(GridFunction(win, fp.gamma * w.values), FRICTION_ORDER).values[:, 0]
-        damped_form = qdd - rl - fp.force(q.values[:, 0])
+        force = -fp.potential_grad(q.values[:, 0])
+        damped_form = qdd - rl - force
         npt.assert_allclose(res[1:-1], -damped_form[1:-1], atol=1e-10)
 
     def test_defect_improves_on_hamiltonian_along_extremal(self):

@@ -7,7 +7,7 @@ import pytest
 from fracvar import optctrl
 from fracvar.errors import NumericsError, ValidationError
 from fracvar.fracops import caputo_left
-from fracvar.grid import Grid, GridFunction, central_difference, trapezoid
+from fracvar.grid import Grid, GridFunction, central_difference, trapezoid, trapezoid_weights
 from fracvar.lagrangian import quadratic_mix
 from fracvar.noether import drift_report
 from fracvar.optctrl import (
@@ -320,6 +320,27 @@ class TestSolveControl:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("q_start", [np.nan, np.inf])
+    def test_non_finite_initial_state_rejected(self, q_start):
+        with pytest.raises(ValidationError, match="initial state must be finite"):
+            scalar_tracking_problem(Grid(0.0, 1.0, 16), 0.5, q_start)
+
+    @pytest.mark.parametrize("terminal", [[np.nan], [-np.inf]])
+    def test_non_finite_terminal_state_rejected(self, terminal):
+        cp = scalar_tracking_problem(Grid(0.0, 1.0, 16), 0.5, 1.0)
+        with pytest.raises(ValidationError, match="terminal state must be finite"):
+            solve_control(cp, terminal_state=terminal)
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_difference_matrix_is_summation_by_parts(self, n):
+        # W D + (W D)' = diag(-1, 0, ..., 0, 1) with trapezoid weights W: the
+        # discrete int q' p + q p' = q p |_a^b behind the adjoint recovery
+        h = 1.0 / n
+        wd = trapezoid_weights(n, h)[:, None] * optctrl._sbp_difference_matrix(n, h)
+        boundary = np.zeros((n + 1, n + 1))
+        boundary[0, 0], boundary[n, n] = -1.0, 1.0
+        npt.assert_allclose(wd + wd.T, boundary, atol=1e-14)
 
     def test_penalty_hessian_matches_finite_differences_of_gradient(self, monkeypatch):
         class Captured(Exception):

@@ -10,12 +10,14 @@ name must be read somewhere in its module; ``__init__.py`` is exempt, since
 its imports are the package's re-exports. ``perfbench/tracer.py`` names the
 functions it wraps in ``TARGETS``; the tests here do not run the benchmark,
 so a renamed function would otherwise break it unnoticed. No module calls or
-imports ``savetxt``: ``grid.write_csv`` is the one CSV writer.
+imports ``savetxt``: ``grid.write_csv`` is the one CSV writer. Every name in
+``fracvar.__all__`` exists, and every name ``__init__.py`` imports is listed.
 """
 
 import ast
 import importlib
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -184,3 +186,43 @@ def test_traced_functions_exist():
 def test_traced_function_checker_flags_a_missing_name():
     source = 'TARGETS = {"fracvar.minimize": ("bfgs_minimize", "no_such_solver")}\n'
     assert missing_targets(source) == ["fracvar.minimize.no_such_solver is missing"]
+
+
+def export_mismatches(source: str, package) -> list:
+    """One line per ``__all__`` name that ``package`` lacks and per name the
+    source imports at top level that ``__all__`` does not list."""
+    tree = ast.parse(source)
+    (listed,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+    ]
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    ]
+    return [f"{name} is listed but missing" for name in listed if not hasattr(package, name)] + [
+        f"{name} is imported but not listed" for name in imported if name not in listed
+    ]
+
+
+def test_package_exports_match_imports():
+    init = pathlib.Path(fracvar.__file__).read_text(encoding="utf-8")
+    assert export_mismatches(init, fracvar) == []
+
+
+def test_export_checker_flags_each_pattern():
+    source = (
+        "from __future__ import annotations\n"
+        "from .grid import Grid, GridFunction\n"
+        "from .noether import drift_report as report\n"
+        '__all__ = ["Grid", "report", "Removed"]\n'
+    )
+    package = SimpleNamespace(Grid=1, GridFunction=2, report=3)
+    assert export_mismatches(source, package) == [
+        "Removed is listed but missing",
+        "GridFunction is imported but not listed",
+    ]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -171,6 +172,11 @@ class TestActionValue:
         bad = GridFunction(p.grid, np.zeros((p.grid.n + 1, 2)))
         with pytest.raises(GridMismatchError):
             action_value(p, bad)
+
+    @pytest.mark.parametrize("q_a,q_b", [([math.nan], [1.0]), ([0.0], [math.inf])])
+    def test_non_finite_boundary_values_rejected(self, q_a, q_b):
+        with pytest.raises(ValidationError, match="boundary values must be finite"):
+            VariationalProblem(free_particle(), Grid(0.0, 1.0, 8), 1.0, (q_a, q_b))
 
 
 # --------------------------------------------------- Frechet differential
@@ -357,6 +363,19 @@ class TestSolveExtremal:
         npt.assert_allclose(
             newton.trajectory.values[1:-1], bfgs.x.reshape(-1, 2), rtol=0.0, atol=1e-6
         )
+
+    def test_unknowns_cap_refuses_4097_before_allocating(self):
+        # n = 4098 has 4097 interior values, one past the cap; at the cap a
+        # solve holds about 4.4 dense Hessian-sized matrices, some 560 MiB
+        p = line_problem(n=4098, alpha=0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="up to 4096 unknowns, got 4097"):
+                solve_extremal(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_solution_csv_columns(self, tmp_path):
         p = line_problem(n=16)
