@@ -6,9 +6,12 @@ other exactly (node i of the right operator is node n - i of the left
 operator applied to the reversed samples).
 
 Every left-sided scheme is one :class:`ToeplitzScheme` (kernel, first
-column, scale), applied through one zero-padded real FFT in O(n log n) and
-built densely for the solvers. Outputs differ from a direct convolution at
-round-off level; repeated runs are bit-identical.
+column, scale), applied and transposed through one zero-padded real FFT in
+O(n log n). Outputs differ from a direct convolution at round-off level;
+repeated runs are bit-identical. The variational solver takes the left
+Caputo derivative as a :class:`MatrixFree` operator
+(:func:`caputo_left_operator`); the control solver builds it densely
+(:func:`caputo_left_matrix`).
 
 Schemes
 -------
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gamma, inf
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,6 +43,7 @@ from .grid import (
     GridFunction,
     central_difference,
     central_difference_matrix,
+    central_difference_T,
     require_finite,
     require_same_grid,
     trapezoid,
@@ -53,6 +58,8 @@ __all__ = [
     "rl_derivative_right",
     "ibp_residual",
     "caputo_left_matrix",
+    "caputo_left_operator",
+    "MatrixFree",
     "ToeplitzScheme",
 ]
 
@@ -112,6 +119,19 @@ class ToeplitzScheme:
         spectrum *= np.fft.rfft(self.kernel, nfft)[:, None]
         out = self.first_column[:, None] * values[0]
         out[1:] += np.fft.irfft(spectrum, nfft, axis=0)[:n]
+        out *= self.scale
+        return out
+
+    def apply_T(self, values: np.ndarray) -> np.ndarray:
+        """M.T @ values, column by column: the kernel's correlation with
+        values[1:], one zero-padded rfft/irfft of the reversed samples."""
+        n = len(self.kernel)
+        nfft = _fft_length(2 * n - 1)
+        spectrum = np.fft.rfft(values[:0:-1], nfft, axis=0)
+        spectrum *= np.fft.rfft(self.kernel, nfft)[:, None]
+        out = np.empty(values.shape)
+        out[0] = self.first_column @ values
+        out[1:] = np.fft.irfft(spectrum, nfft, axis=0)[n - 1 :: -1]
         out *= self.scale
         return out
 
@@ -247,8 +267,8 @@ def ibp_residual(f: GridFunction, g: GridFunction, order) -> float:
 def caputo_left_matrix(n: int, h: float, order) -> np.ndarray:
     """Dense matrix M with (caputo_left f)_i = sum_j M[i, j] f_j.
 
-    Used by the solvers, whose gradients need the transpose; at alpha = 1
-    this is the central-difference matrix.
+    Used by the control solver, whose Hessian is dense; at alpha = 1 this
+    is the central-difference matrix.
     """
     alpha = derivative_order(order)
     if alpha == 1.0:
@@ -257,3 +277,70 @@ def caputo_left_matrix(n: int, h: float, order) -> np.ndarray:
     # composed with the differences f_j - f_{j-1}: kernel b_{k+1} - b_k, column 0 -b_i
     b = l1.kernel
     return ToeplitzScheme(alpha, l1.scale, np.diff(b, prepend=0.0), np.append(0.0, -b)).dense()
+
+
+@dataclass(frozen=True)
+class MatrixFree:
+    """A node operator M known by its products: ``M @ f`` and ``M.T @ g``.
+
+    For an M that annihilates constants, M = S Delta with Delta the cell
+    differences (f_1 - f_0, ..., f_n - f_{n-1}); ``cell_gram(omega)`` is then
+    the diagonal of S' diag(omega) S, of shape (n, columns).
+    """
+
+    apply: Callable
+    apply_T: Callable
+    cell_gram: Optional[Callable] = None
+
+    def __matmul__(self, values: np.ndarray) -> np.ndarray:
+        return self.apply(values)
+
+    @property
+    def T(self) -> "MatrixFree":
+        return MatrixFree(self.apply_T, self.apply)
+
+
+def caputo_left_operator(n: int, h: float, order) -> MatrixFree:
+    """The left Caputo derivative of (n+1, columns) node values as a
+    :class:`MatrixFree` operator: the L1 scheme by FFT, and the central
+    difference at alpha = 1."""
+    alpha = derivative_order(order)
+    if alpha == 1.0:
+        return MatrixFree(
+            lambda f: central_difference(f, h),
+            lambda g: central_difference_T(g, h),
+            lambda omega: _central_cell_gram(omega, h),
+        )
+    l1 = _l1_scheme(n, h, alpha)
+
+    def cell_gram(omega):
+        # S is l1 on the differences: diag(S' omega S)_c = scale^2 sum_i b_{i-1-c}^2 omega_i
+        squares = ToeplitzScheme(alpha, l1.scale**2, l1.kernel**2, l1.first_column)
+        return squares.apply_T(omega)[1:]
+
+    def apply_T(g):
+        z = l1.apply_T(g)  # the differences' transpose: row j gets z_j - z_{j+1}
+        out = np.empty_like(z)
+        out[0] = -z[1]
+        out[1:-1] = z[1:-1] - z[2:]
+        out[-1] = z[-1]
+        return out
+
+    return MatrixFree(
+        lambda f: l1.apply(np.diff(f, axis=0, prepend=f[:1])),
+        apply_T,
+        cell_gram,
+    )
+
+
+def _central_cell_gram(omega: np.ndarray, h: float) -> np.ndarray:
+    """diag(S' diag(omega) S) for the central difference: interior rows
+    average two cells, the one-sided end rows weigh (3, -1)."""
+    out = np.zeros((len(omega) - 1,) + omega.shape[1:])
+    out[1:] += omega[1:-1]
+    out[:-1] += omega[1:-1]
+    out[0] += 9.0 * omega[0]
+    out[1] += omega[0]
+    out[-1] += 9.0 * omega[-1]
+    out[-2] += omega[-1]
+    return out / (4.0 * h * h)

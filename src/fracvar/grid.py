@@ -136,6 +136,17 @@ def central_difference(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def central_difference_T(values: np.ndarray, h: float) -> np.ndarray:
+    """The transpose of :func:`central_difference` applied to nodal values."""
+    g = np.asarray(values, dtype=float) / (2.0 * h)
+    out = np.zeros_like(g)
+    out[2:] += g[1:-1]
+    out[:-2] -= g[1:-1]
+    out[:3] += (-3.0 * g[0], 4.0 * g[0], -g[0])
+    out[-3:] += (g[-1], -4.0 * g[-1], 3.0 * g[-1])
+    return out
+
+
 def central_difference_matrix(n: int, h: float) -> np.ndarray:
     """Matrix form of :func:`central_difference` on n+1 nodes."""
     m = np.zeros((n + 1, n + 1))

@@ -13,7 +13,7 @@ The solver is a penalty-based direct transcription: all trajectory nodes
 except the fixed initial one, plus every control node, are decision
 variables; both dynamics channels enter as weighted quadratic penalties with
 an increasing weight schedule. Each weight's objective is minimized by Newton
-steps on its assembled Hessian, and the adjoints are recovered from the
+steps on its assembled dense Hessian, and the adjoints are recovered from the
 converged penalty multipliers (p = -weight * defect). Adjoint recovery is
 first-order in the final weight - tolerances downstream account for that.
 
@@ -40,7 +40,7 @@ from .grid import (
     trapezoid_weights,
 )
 from .lagrangian import check_partial, fd_partial, quadratic_mix
-from .minimize import MAX_UNKNOWNS, PointwiseSum, bfgs_minimize
+from .minimize import MAX_UNKNOWNS, DenseNewton, PointwiseSum, bfgs_minimize
 from .noether import check_truncation, series_terms
 from .symmetry import SymmetryGroup, time_translation
 from .variational import along
@@ -334,7 +334,7 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
             lambda zz: objective(zz, weight),
             lambda zz: gradient(zz, weight),
             z,
-            lambda zz: hessian(zz, weight),
+            DenseNewton(lambda zz: hessian(zz, weight)),
             tol=tol,
         )
         z = result.x

@@ -104,15 +104,27 @@ class _Params:
     def get(self, key: str, default=None):
         return self.data.get(key, default)
 
-    def number(self, key: str, default=None) -> float:
+    def _float(self, key: str, default) -> float:
         raw = self.require(key) if default is None else self.data.get(key, default)
         try:
             return float(raw)
         except (TypeError, ValueError):
             raise ValidationError(f"key '{key}' must be a number, got {raw!r}") from None
 
-    def integer(self, key: str, default=None) -> int:
+    def number(self, key: str, default=None) -> float:
+        value = self._float(key, default)
+        if not math.isfinite(value):
+            raise ValidationError(f"key '{key}' must be a finite number, got {value!r}")
+        return value
+
+    def positive(self, key: str, default=None) -> float:
         value = self.number(key, default)
+        if value <= 0.0:
+            raise ValidationError(f"key '{key}' must be > 0, got {value!r}")
+        return value
+
+    def integer(self, key: str, default=None) -> int:
+        value = self._float(key, default)
         if not math.isfinite(value) or int(value) != value:
             raise ValidationError(f"key '{key}' must be an integer, got {value!r}")
         return int(value)
@@ -272,7 +284,7 @@ def _run_operator_test(params: _Params, out: Path):
 def _solve_with_files(params: _Params, out: Path):
     """Solve the scenario's variational problem; write solution.csv and summary.csv."""
     problem = _variational_problem(params)
-    sol = solve_extremal(problem, tol=params.number("tolerance", 1e-8))
+    sol = solve_extremal(problem, tol=params.positive("tolerance", 1e-8))
     sol.to_csv(out / "solution.csv")
     write_csv(
         out / "summary.csv",
@@ -387,7 +399,7 @@ def _run_control(params: _Params, out: Path):
     cp = _control_problem(params, grid)
     terminal = params.get("terminal")
     terminal_vec = None if terminal is None else params.vector("terminal")
-    state = solve_control(cp, tol=params.number("tolerance", 1e-6), terminal_state=terminal_vec)
+    state = solve_control(cp, tol=params.positive("tolerance", 1e-6), terminal_state=terminal_vec)
     quantity = autonomous_control_quantity(cp, state)
     ham = hamiltonian_values(cp, state)
     fields = (

@@ -8,8 +8,9 @@ its directional (Frechet) differential, the Euler-Lagrange residual
 
 and solves for extremals by direct transcription: the trajectory nodes are
 the decision variables and the discretized action is minimized by Newton's
-method on its assembled Hessian, with an analytic gradient certifying
-convergence.
+method, each step solved by preconditioned conjugate gradients on
+Hessian-vector products (no matrix is formed), with an analytic gradient
+certifying convergence.
 
 The solver's internal discretization is the action of the piecewise-linear
 interpolant (per-cell trapezoid in t with the cell slope as velocity). The
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NumericsError, ValidationError
-from .fracops import caputo_left, caputo_left_matrix, derivative_order, rl_derivative_right
+from .fracops import caputo_left, caputo_left_operator, derivative_order, rl_derivative_right
 from .grid import (
     Grid,
     GridFunction,
@@ -40,7 +41,7 @@ from .grid import (
     write_csv,
 )
 from .lagrangian import LagrangianSpec, fd_partial
-from .minimize import MAX_ITER, MAX_UNKNOWNS, PointwiseSum, bfgs_minimize
+from .minimize import MAX_ITER, MAX_UNKNOWNS, PointwiseSum, bfgs_minimize, pcg_direction
 
 
 class VariationalProblem:
@@ -187,13 +188,17 @@ def solve_extremal(
     """Minimize the discretized action over interior nodes (endpoints fixed).
 
     The interpolant action is a :class:`~fracvar.minimize.PointwiseSum`
-    over the node value, the cell slope and the node's row of the L1 Caputo
-    matrix, at both ends of every cell. Newton steps start from the linear
-    interpolant of the boundary values; their second partials are central
-    differences of the analytic first partials. A gradient max-norm not
-    below ``tol`` raises ``ConvergenceError`` carrying the final norm. More
-    than ``MAX_UNKNOWNS`` interior values raise ``ValidationError`` before
-    anything is allocated.
+    over the node value, the cell slope and the node's L1 Caputo derivative
+    (an FFT operator), at both ends of every cell. Newton steps start from
+    the linear interpolant of the boundary values; their second partials
+    are central differences of the analytic first partials, and each step
+    is solved matrix-free by :func:`~fracvar.minimize.pcg_direction`. The
+    tridiagonal preconditioner ``K = Delta' diag(d) Delta + diag(e)`` keeps,
+    per state component, the diagonal second partials: those of the slope
+    and the Caputo derivative in cell-difference coordinates (d), and those
+    of the node value (e). A gradient max-norm not below ``tol`` raises
+    ``ConvergenceError`` carrying the final norm. More than ``MAX_UNKNOWNS``
+    interior values raise ``ValidationError`` before anything is allocated.
     """
     grid, d, lag = problem.grid, problem.dim, problem.lagrangian
     m = (grid.n - 1) * d  # unknowns; the endpoint values are fixed
@@ -202,18 +207,19 @@ def solve_extremal(
     n, h, t = grid.n, grid.h, grid.nodes()
     cell = np.tile(np.arange(n), 2)  # the left ends of all cells, then the right ends
     node, columns = cell + np.repeat([0, 1], n), np.arange(d)
+    caputo = caputo_left_operator(n, h, problem.alpha)
     action = PointwiseSum(
         (n + 1, d),
         [
             (columns, [(None, node, 1.0)]),
             (columns, [(None, cell + 1, 1.0 / h), (None, cell, -1.0 / h)]),
-            (columns, [(caputo_left_matrix(n, h, problem.alpha), node, 1.0)]),
+            (columns, [(caputo, node, 1.0)]),
         ],
     )
     partials = (lag.dq, lag.dv, lag.dw)
 
-    def assemble(x):
-        return np.vstack((problem.q_a, x.reshape(n - 1, d), problem.q_b))
+    def assemble(x, q_a=problem.q_a, q_b=problem.q_b):
+        return np.vstack((q_a, x.reshape(n - 1, d), q_b))
 
     def args(x):
         return (t[node], *action.args(assemble(x)))
@@ -226,15 +232,23 @@ def solve_extremal(
         g = action.gradient([0.5 * h * np.asarray(f(*a), dtype=float) for f in partials])
         return g[1:-1].ravel()
 
-    def hess(x):
+    def direction(x, g):
         a = args(x)
         pairs = [(s, r) for s in range(3) for r in range(s, 3)]
         blocks = {(s, r): 0.5 * h * fd_partial(partials[s], a, 1 + r) for s, r in pairs}
-        return action.hessian(blocks)[d:-d, d:-d]
+        state, slope, curv = (np.diagonal(blocks[s, s], axis1=1, axis2=2) for s in range(3))
+        cells = (slope[:n] + slope[n:]) / (h * h) + caputo.cell_gram(_node_sums(curv))
+        precondition = _tridiagonal_solver(cells, _node_sums(state)[1:-1])
+        zero = np.zeros(d)
+
+        def hvp(v):
+            return action.hvp(blocks, assemble(v, zero, zero))[1:-1].ravel()
+
+        return pcg_direction(hvp, lambda r: precondition(r.reshape(n - 1, d)).ravel(), g)
 
     frac = ((t - grid.a) / (grid.b - grid.a))[:, None]
     straight = (1.0 - frac) * problem.q_a[None, :] + frac * problem.q_b[None, :]
-    result = bfgs_minimize(fun, grad, straight[1:-1].ravel(), hess, tol=tol, max_iter=max_iter)
+    result = bfgs_minimize(fun, grad, straight[1:-1].ravel(), direction, tol=tol, max_iter=max_iter)
     q = GridFunction(grid, assemble(result.x))
     f = problem.along(q)
     residual = el_residual(problem, q)
@@ -248,3 +262,77 @@ def solve_extremal(
         gradient_norm=result.gradient_norm,
         iterations=result.iterations,
     )
+
+
+def _node_sums(values: np.ndarray) -> np.ndarray:
+    """Each node's sum of per-point values ordered as the action's points:
+    the left ends of all cells, then the right ends."""
+    n = len(values) // 2
+    out = np.zeros((n + 1,) + values.shape[1:])
+    out[:n] += values[:n]
+    out[1:] += values[n:]
+    return out
+
+
+def _tridiagonal_solver(cells: np.ndarray, nodes: np.ndarray):
+    """``r -> x`` solving ``K x = r`` with ``K = Delta' diag(d) Delta + diag(e)``
+    per column, for the interior node values x: d = ``cells`` (n, columns),
+    e = ``nodes`` (n - 1, columns) and Delta the cell differences of (0, x, 0).
+
+    Cells with d <= 0 count as the smallest positive d of their column and
+    nodes with e < 0 as 0, so K is positive definite. A column with no
+    positive d is diag(e), and there nodes with e <= 0 count as the column's
+    smallest positive e, or as 1 when there is none.
+
+    K is factored once by cyclic reduction: padded with identity rows to
+    2^k - 1 rows, each level eliminates the even rows (0, 2, ...) from the
+    odd ones, which form the next level. A solve is one pass down the
+    levels and one back up, in place.
+    """
+    d = _positive(cells, 0.0)
+    e = np.maximum(nodes, 0.0)
+    bare = ~d.any(axis=0)
+    e[:, bare] = _positive(e[:, bare], 1.0)
+    m, width = e.shape
+    size = 2 ** m.bit_length() - 1
+    diag = np.ones((size, width))
+    diag[:m] = d[:-1] + d[1:] + e
+    off = np.zeros((size, width))  # row i's coefficient of x_{i+1}, and row i+1's of x_i
+    off[: m - 1] = -d[1:-1]
+    # row i of the padded system sits at x[i + 1], between two zero rows;
+    # level l's even rows are every 2^(l+1)-th row of x from x[2^l]. Each
+    # gives x_even = scale * r_even + to_left * x_{even-1} + to_right * x_{even+1}.
+    x = np.zeros((size + 2, width))
+    down, up = [], []
+    half = 1
+    while len(diag) > 1:
+        scale = 1.0 / diag[0::2]
+        to_left = -scale * np.vstack((np.zeros((1, width)), off[1::2]))
+        to_right = -scale * off[0::2]
+        even = x[half :: 2 * half]
+        down.append((x[2 * half : -1 : 2 * half], even[:-1], even[1:], to_right[:-1], to_left[1:]))
+        up.append((even, x[: -1 : 2 * half], x[2 * half :: 2 * half], scale, to_left, to_right))
+        diag = diag[1::2] + to_right[:-1] * off[:-1:2] + to_left[1:] * off[1::2]
+        off = off[1::2] * to_right[1:]
+        half *= 2
+
+    def solve(r):
+        x[1 : m + 1] = r
+        x[m + 1 :] = 0.0
+        for odd, before, after, from_before, from_after in down:
+            odd += from_before * before + from_after * after
+        x[half] /= diag[0]  # the last level's one row
+        for even, before, after, scale, to_left, to_right in reversed(up):
+            even *= scale
+            even += to_left * before + to_right * after
+        return x[1 : m + 1].copy()
+
+    return solve
+
+
+def _positive(values: np.ndarray, fallback: float) -> np.ndarray:
+    """``values`` with each entry <= 0 replaced by the smallest positive entry
+    of its column, or by ``fallback`` in a column without one."""
+    positive = values > 0.0
+    floor = np.min(np.where(positive, values, np.inf), axis=0)
+    return np.where(positive, values, np.where(np.isfinite(floor), floor, fallback))

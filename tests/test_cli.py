@@ -281,6 +281,23 @@ class TestCommandLine:
         assert record["error"] == "validation"
         assert "'n'" in record["message"]
 
+    @pytest.mark.parametrize(
+        "line,key",
+        [
+            ("tolerance = nan", "'tolerance'"),
+            ("tolerance = -1", "'tolerance'"),
+            ("stiffness = nan", "'stiffness'"),
+        ],
+    )
+    def test_non_finite_or_non_positive_key_exits_one_with_key_name(self, tmp_path, line, key):
+        path = tmp_path / "s.ini"
+        path.write_text(EXTREMAL_INI + line + "\n")
+        proc = cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"] == "validation"
+        assert key in record["message"]
+
     def test_non_finite_boundary_value_exits_one(self, tmp_path):
         path = tmp_path / "s.ini"
         path.write_text(EXTREMAL_INI.replace("q_b = 0.0", "q_b = nan"))

@@ -11,8 +11,11 @@ from fracvar.errors import NumericsError, ValidationError
 from fracvar.fracops import (
     ToeplitzScheme,
     _fft_length,
+    _l1_scheme,
+    _product_trapezoid_scheme,
     caputo_left,
     caputo_left_matrix,
+    caputo_left_operator,
     caputo_right,
     ibp_residual,
     rl_derivative_left,
@@ -20,7 +23,7 @@ from fracvar.fracops import (
     rl_integral_left,
     rl_integral_right,
 )
-from fracvar.grid import Grid, GridFunction, central_difference
+from fracvar.grid import Grid, GridFunction, central_difference, central_difference_T
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)  # = 1.1283791670955126
 ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)  # = 0.5641895835477563
@@ -447,3 +450,43 @@ def test_scheme_rejects_non_finite_weights_and_scale():
     ):
         with pytest.raises(NumericsError, match="order 2.5 at n = 4"):
             ToeplitzScheme(2.5, scale, kernel, column)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1025])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_fft_transpose_matches_dense_transpose(n, alpha, dim):
+    # the L1 scheme has a zero first column, the product trapezoid a full one
+    y = np.random.default_rng(n + dim).uniform(-1.0, 1.0, (n + 1, dim))
+    for scheme in (_l1_scheme(n, 1.0 / n, alpha), _product_trapezoid_scheme(n, 1.0 / n, alpha)):
+        ref = scheme.dense().T @ y
+        out = scheme.apply_T(y)
+        assert out.shape == y.shape
+        npt.assert_allclose(out, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_central_difference_pair_is_adjoint():
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 17, 256):
+        x, y = rng.standard_normal((2, n + 1, 2))
+        h = 1.0 / n
+        lhs = np.sum(central_difference(x, h) * y)
+        rhs = np.sum(x * central_difference_T(y, h))
+        assert abs(lhs - rhs) <= 1e-13 * (np.sum(np.abs(x)) * np.sum(np.abs(y)) / h)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 17, 96])
+def test_caputo_operator_matches_the_dense_matrix(n, alpha):
+    g = Grid(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    f, y = rng.standard_normal((2, n + 1, 2))
+    op = caputo_left_operator(n, g.h, alpha)
+    m = caputo_left_matrix(n, g.h, alpha)
+    npt.assert_array_equal(op @ f, caputo_left(GridFunction(g, f), alpha).values)
+    npt.assert_allclose(op.T @ y, m.T @ y, rtol=0.0, atol=1e-12 * np.max(np.abs(m.T @ y)))
+    # M = S Delta: column c of S sums M's columns right of c; cell_gram is diag(S' W S)
+    s = np.cumsum(m[:, :0:-1], axis=1)[:, ::-1]
+    omega = rng.uniform(0.0, 1.0, (n + 1, 2))
+    ref = np.stack([np.diag(s.T @ (omega[:, k, None] * s)) for k in range(2)], axis=1)
+    npt.assert_allclose(op.cell_gram(omega), ref, rtol=1e-12)

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from fracvar.errors import NumericsError
-from fracvar.minimize import bfgs_minimize
+from fracvar.minimize import DenseNewton, PointwiseSum, bfgs_minimize, pcg_direction
 
 
 def double_well(x):
@@ -20,9 +20,8 @@ def double_well_hess(x):
 
 def test_newton_shifts_an_indefinite_hessian_and_converges():
     # the start sits on the concave hump, where a plain Newton step would climb
-    result = bfgs_minimize(
-        double_well, double_well_grad, np.array([0.1, 1.0]), tol=1e-10, hess=double_well_hess
-    )
+    newton = DenseNewton(double_well_hess)
+    result = bfgs_minimize(double_well, double_well_grad, np.array([0.1, 1.0]), newton, tol=1e-10)
     npt.assert_allclose(result.x, [1.0 / np.sqrt(2.0), 0.0], atol=1e-10)
     assert result.gradient_norm < 1e-10
 
@@ -33,5 +32,67 @@ def test_non_finite_hessian_raises():
             double_well,
             double_well_grad,
             np.array([0.5, 0.5]),
-            hess=lambda x: np.full((2, 2), np.nan),
+            DenseNewton(lambda x: np.full((2, 2), np.nan)),
         )
+
+
+def pcg_on_double_well(x, g):
+    return pcg_direction(lambda v: double_well_hess(x) @ v, lambda r: r, g)
+
+
+def test_newton_cg_leaves_the_concave_hump_and_converges():
+    x0 = np.array([0.1, 1.0])
+    result = bfgs_minimize(double_well, double_well_grad, x0, pcg_on_double_well, tol=1e-10)
+    npt.assert_allclose(result.x, [1.0 / np.sqrt(2.0), 0.0], atol=1e-10)
+
+
+def test_pcg_solves_a_positive_definite_system_to_its_tolerance():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 40))
+    hmat = a @ a.T + 40.0 * np.eye(40)
+    g = rng.standard_normal(40)
+    diag = np.diag(hmat)
+    p = pcg_direction(lambda v: hmat @ v, lambda r: r / diag, g)
+    assert np.linalg.norm(hmat @ p + g) <= 1e-11 * np.linalg.norm(g)
+
+
+def test_pcg_negative_curvature_exits():
+    # the first direction -K^-1 g has negative curvature: it is returned as is
+    hmat = np.diag([-1.0, 2.0])
+    first = pcg_direction(lambda v: hmat @ v, lambda r: 0.5 * r, np.array([1.0, 0.0]))
+    npt.assert_array_equal(first, [-0.5, 0.0])
+    # a later negative-curvature direction returns the iterate so far
+    hmat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 3.0], [0.0, 3.0, 1.0]])
+    g = np.array([1.0, 1.0, 0.0])
+    iterate = pcg_direction(lambda v: hmat @ v, lambda r: r, g)
+    step = (g @ g) / (g @ hmat @ g)
+    npt.assert_allclose(iterate, -step * g)
+
+
+def test_pcg_non_finite_curvature_raises():
+    with pytest.raises(NumericsError, match="non-finite"):
+        pcg_direction(lambda v: np.full_like(v, np.nan), lambda r: r, np.ones(3))
+
+
+def test_hvp_is_the_assembled_hessian_times_x():
+    # two slots over 5 nodes, width 2: the node value and a dense matrix image
+    rng = np.random.default_rng(8)
+    rows = np.tile(np.arange(4), 2) + np.repeat([0, 1], 4)
+    matrix = rng.standard_normal((5, 5))
+    cols = np.arange(2)
+    ps = PointwiseSum((5, 2), [(cols, [(None, rows, 1.0)]), (cols, [(matrix, rows, 0.5)])])
+    blocks = {key: rng.standard_normal((8, 2, 2)) for key in ((0, 0), (0, 1), (1, 1))}
+    x = rng.standard_normal((5, 2))
+    expected = ps.hessian(blocks) @ x.ravel()
+    npt.assert_allclose(ps.hvp(blocks, x).ravel(), expected, rtol=1e-13, atol=1e-13)
+
+
+def test_slice_scatter_matches_np_add_at_bit_for_bit():
+    # rows of two runs scatter by slices, in np.add.at's order of additions
+    rng = np.random.default_rng(4)
+    rows = np.tile(np.arange(6), 2) + np.repeat([0, 1], 6)
+    part = [rng.standard_normal((12, 1))]
+    got = PointwiseSum((7, 1), [(np.arange(1), [(None, rows, 0.3)])]).gradient(part)
+    expected = np.zeros((7, 1))
+    np.add.at(expected, rows, 0.3 * part[0])
+    npt.assert_array_equal(got, expected)

@@ -346,8 +346,8 @@ class TestSolveControl:
         class Captured(Exception):
             pass
 
-        def spy(fun, grad, x0, hess, **kwargs):
-            raise Captured(grad, hess, x0.size)
+        def spy(fun, grad, x0, direction, **kwargs):
+            raise Captured(grad, direction.hess, x0.size)
 
         monkeypatch.setattr(optctrl, "bfgs_minimize", spy)
         with pytest.raises(Captured) as excinfo:

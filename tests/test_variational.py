@@ -17,6 +17,7 @@ from fracvar.lagrangian import (
     potential_polynomial,
     quadratic_mix,
 )
+from fracvar.minimize import PointwiseSum
 from fracvar.noether import noether_quantity
 from fracvar.symmetry import time_translation
 from fracvar.variational import (
@@ -35,14 +36,14 @@ def line_problem(n=128, alpha=1.0, lagrangian=None):
 
 
 def captured_objective(monkeypatch, problem):
-    """(fun, grad, x0, hess) that solve_extremal hands to the minimizer;
+    """(fun, grad, x0, direction) that solve_extremal hands to the minimizer;
     x holds the interior nodes."""
 
     class Captured(Exception):
         pass
 
-    def spy(fun, grad, x0, hess, **kwargs):
-        raise Captured(fun, grad, x0, hess)
+    def spy(fun, grad, x0, direction, **kwargs):
+        raise Captured(fun, grad, x0, direction)
 
     with monkeypatch.context() as patch:
         patch.setattr(variational, "bfgs_minimize", spy)
@@ -364,9 +365,85 @@ class TestSolveExtremal:
             newton.trajectory.values[1:-1], bfgs.x.reshape(-1, 2), rtol=0.0, atol=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "weights,alpha,most",
+        [
+            ((1.0, 1.0), 0.5, 15),
+            ((1.0, 1.0), 0.9, 15),
+            ((0.0, 1.0), 0.9, 30),
+            ((0.0, 0.0, 1.0, 0.3), 0.5, 2),
+        ],
+    )
+    def test_cg_iterations_per_newton_step(self, monkeypatch, weights, alpha, most):
+        # one Hessian-vector product per CG iteration; measured 9, 12, 22 and 1.
+        # The state-only L = |q|^2/2 + 0.3 q has a diagonal Hessian, which the
+        # preconditioner holds exactly; without its state term it took 1530.
+        calls = []
+        hvp = PointwiseSum.hvp
+        monkeypatch.setattr(PointwiseSum, "hvp", lambda *a: calls.append(1) or hvp(*a))
+        p = line_problem(n=2048, alpha=alpha, lagrangian=quadratic_mix(*weights))
+        sol = solve_extremal(p)
+        assert sol.iterations == 1
+        assert len(calls) <= most
+
+    def test_solve_holds_no_dense_matrix(self):
+        # one dense 2047 x 2047 Hessian alone is 32 MiB; the solve peaks near 1 MiB
+        p = line_problem(n=2048, alpha=0.5, lagrangian=quadratic_mix(1.0, 1.0))
+        tracemalloc.start()
+        try:
+            sol = solve_extremal(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.gradient_norm < 1e-8
+        assert peak < 8 * 2**20
+
+    def test_double_well_converges_through_negative_curvature(self, monkeypatch):
+        # L = v^2/2 + (q^2 - 1)^2 on [0, 4]: near the straight-line start q ~ 0
+        # the Hessian -d2/dt2 - 4 has negative modes, which CG must exit on
+        curvatures = []
+        hvp = PointwiseSum.hvp
+
+        def spy(action, blocks, v):
+            out = hvp(action, blocks, v)
+            curvatures.append(float(np.sum(v * out)))
+            return out
+
+        monkeypatch.setattr(PointwiseSum, "hvp", spy)
+        well = potential_polynomial([-1.0, 0.0, 2.0, 0.0, -1.0])
+        p = VariationalProblem(well, Grid(0.0, 4.0, 256), 1.0, ([0.0], [0.1]))
+        sol = solve_extremal(p, tol=1e-10)
+        assert min(curvatures) <= 0.0
+        assert sol.gradient_norm < 1e-10
+        assert np.max(sol.trajectory.column()) > 0.9  # it settled into the well at q = 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 65])
+    def test_preconditioner_solves_its_tridiagonal_system(self, n):
+        # column 0 is plain; column 1 has a cell without curvature (it counts
+        # as the column's smallest positive d) and a negative node term (0);
+        # column 2 has no d, so its non-positive e count as the smallest
+        # positive e; column 3 has neither (K = I)
+        rng = np.random.default_rng(n)
+        cells = rng.uniform(0.5, 2.0, (n, 4))
+        nodes = rng.uniform(0.5, 2.0, (n - 1, 4))
+        cells[0, 1], nodes[-1, 1] = 0.0, -3.0
+        cells[:, 2:] = 0.0
+        nodes[0, 2], nodes[:, 3] = -1.0, 0.0
+        r = rng.standard_normal((n - 1, 4))
+        x = variational._tridiagonal_solver(cells, nodes)(r)
+        d, e = cells.copy(), nodes.copy()
+        d[0, 1], e[-1, 1] = np.min(cells[1:, 1]), 0.0
+        e[0, 2] = np.min(nodes[1:, 2]) if n > 2 else 1.0  # n = 2: no positive e
+        e[:, 3] = 1.0
+        delta = np.diff(np.eye(n + 1)[:, 1:-1], axis=0)  # cell differences of (0, x, 0)
+        for k in range(4):
+            gram = delta.T @ (d[:, k, None] * delta) + np.diag(e[:, k])
+            npt.assert_allclose(gram @ x[:, k], r[:, k], atol=1e-12)
+
     def test_unknowns_cap_refuses_4097_before_allocating(self):
-        # n = 4098 has 4097 interior values, one past the cap; at the cap a
-        # solve holds about 4.4 dense Hessian-sized matrices, some 560 MiB
+        # n = 4098 has 4097 interior values, one past the cap that both
+        # solvers share; the dense control solve at the cap holds about 3.7
+        # Hessian-sized matrices (some 470 MiB), the matrix-free extremal none
         p = line_problem(n=4098, alpha=0.5)
         tracemalloc.start()
         try:
@@ -407,10 +484,20 @@ class TestInvariants:
         npt.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
 
     def test_discrete_hessian_matches_finite_differences_of_gradient(self, monkeypatch):
+        # H e_j by the solver's own Hessian-vector product, for every unit vector
         p = coupled_problem(12)
-        _, grad, _, hess = captured_objective(monkeypatch, p)
+        _, grad, _, direction = captured_objective(monkeypatch, p)
         x = np.random.default_rng(17).standard_normal((13, 2))[1:-1].ravel()
-        analytic = hess(x)
+        seen = []
+        hvp = PointwiseSum.hvp
+        monkeypatch.setattr(PointwiseSum, "hvp", lambda *a: seen.append(a) or hvp(*a))
+        direction(x, grad(x))
+        action, blocks, _ = seen[0]
+        analytic = np.empty((x.size, x.size))
+        for j in range(x.size):
+            unit = np.zeros((13, 2))
+            unit[1:-1].flat[j] = 1.0
+            analytic[:, j] = hvp(action, blocks, unit)[1:-1].ravel()
         fd = np.empty_like(analytic)
         step = 1e-6
         for j in range(x.size):
@@ -418,7 +505,11 @@ class TestInvariants:
             xp[j] += step
             xm[j] -= step
             fd[:, j] = (grad(xp) - grad(xm)) / (2.0 * step)
-        npt.assert_array_equal(analytic, analytic.T)
+        # the FFT products are symmetric to round-off (measured 2.7e-16 of
+        # max|H|). The assembled PointwiseSum.hessian stays exactly symmetric:
+        # test_optctrl.py's test_penalty_hessian_matches_finite_differences_of_gradient
+        # checks it on the control solver's penalty Hessian.
+        npt.assert_allclose(analytic, analytic.T, rtol=0.0, atol=1e-14 * np.max(np.abs(analytic)))
         npt.assert_allclose(analytic, fd, rtol=0.0, atol=1e-7 * np.max(np.abs(fd)))
 
     def test_solver_output_annihilates_random_variations(self):
