@@ -4,11 +4,14 @@ the objective structure both trajectory solvers share.
 A direction callback turns the gradient into a step. :func:`pcg_direction`
 solves ``H p = -g`` by preconditioned conjugate gradients on
 Hessian-vector products (Newton-CG, Nocedal-Wright Algorithm 7.1), without
-forming H; :class:`DenseNewton` factors a dense H, shifted by ``tau I`` until
-its Cholesky factorization succeeds (Nocedal-Wright section 3.4). Both
-solvers' objectives are sums of pointwise terms over a few linear images J
-of the node values, so their Hessians are ``J' B J`` with block-diagonal B:
-:class:`PointwiseSum` applies it (``hvp``) or assembles it (``hessian``).
+forming H. Both solvers' objectives are sums of pointwise terms over a few
+linear images J of the node values, so their Hessians are ``J' B J`` with
+block-diagonal B: :class:`PointwiseSum` applies it (``hvp``) or assembles it
+(``hessian``). :func:`schur_newton` takes the step for such a sum whose
+points also own unknowns of their own: it eliminates those point by point
+and factors only the node values' Schur complement, shifted by ``tau I``
+until its Cholesky factorization succeeds (Nocedal-Wright sections 3.4 and
+16.2).
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _CG_RTOL = 1e-12  # CG's relative residual: quadratic objectives converge in one step
 MAX_ITER = 50  # default cap: over 8x the most Newton steps any test solve takes (6)
-# largest m either solver accepts, checked before it allocates. The control
-# solve is dense: it peaks at about 3.7 m x m matrices by ru_maxrss (n = 512
-# and 1024) - the Hessian, the part + part' temporary, the Cholesky factor
-# and the LU copy - some 470 MiB at this cap. solve_extremal holds no m x m
-# array; it shares the cap.
+# largest m either solver accepts, checked before it allocates. Neither holds
+# an m x m array. The control solve's largest are the (n + 1) x (n + 1)
+# difference and Caputo matrices and the states' Schur complement of side
+# (n + 1) * state_dim with its factors: a scalar LQ solve at n = 1024 peaks at
+# 41 MiB by tracemalloc (79 MiB ru_maxrss), below the 72 MiB of one m x m
+# array. solve_extremal is matrix-free. The cap stays until a large-n
+# workload measures the solvers past it.
 MAX_UNKNOWNS = 4096
 
 
@@ -131,7 +136,7 @@ def bfgs_minimize(
     """Minimize ``fun`` from ``x0``; converged when max|grad| < tol.
 
     ``direction(x, g)`` returns the Newton step at ``x`` with gradient ``g``
-    (:func:`pcg_direction` or a :class:`DenseNewton`); one that does not
+    (from :func:`pcg_direction` or :func:`schur_newton`); one that does not
     descend is replaced by ``-g``. Raises ``ConvergenceError`` (with the
     final gradient norm) at the iteration cap and ``LineSearchError`` after
     60 failed step reductions.
@@ -220,29 +225,71 @@ def pcg_direction(hvp: Callable, precondition: Callable, g: np.ndarray) -> np.nd
     return s
 
 
-class DenseNewton:
-    """Direction callback on a dense Hessian: ``hess(x)`` returns a new
-    array, which the callback may overwrite. Solves ``(H + tau I) p = -g``
-    with the smallest doubling ``tau >= 0`` that makes the shifted matrix
-    positive definite."""
+def schur_newton(
+    action: PointwiseSum, point: np.ndarray, gx: np.ndarray, gz: np.ndarray, fixed: int = 0
+):
+    """Newton step for F(X, Z) = sum_p f(args_p(X), Z[p]), where the rows of
+    Z enter point p's term alone: solves ``(H + tau I) p = -g`` with the
+    smallest doubling ``tau >= 0`` that makes ``H + tau I`` positive definite.
 
-    def __init__(self, hess: Callable[[np.ndarray], np.ndarray]):
-        self.hess = hess
+    ``point`` holds f's symmetric second partials at every point, shape
+    ``(points, r + z, r + z)``: the slots' arguments of ``action`` in slot
+    order (r values), then Z[p] (z values). The unknowns are
+    ``X.ravel()[fixed:]`` and Z, with gradients ``gx`` (X's shape; its fixed
+    entries are not read) and ``gz``. Since H's (Z, Z) part is block-diagonal, ``H + tau I`` is
+    positive definite exactly when every ``B_zz + tau I`` and the Schur
+    complement ``S = J' (B_rr - B_rz (B_zz + tau I)^-1 B_zr) J + tau I`` are;
+    only S, of X's size, is assembled and factored. Returns ``(px, pz)``,
+    with ``px`` zero in the fixed entries.
+    """
+    if not np.isfinite(point).all():
+        raise NumericsError("Hessian holds non-finite entries")
+    offsets = np.cumsum([0] + [len(cols) for cols, _ in action.slots])
+    r = offsets[-1]
+    brr, bzr, bzz = point[:, :r, :r], point[:, r:, :r], point[:, r:, r:]
+    tau = 0.0
+    while True:
+        lower = _cholesky(bzz + tau * np.eye(bzz.shape[1]))
+        if lower is not None:
+            # with w = L^-1 B_zr, B_rz (B_zz + tau I)^-1 B_zr = w' w
+            inv = np.linalg.inv(lower)
+            w = inv @ bzr
+            schur = action.hessian(_slot_blocks(brr - w.transpose(0, 2, 1) @ w, offsets))
+            schur = schur[fixed:, fixed:]
+            schur[np.diag_indices_from(schur)] += tau
+            if _cholesky(schur) is not None:
+                break
+        if not tau:  # H's diagonal: the assembled (X, X) part's, then the B_zz blocks'
+            diag = action.hessian(_slot_blocks(brr, offsets)).diagonal()[fixed:]
+            diag = np.concatenate((diag, np.diagonal(bzz, axis1=1, axis2=2).ravel()))
+        tau = 2.0 * tau if tau else 1e-3 * (float(np.max(np.abs(diag))) or 1.0)
+    wg = inv @ gz[..., None]  # L^-1 g_z
+    rhs = action.gradient(np.split((w.transpose(0, 2, 1) @ wg)[..., 0], offsets[1:-1], axis=1))
+    rhs -= gx
+    px = np.linalg.solve(schur, rhs.ravel()[fixed:])
+    px = np.concatenate((np.zeros(fixed), px)).reshape(action.shape)
+    jp = np.concatenate(action.args(px), axis=1)[..., None]
+    pz = -(inv.transpose(0, 2, 1) @ (wg + w @ jp))[..., 0]
+    return px, pz
 
-    def __call__(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        hmat = np.asarray(self.hess(x), dtype=float)
-        if not np.isfinite(hmat).all():
-            raise NumericsError("Hessian holds non-finite entries")
-        diag = np.diag(hmat).copy()
-        tau = 0.0
-        while True:
-            try:
-                np.linalg.cholesky(hmat)
-            except np.linalg.LinAlgError:
-                tau = 2.0 * tau if tau else 1e-3 * (float(np.max(np.abs(diag))) or 1.0)
-                np.fill_diagonal(hmat, diag + tau)
-                continue
-            return np.linalg.solve(hmat, -g)
+
+def _cholesky(a: np.ndarray):
+    """The Cholesky factor of ``a`` (of each matrix of a stack), or None
+    where one is not positive definite."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _slot_blocks(b: np.ndarray, offsets) -> dict:
+    """Per-point matrices over all slots' arguments as :meth:`PointwiseSum.hessian`'s blocks."""
+    k = len(offsets) - 1
+    return {
+        (s, t): b[:, offsets[s] : offsets[s + 1], offsets[t] : offsets[t + 1]]
+        for s in range(k)
+        for t in range(s, k)
+    }
 
 
 def _runs(rows: np.ndarray):

@@ -13,9 +13,11 @@ The solver is a penalty-based direct transcription: all trajectory nodes
 except the fixed initial one, plus every control node, are decision
 variables; both dynamics channels enter as weighted quadratic penalties with
 an increasing weight schedule. Each weight's objective is minimized by Newton
-steps on its assembled dense Hessian, and the adjoints are recovered from the
-converged penalty multipliers (p = -weight * defect). Adjoint recovery is
-first-order in the final weight - tolerances downstream account for that.
+steps that eliminate every node's controls first, so that only the states'
+Schur complement is assembled and factored, and the adjoints are recovered
+from the converged penalty multipliers (p = -weight * defect). Adjoint
+recovery is first-order in the final weight - tolerances downstream account
+for that.
 
 Special cases are calls to their general form: the linear-quadratic family
 is the :func:`variational_reduction` (phi = u, rho = mu) of
@@ -40,7 +42,7 @@ from .grid import (
     trapezoid_weights,
 )
 from .lagrangian import check_partial, fd_partial, quadratic_mix
-from .minimize import MAX_UNKNOWNS, DenseNewton, PointwiseSum, bfgs_minimize
+from .minimize import MAX_UNKNOWNS, PointwiseSum, bfgs_minimize, schur_newton
 from .noether import check_truncation, series_terms
 from .symmetry import SymmetryGroup, time_translation
 from .variational import along
@@ -236,12 +238,15 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
 
     Decision variables: each node's y = (q, u, mu) in node order, without
     node 0's q (the initial condition). The penalty objective is a
-    :class:`~fracvar.minimize.PointwiseSum` over y and the node's rows
-    a = D q and c = C q of the difference and L1 Caputo matrices. Three
-    penalty rounds, weight 100 growing tenfold per round, warm-started, each
-    minimized by Newton steps; the combined dynamics defect must decrease
-    across rounds or the dynamics are reported infeasible.
-    ``terminal_state`` adds an optional endpoint penalty.
+    :class:`~fracvar.minimize.PointwiseSum` over the states q, whose point
+    k reads q_k and the rows a = D q and c = C q of the difference and L1
+    Caputo matrices, and over node k's u and mu, which enter term k alone.
+    Three penalty rounds, weight 100 growing tenfold per round,
+    warm-started, each minimized by Newton steps from
+    :func:`~fracvar.minimize.schur_newton`, which eliminates each node's
+    (u, mu) and factors the states' Schur complement; the combined dynamics
+    defect must decrease across rounds or the dynamics are reported
+    infeasible. ``terminal_state`` adds an optional endpoint penalty.
     """
     n, sd, md, dd = cp.grid.n, cp.state_dim, cp.control_dim, cp.frac_dim
     if max(sd, md, dd) > 4:
@@ -261,20 +266,28 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
             raise ValidationError(f"terminal state must be finite, got {q_goal}")
     k, q_columns = np.arange(n + 1), np.arange(sd)
     penalty = PointwiseSum(
-        (n + 1, s),
+        (n + 1, sd),
         [
-            (np.arange(s), [(None, k, 1.0)]),
+            (q_columns, [(None, k, 1.0)]),
             (q_columns, [(_sbp_difference_matrix(n, h), k, 1.0)]),
             (q_columns, [(caputo_left_matrix(n, h, cp.alpha), k, 1.0)]),
         ],
     )
+    # a node's second partials in the order (q, a, c, u, mu) from (y, a, c)
+    order = np.concatenate((q_columns, np.arange(s, s + 2 * sd), np.arange(sd, s)))
 
     def nodes(z):
         return np.concatenate((cp.q_start, z)).reshape(n + 1, s)
 
+    def args(z):
+        """Node values y = (q, u, mu) and the rows a and c."""
+        y = nodes(z)
+        _, a, c = penalty.args(y[:, :sd])
+        return y, a, c
+
     def split(z):
         """q, u, mu and the two dynamics defects."""
-        y, a, c = penalty.args(nodes(z))
+        y, a, c = args(z)
         q, u, mu = np.hsplit(y, (sd, sd + md))
         e1 = a - np.asarray(cp.velocity(t, q, u), dtype=float)
         e2 = c - np.asarray(cp.frac_velocity(t, q, mu), dtype=float)
@@ -307,23 +320,29 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
         return np.hstack((gq, gu, gmu, r1, r2))
 
     def gradient(z, weight):
-        y = nodes(z)
-        g = penalty.gradient(np.hsplit(node_gradient(*penalty.args(y), weight), (s, s + sd)))
+        y, a, c = args(z)
+        gy, ga, gc = np.hsplit(node_gradient(y, a, c, weight), (s, s + sd))
+        g = np.hstack((penalty.gradient([gy[:, :sd], ga, gc]), gy[:, sd:]))
         if q_goal is not None:
             g[-1, :sd] += weight * (y[-1, :sd] - q_goal)
         return g.ravel()[sd:]
 
-    def hessian(z, weight):
-        # the (y, y) block is a central difference of node_gradient in y,
-        # whose r1 and r2 rows give the (y, a) and (y, c) blocks; the (a, a)
-        # and (c, c) blocks are exactly weight * wt * I
-        jac = fd_partial(node_gradient, (*penalty.args(nodes(z)), weight), 0)
-        ya, yc = jac[:, s : s + sd].transpose(0, 2, 1), jac[:, s + sd :].transpose(0, 2, 1)
-        aa = weight * wt[:, None, None] * np.eye(sd)
-        hmat = penalty.hessian({(0, 0): jac[:, :s], (0, 1): ya, (0, 2): yc, (1, 1): aa, (2, 2): aa})
+    def direction(z, g, weight):
+        # each node's (y, y) block is a central difference of node_gradient
+        # in y, whose r1 and r2 rows give the (a|c, y) blocks; the (a, a) and
+        # (c, c) blocks are exactly weight * wt * I
+        jac = fd_partial(node_gradient, (*args(z), weight), 0)
+        point = np.zeros((n + 1, s + 2 * sd, s + 2 * sd))
+        point[:, :s, :s] = 0.5 * (jac[:, :s] + jac[:, :s].transpose(0, 2, 1))
+        point[:, s:, :s] = jac[:, s:]
+        point[:, :s, s:] = jac[:, s:].transpose(0, 2, 1)
+        point[:, s:, s:] = weight * wt[:, None, None] * np.eye(2 * sd)
+        point = point[:, order][:, :, order]
         if q_goal is not None:
-            hmat[n * s + q_columns, n * s + q_columns] += weight
-        return hmat[sd:, sd:]
+            point[-1, q_columns, q_columns] += weight
+        gn = np.concatenate((np.zeros(sd), g)).reshape(n + 1, s)
+        px, pz = schur_newton(penalty, point, gn[:, :sd], gn[:, sd:], fixed=sd)
+        return np.hstack((px, pz)).ravel()[sd:]
 
     z = np.tile(np.concatenate((cp.q_start, np.zeros(md + dd))), n + 1)[sd:]
 
@@ -334,7 +353,7 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
             lambda zz: objective(zz, weight),
             lambda zz: gradient(zz, weight),
             z,
-            DenseNewton(lambda zz: hessian(zz, weight)),
+            lambda zz, gg: direction(zz, gg, weight),
             tol=tol,
         )
         z = result.x

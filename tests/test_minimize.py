@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from fracvar.errors import NumericsError
-from fracvar.minimize import DenseNewton, PointwiseSum, bfgs_minimize, pcg_direction
+from fracvar.minimize import PointwiseSum, bfgs_minimize, pcg_direction, schur_newton
 
 
 def double_well(x):
@@ -18,21 +18,49 @@ def double_well_hess(x):
     return np.diag([12.0 * x[0] ** 2 - 2.0, 2.0])
 
 
+# the double well as a sum over one point, whose identity slot reads the node
+# value X = x[1 - local]; x[local] is the point's own unknown Z
+WELL = PointwiseSum((1, 1), [(np.arange(1), [(None, np.arange(1), 1.0)])])
+
+
+def schur_on_double_well(x, g, local=0, hess=double_well_hess):
+    order = [1 - local, local]
+    point = hess(x)[order][:, order][None]
+    px, pz = schur_newton(WELL, point, g[None, order[:1]], g[None, order[1:]])
+    return np.concatenate((px.ravel(), pz.ravel()))[order]
+
+
 def test_newton_shifts_an_indefinite_hessian_and_converges():
-    # the start sits on the concave hump, where a plain Newton step would climb
-    newton = DenseNewton(double_well_hess)
-    result = bfgs_minimize(double_well, double_well_grad, np.array([0.1, 1.0]), newton, tol=1e-10)
+    # the start sits on the concave hump, where a plain Newton step would
+    # climb: the point's own 1 x 1 block is negative and needs the shift
+    result = bfgs_minimize(
+        double_well, double_well_grad, np.array([0.1, 1.0]), schur_on_double_well, tol=1e-10
+    )
     npt.assert_allclose(result.x, [1.0 / np.sqrt(2.0), 0.0], atol=1e-10)
     assert result.gradient_norm < 1e-10
 
 
+def test_newton_shifts_an_indefinite_schur_complement():
+    # with the hump's coordinate as the node value, the point block of Z is
+    # positive and the 1 x 1 Schur complement 12 x^2 - 2 is not
+    x, g = np.array([0.1, 1.0]), double_well_grad(np.array([0.1, 1.0]))
+    p = schur_on_double_well(x, g, local=1)
+    # H = diag(-1.88, 2): tau doubles from 1e-3 max|diag H| until it passes 1.88
+    tau = 2e-3 * 2**10
+    npt.assert_allclose(p, -g / (np.diag(double_well_hess(x)) + tau), rtol=1e-14)
+    result = bfgs_minimize(
+        double_well, double_well_grad, x, lambda x, g: schur_on_double_well(x, g, 1), tol=1e-10
+    )
+    npt.assert_allclose(result.x, [1.0 / np.sqrt(2.0), 0.0], atol=1e-10)
+
+
 def test_non_finite_hessian_raises():
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match="non-finite"):
         bfgs_minimize(
             double_well,
             double_well_grad,
             np.array([0.5, 0.5]),
-            DenseNewton(lambda x: np.full((2, 2), np.nan)),
+            lambda x, g: schur_on_double_well(x, g, hess=lambda x: np.full((2, 2), np.nan)),
         )
 
 

@@ -9,6 +9,7 @@ from fracvar.errors import NumericsError, ValidationError
 from fracvar.fracops import caputo_left
 from fracvar.grid import Grid, GridFunction, central_difference, trapezoid, trapezoid_weights
 from fracvar.lagrangian import quadratic_mix
+from fracvar.minimize import PointwiseSum
 from fracvar.noether import drift_report
 from fracvar.optctrl import (
     ControlProblem,
@@ -103,6 +104,34 @@ def nonlinear_problem(n):
 def zero_state(cp):
     z = GridFunction(cp.grid, np.zeros(cp.grid.n + 1))
     return PontryaginState(q=z, u=z, mu=z, p=z, p_alpha=z)
+
+
+def captured_direction(monkeypatch, cp, terminal):
+    """(grad, direction, m) that solve_control hands to the minimizer in its first round."""
+
+    class Captured(Exception):
+        pass
+
+    def spy(fun, grad, x0, direction, **kwargs):
+        raise Captured(grad, direction, x0.size)
+
+    monkeypatch.setattr(optctrl, "bfgs_minimize", spy)
+    with pytest.raises(Captured) as excinfo:
+        solve_control(cp, terminal_state=terminal)
+    return excinfo.value.args
+
+
+def dense_shifted_newton(hmat, g):
+    """``(H + tau I)^-1 (-g)`` with the smallest doubling tau >= 0, from
+    1e-3 max|diag H|, that lets numpy's Cholesky factorization succeed."""
+    diag, tau = np.diag(hmat).copy(), 0.0
+    while True:
+        try:
+            np.linalg.cholesky(hmat)
+            return np.linalg.solve(hmat, -g), tau
+        except np.linalg.LinAlgError:
+            tau = 2.0 * tau if tau else 1e-3 * float(np.max(np.abs(diag)))
+            np.fill_diagonal(hmat, diag + tau)
 
 
 def random_smooth(grid, seed, amplitude=0.5):
@@ -343,27 +372,93 @@ class TestSolveControl:
         npt.assert_allclose(wd + wd.T, boundary, atol=1e-14)
 
     def test_penalty_hessian_matches_finite_differences_of_gradient(self, monkeypatch):
-        class Captured(Exception):
-            pass
-
-        def spy(fun, grad, x0, direction, **kwargs):
-            raise Captured(grad, direction.hess, x0.size)
-
-        monkeypatch.setattr(optctrl, "bfgs_minimize", spy)
-        with pytest.raises(Captured) as excinfo:
-            solve_control(nonlinear_problem(8), terminal_state=[0.5, -0.4])
-        grad, hess, m = excinfo.value.args
+        # the Newton step at a random point solves the system of the
+        # gradient's central differences, shifted by the tau that the
+        # dense rule picks on them (the point is not convex), to the
+        # residual that an entrywise Hessian error of 1e-7 max|fd| allows
+        grad, direction, m = captured_direction(monkeypatch, nonlinear_problem(8), [0.5, -0.4])
+        hessians = []
+        assemble = PointwiseSum.hessian
+        monkeypatch.setattr(
+            PointwiseSum, "hessian", lambda *a: hessians.append(assemble(*a)) or hessians[-1]
+        )
         z = np.random.default_rng(23).standard_normal(m)
-        analytic = hess(z)
-        fd = np.empty_like(analytic)
+        g = grad(z)
+        p = direction(z, g)
+        fd = np.empty((m, m))
         step = 1e-6
         for j in range(m):
             zp, zm = z.copy(), z.copy()
             zp[j] += step
             zm[j] -= step
             fd[:, j] = (grad(zp) - grad(zm)) / (2.0 * step)
-        npt.assert_array_equal(analytic, analytic.T)
-        npt.assert_allclose(analytic, fd, rtol=0.0, atol=1e-7 * np.max(np.abs(fd)))
+        _, tau = dense_shifted_newton(fd.copy(), g)
+        assert tau > 0.0
+        reduced = hessians[-1]  # the states' matrix that was factored, node 0 included
+        assert reduced.shape == (9 * 2, 9 * 2)
+        npt.assert_array_equal(reduced, reduced.T)
+        bound = 1e-7 * np.max(np.abs(fd)) * np.sum(np.abs(p))
+        assert np.max(np.abs(fd @ p + tau * p + g)) <= bound
+
+    @pytest.mark.parametrize(
+        "problem, terminal, seed",
+        [
+            (lambda: scalar_tracking_problem(Grid(0.0, 1.0, 32), 0.5, 1.0), None, None),
+            (lambda: nonlinear_problem(8), [0.5, -0.4], 23),
+        ],
+        ids=["linear-quadratic", "nonlinear"],
+    )
+    def test_eliminated_step_matches_dense_shifted_newton(
+        self, monkeypatch, problem, terminal, seed
+    ):
+        # the reference: the penalty Hessian assembled over all m unknowns
+        # from the same node blocks, shifted by the smallest doubling tau
+        # that lets its Cholesky factorization succeed; convex LQ takes
+        # tau = 0 at the start, the nonlinear problem tau > 0 at its random point
+        cp = problem()
+        grad, direction, m = captured_direction(monkeypatch, cp, terminal)
+        calls = []
+        eliminate = optctrl.schur_newton
+        monkeypatch.setattr(
+            optctrl, "schur_newton", lambda *a, **kw: calls.append((a, kw)) or eliminate(*a, **kw)
+        )
+        sd, s = cp.state_dim, cp.state_dim + cp.control_dim + cp.frac_dim
+        z = np.tile(np.concatenate((cp.q_start, np.zeros(s - sd))), cp.grid.n + 1)[sd:]
+        if seed is not None:
+            z = np.random.default_rng(seed).standard_normal(m)
+        g = grad(z)
+        p = direction(z, g)
+        (states, point, *_), kwargs = calls[0]
+        assert kwargs == {"fixed": sd}
+        # the node's (q, a, c, u, mu) blocks back in the order (y, a, c)
+        back = np.concatenate((np.arange(sd), np.arange(3 * sd, 2 * sd + s), np.arange(sd, 3 * sd)))
+        point = point[:, back][:, :, back]
+        full = PointwiseSum(
+            (cp.grid.n + 1, s),
+            [(np.arange(s), states.slots[0][1])] + states.slots[1:],
+        )
+        edges = (0, s, s + sd, s + 2 * sd)
+        blocks = {
+            (i, j): point[:, edges[i] : edges[i + 1], edges[j] : edges[j + 1]]
+            for i in range(3)
+            for j in range(i, 3)
+        }
+        expected, tau = dense_shifted_newton(full.hessian(blocks)[sd:, sd:], g)
+        assert (tau > 0.0) == (seed is not None)
+        npt.assert_allclose(p, expected, rtol=0.0, atol=1e-10 * np.max(np.abs(expected)))
+
+    def test_solve_holds_no_dense_matrix_over_all_unknowns(self):
+        # n = 1024 has m = 3074 unknowns: one m x m float64 array is 72 MiB
+        cp = scalar_tracking_problem(Grid(0.0, 1.0, 1024), 0.5, 1.0)
+        m = 3 * 1025 - 1
+        tracemalloc.start()
+        try:
+            state = solve_control(cp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.diagnostics.gradient_norm < 1e-6
+        assert peak < m * m * 8
 
     def test_linear_quadratic_round_takes_one_newton_step(self):
         cp = scalar_tracking_problem(Grid(0.0, 1.0, 128), 0.5, 1.0)

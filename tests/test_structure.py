@@ -10,8 +10,10 @@ name must be read somewhere in its module; ``__init__.py`` is exempt, since
 its imports are the package's re-exports. ``perfbench/tracer.py`` names the
 functions it wraps in ``TARGETS``; the tests here do not run the benchmark,
 so a renamed function would otherwise break it unnoticed. No module calls or
-imports ``savetxt``: ``grid.write_csv`` is the one CSV writer. Every name in
-``fracvar.__all__`` exists, and every name ``__init__.py`` imports is listed.
+imports ``savetxt``: ``grid.write_csv`` is the one CSV writer. No module
+imports scipy, which ``pyproject.toml`` lists only as a test extra. Every
+name in ``fracvar.__all__`` exists, and every name ``__init__.py`` imports is
+listed.
 """
 
 import ast
@@ -158,6 +160,48 @@ def test_savetxt_checker_flags_each_pattern():
         "m.py:4 uses savetxt",
         "m.py:5 uses savetxt",
         "m.py:6 uses savetxt",
+    ]
+
+
+def scipy_imports(source: str, module: str) -> list:
+    """One line per import of scipy or of one of its submodules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [
+            f"{module}:{node.lineno} imports {name}"
+            for name in names
+            if name.split(".")[0] == "scipy"
+        ]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    assert scipy_imports(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_scipy_checker_flags_each_pattern():
+    source = (
+        '"""Unlike scipy.linalg.cho_solve, numpy has no triangular solve."""\n'
+        "import numpy as np, scipy\n"
+        "import scipy.linalg as sla\n"
+        "from scipy.linalg import cho_solve, solve_triangular\n"
+        "from .scipy import helper\n"
+        "import scipyx\n"
+        "def f():\n"
+        "    from scipy import sparse\n"
+    )
+    assert scipy_imports(source, "m.py") == [
+        "m.py:2 imports scipy",
+        "m.py:3 imports scipy.linalg",
+        "m.py:4 imports scipy.linalg",
+        "m.py:8 imports scipy",
     ]
 
 

@@ -442,8 +442,7 @@ class TestSolveExtremal:
 
     def test_unknowns_cap_refuses_4097_before_allocating(self):
         # n = 4098 has 4097 interior values, one past the cap that both
-        # solvers share; the dense control solve at the cap holds about 3.7
-        # Hessian-sized matrices (some 470 MiB), the matrix-free extremal none
+        # solvers share; neither holds a matrix over all its unknowns
         p = line_problem(n=4098, alpha=0.5)
         tracemalloc.start()
         try:
@@ -508,7 +507,7 @@ class TestInvariants:
         # the FFT products are symmetric to round-off (measured 2.7e-16 of
         # max|H|). The assembled PointwiseSum.hessian stays exactly symmetric:
         # test_optctrl.py's test_penalty_hessian_matches_finite_differences_of_gradient
-        # checks it on the control solver's penalty Hessian.
+        # checks it on the control solver's Schur complement.
         npt.assert_allclose(analytic, analytic.T, rtol=0.0, atol=1e-14 * np.max(np.abs(analytic)))
         npt.assert_allclose(analytic, fd, rtol=0.0, atol=1e-7 * np.max(np.abs(fd)))
 
