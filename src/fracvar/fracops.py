@@ -1,17 +1,18 @@
 """Discretized fractional integrals and derivatives on uniform grids.
 
-Left-sided operators are computed directly; right-sided ones reuse the left
-code through the reflection t -> a + b - t, which maps one kernel onto the
-other exactly (node i of the right operator is node n - i of the left
-operator applied to the reversed samples).
+Left-sided operators are computed directly; every right-sided one is the
+left one under the reflection t -> a + b - t (:func:`reflected`), which maps
+one kernel onto the other exactly (node i of the right operator is node
+n - i of the left operator applied to the reversed samples).
 
 Every left-sided scheme is one :class:`ToeplitzScheme` (kernel, first
 column, scale), applied and transposed through one zero-padded real FFT in
 O(n log n). Outputs differ from a direct convolution at round-off level;
-repeated runs are bit-identical. The variational solver takes the left
-Caputo derivative as a :class:`MatrixFree` operator
-(:func:`caputo_left_operator`); the control solver builds it densely
-(:func:`caputo_left_matrix`).
+repeated runs are bit-identical. The left Caputo derivative has one
+representation, the :class:`MatrixFree` operator of
+:func:`caputo_left_operator`: :func:`caputo_left` applies it, the
+variational solver takes it as is, and :func:`caputo_left_matrix`, which the
+control solver uses, expands the same scheme densely.
 
 Schemes
 -------
@@ -41,8 +42,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import NumericsError, ValidationError
 from .grid import (
     GridFunction,
+    cell_differences,
+    cell_differences_T,
     central_difference,
-    central_difference_matrix,
     central_difference_T,
     require_finite,
     require_same_grid,
@@ -56,6 +58,7 @@ __all__ = [
     "caputo_right",
     "rl_derivative_left",
     "rl_derivative_right",
+    "reflected",
     "ibp_residual",
     "caputo_left_matrix",
     "caputo_left_operator",
@@ -180,40 +183,37 @@ def rl_integral_left(f: GridFunction, order) -> GridFunction:
     return f.with_values(scheme.apply(f.values))
 
 
+def reflected(left: Callable, f: GridFunction, order) -> GridFunction:
+    """The right-sided counterpart of the left operator ``left(f, order)``:
+    node i is node n - i of ``left`` applied to the reversed samples."""
+    return f.with_values(left(f.with_values(f.values[::-1]), order).values[::-1])
+
+
 def rl_integral_right(f: GridFunction, order) -> GridFunction:
     """Right Riemann-Liouville integral; reflection of the left one."""
-    reflected = f.with_values(f.values[::-1])
-    return f.with_values(rl_integral_left(reflected, order).values[::-1])
+    return reflected(rl_integral_left, f, order)
 
 
 def caputo_left(f: GridFunction, order) -> GridFunction:
     """Left Caputo derivative, L1 scheme; central differences at alpha = 1."""
     alpha = derivative_order(order)
     require_finite(f)
-    n, h = f.grid.n, f.grid.h
-    if alpha == 1.0:
-        return f.with_values(central_difference(f.values, h))
-    differences = np.diff(f.values, axis=0, prepend=f.values[:1])
-    return f.with_values(_l1_scheme(n, h, alpha).apply(differences))
+    return f.with_values(caputo_left_operator(f.grid.n, f.grid.h, alpha) @ f.values)
 
 
 def caputo_right(f: GridFunction, order) -> GridFunction:
     """Right Caputo derivative; reflection of the left one (sign included)."""
-    reflected = f.with_values(f.values[::-1])
-    return f.with_values(caputo_left(reflected, order).values[::-1])
+    return reflected(caputo_left, f, order)
 
 
-def _shift_term(f: GridFunction, alpha: float, left: bool) -> np.ndarray:
-    """Constant-shift term of the RL/Caputo relation, NaN-flagged at its pole."""
-    t = f.grid.nodes()
-    dist = (t - f.grid.a) if left else (f.grid.b - t)
-    endpoint = f.values[0] if left else f.values[-1]
+def _shift_term(f: GridFunction, alpha: float) -> np.ndarray:
+    """Constant-shift term of the RL/Caputo relation, NaN-flagged at its pole t = a."""
+    endpoint = f.values[0]
     inv_gamma = 1.0 / gamma(1.0 - alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        radial = dist**-alpha
+        radial = (f.grid.nodes() - f.grid.a) ** -alpha
         shift = endpoint[None, :] * radial[:, None] * inv_gamma
-    pole = 0 if left else f.grid.n
-    shift[pole] = np.where(endpoint == 0.0, 0.0, np.nan)
+    shift[0] = np.where(endpoint == 0.0, 0.0, np.nan)
     return shift
 
 
@@ -228,16 +228,12 @@ def rl_derivative_left(f: GridFunction, order) -> GridFunction:
     base = caputo_left(f, alpha)
     if alpha == 1.0:
         return base
-    return f.with_values(base.values + _shift_term(f, alpha, left=True))
+    return f.with_values(base.values + _shift_term(f, alpha))
 
 
 def rl_derivative_right(f: GridFunction, order) -> GridFunction:
     """Right Riemann-Liouville derivative; singular node flagged at t = b."""
-    alpha = derivative_order(order)
-    base = caputo_right(f, alpha)
-    if alpha == 1.0:
-        return base
-    return f.with_values(base.values + _shift_term(f, alpha, left=False))
+    return reflected(rl_derivative_left, f, order)
 
 
 def ibp_residual(f: GridFunction, g: GridFunction, order) -> float:
@@ -265,18 +261,17 @@ def ibp_residual(f: GridFunction, g: GridFunction, order) -> float:
 
 
 def caputo_left_matrix(n: int, h: float, order) -> np.ndarray:
-    """Dense matrix M with (caputo_left f)_i = sum_j M[i, j] f_j.
-
-    Used by the control solver, whose Hessian is dense; at alpha = 1 this
-    is the central-difference matrix.
+    """Dense matrix M with (caputo_left f)_i = sum_j M[i, j] f_j: the L1
+    scheme's dense form composed with the cell differences, and the
+    central-difference matrix at alpha = 1. Used by the control solver,
+    whose Hessian is dense.
     """
     alpha = derivative_order(order)
     if alpha == 1.0:
-        return central_difference_matrix(n, h)
-    l1 = _l1_scheme(n, h, alpha)
-    # composed with the differences f_j - f_{j-1}: kernel b_{k+1} - b_k, column 0 -b_i
-    b = l1.kernel
-    return ToeplitzScheme(alpha, l1.scale, np.diff(b, prepend=0.0), np.append(0.0, -b)).dense()
+        return central_difference(np.eye(n + 1), h)
+    m = _l1_scheme(n, h, alpha).dense()
+    m[:, :-1] -= m[:, 1:]  # composed with the cell differences: column j is L1_j - L1_{j+1}
+    return m
 
 
 @dataclass(frozen=True)
@@ -284,8 +279,9 @@ class MatrixFree:
     """A node operator M known by its products: ``M @ f`` and ``M.T @ g``.
 
     For an M that annihilates constants, M = S Delta with Delta the cell
-    differences (f_1 - f_0, ..., f_n - f_{n-1}); ``cell_gram(omega)`` is then
-    the diagonal of S' diag(omega) S, of shape (n, columns).
+    differences (f_1 - f_0, ..., f_n - f_{n-1}), rows 1..n of
+    :func:`~fracvar.grid.cell_differences`; ``cell_gram(omega)`` is then the
+    diagonal of S' diag(omega) S, of shape (n, columns).
     """
 
     apply: Callable
@@ -318,17 +314,9 @@ def caputo_left_operator(n: int, h: float, order) -> MatrixFree:
         squares = ToeplitzScheme(alpha, l1.scale**2, l1.kernel**2, l1.first_column)
         return squares.apply_T(omega)[1:]
 
-    def apply_T(g):
-        z = l1.apply_T(g)  # the differences' transpose: row j gets z_j - z_{j+1}
-        out = np.empty_like(z)
-        out[0] = -z[1]
-        out[1:-1] = z[1:-1] - z[2:]
-        out[-1] = z[-1]
-        return out
-
     return MatrixFree(
-        lambda f: l1.apply(np.diff(f, axis=0, prepend=f[:1])),
-        apply_T,
+        lambda f: l1.apply(cell_differences(f)),
+        lambda g: cell_differences_T(l1.apply_T(g)),
         cell_gram,
     )
 

@@ -147,15 +147,18 @@ def central_difference_T(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def central_difference_matrix(n: int, h: float) -> np.ndarray:
-    """Matrix form of :func:`central_difference` on n+1 nodes."""
-    m = np.zeros((n + 1, n + 1))
-    idx = np.arange(1, n)
-    m[idx, idx + 1] = 1.0 / (2.0 * h)
-    m[idx, idx - 1] = -1.0 / (2.0 * h)
-    m[0, 0], m[0, 1], m[0, 2] = -3.0 / (2.0 * h), 4.0 / (2.0 * h), -1.0 / (2.0 * h)
-    m[n, n], m[n, n - 1], m[n, n - 2] = 3.0 / (2.0 * h), -4.0 / (2.0 * h), 1.0 / (2.0 * h)
-    return m
+def cell_differences(values: np.ndarray) -> np.ndarray:
+    """Nodal samples' cell differences (0, f_1 - f_0, ..., f_n - f_{n-1})."""
+    return np.diff(values, axis=0, prepend=values[:1])
+
+
+def cell_differences_T(values: np.ndarray) -> np.ndarray:
+    """The transpose of :func:`cell_differences` applied to nodal values."""
+    out = np.empty_like(values)
+    out[0] = -values[1]
+    out[1:-1] = values[1:-1] - values[2:]
+    out[-1] = values[-1]
+    return out
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:

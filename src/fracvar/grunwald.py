@@ -4,15 +4,17 @@ An independent first-order discretization behind the same signatures as
 :mod:`fracvar.fracops`. It shares no kernel-weight code with the primary
 schemes, which is the point: the tests cross-check the two discretizations
 against each other to catch weight bugs. Only the FFT apply of
-:class:`fracvar.fracops.ToeplitzScheme` is shared; the tests check that one
-against a direct convolution. Not used by the solvers.
+:class:`fracvar.fracops.ToeplitzScheme` is shared, which the tests check
+against a direct convolution, and the reflection
+:func:`fracvar.fracops.reflected` that makes the right-sided operators. Not
+used by the solvers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fracops import ToeplitzScheme, derivative_order, integral_order, power_scale
+from .fracops import ToeplitzScheme, derivative_order, integral_order, power_scale, reflected
 from .grid import GridFunction, require_finite
 
 __all__ = [
@@ -46,8 +48,7 @@ def gl_rl_derivative_left(f: GridFunction, order) -> GridFunction:
 
 
 def gl_rl_derivative_right(f: GridFunction, order) -> GridFunction:
-    reflected = f.with_values(f.values[::-1])
-    return f.with_values(gl_rl_derivative_left(reflected, order).values[::-1])
+    return reflected(gl_rl_derivative_left, f, order)
 
 
 def gl_caputo_left(f: GridFunction, order) -> GridFunction:
@@ -69,5 +70,4 @@ def gl_rl_integral_left(f: GridFunction, order) -> GridFunction:
 
 
 def gl_rl_integral_right(f: GridFunction, order) -> GridFunction:
-    reflected = f.with_values(f.values[::-1])
-    return f.with_values(gl_rl_integral_left(reflected, order).values[::-1])
+    return reflected(gl_rl_integral_left, f, order)

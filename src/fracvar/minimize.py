@@ -5,13 +5,13 @@ A direction callback turns the gradient into a step. :func:`pcg_direction`
 solves ``H p = -g`` by preconditioned conjugate gradients on
 Hessian-vector products (Newton-CG, Nocedal-Wright Algorithm 7.1), without
 forming H. Both solvers' objectives are sums of pointwise terms over a few
-linear images J of the node values, so their Hessians are ``J' B J`` with
-block-diagonal B: :class:`PointwiseSum` applies it (``hvp``) or assembles it
-(``hessian``). :func:`schur_newton` takes the step for such a sum whose
-points also own unknowns of their own: it eliminates those point by point
-and factors only the node values' Schur complement, shifted by ``tau I``
-until its Cholesky factorization succeeds (Nocedal-Wright sections 3.4 and
-16.2).
+linear images J of the node values, one linear map per slot read at given
+rows, so their Hessians are ``J' B J`` with block-diagonal B:
+:class:`PointwiseSum` applies it (``hvp``) or assembles it (``hessian``).
+:func:`schur_newton` takes the step for such a sum whose points also own
+unknowns of their own: it eliminates those point by point and factors only
+the node values' Schur complement, shifted by ``tau I`` until its Cholesky
+factorization succeeds (Nocedal-Wright sections 3.4 and 16.2).
 """
 
 from __future__ import annotations
@@ -40,41 +40,36 @@ MAX_UNKNOWNS = 4096
 class PointwiseSum:
     """F(X) = sum_p f(args_p) for node values X of shape ``(nodes, width)``.
 
-    ``slots`` lists ``(columns, terms)``, each term ``(matrix, rows, coef)``
-    with integer arrays ``columns`` and ``rows``: slot s's argument at point
-    p is the sum over its terms of ``coef * (matrix @ X[:, columns])[rows[p]]``,
-    where ``None`` is the identity matrix. Matrices are ``(nodes, nodes)``
-    arrays or operators with ``@`` and ``.T @`` (:meth:`hessian` needs
-    arrays); slots with one come last, hold one term and read the same rows.
+    ``slots`` lists ``(columns, matrix, rows)`` with integer arrays
+    ``columns`` and ``rows``: slot s's argument at point p is
+    ``(matrix @ X[:, columns])[rows[p]]``, where ``None`` is the identity
+    matrix. Matrices are ``(nodes, nodes)`` arrays or operators with ``@``
+    and ``.T @``; slots with one come last. :meth:`hessian` needs arrays,
+    and every slot it pairs with a matrix slot reading the same rows.
     The caller evaluates f and its partials at :meth:`args`;
     :meth:`gradient`, :meth:`hvp` and :meth:`hessian` chain them back to X.
     """
 
     def __init__(self, shape, slots):
         self.shape, self.slots = shape, slots
-        # per term: the rows as a gather index and as runs of consecutive nodes
-        self._rows = [[_runs(rows) for _, rows, _ in terms] for _, terms in slots]
+        # per slot: the rows as a gather index and as runs of consecutive nodes
+        self._rows = [_runs(rows) for _, _, rows in slots]
 
     def args(self, x: np.ndarray) -> list:
         """Each slot's argument at every point, shape ``(points, |columns|)``."""
         return [
-            sum(
-                c * (x[:, cols] if m is None else m @ x[:, cols])[gather]
-                for (m, _, c), (gather, _) in zip(terms, rows)
-            )
-            for (cols, terms), rows in zip(self.slots, self._rows)
+            (x[:, cols] if m is None else m @ x[:, cols])[gather]
+            for (cols, m, _), (gather, _) in zip(self.slots, self._rows)
         ]
 
     def gradient(self, partials) -> np.ndarray:
         """dF/dX from each slot's partials of f, shape ``(points, |columns|)``."""
         g = np.zeros(self.shape)
-        for (cols, terms), rows, part in zip(self.slots, self._rows, partials):
-            for (m, _, c), (_, runs) in zip(terms, rows):
-                scattered = np.zeros((self.shape[0], len(cols)))
-                weighted = c * part
-                for nodes, points in runs:  # np.add.at's additions, in its order
-                    scattered[nodes] += weighted[points]
-                g[:, cols] += scattered if m is None else m.T @ scattered
+        for (cols, m, _), (_, runs), part in zip(self.slots, self._rows, partials):
+            scattered = np.zeros((self.shape[0], len(cols)))
+            for nodes, points in runs:  # np.add.at's additions, in its order
+                scattered[nodes] += part[points]
+            g[:, cols] += scattered if m is None else m.T @ scattered
         return g
 
     def hvp(self, blocks, x: np.ndarray) -> np.ndarray:
@@ -98,22 +93,15 @@ class PointwiseSum:
         for (s, t), block in blocks.items():
             if not block.any():
                 continue
-            (cols_s, terms_s), (cols_t, terms_t) = self.slots[s], self.slots[t]
-            for ma, ra, ca in terms_s:
-                for mb, rb, cb in terms_t:
-                    b = (0.5 if s == t else 1.0) * ca * cb * block
-                    if mb is None:  # identity x identity
-                        index = (ra[:, None, None], cols_s[:, None], rb[:, None, None], cols_t)
-                        np.add.at(part, index, b)
-                        continue
-                    for i, j in zip(*np.nonzero(b.any(axis=0))):
-                        view = part[:, cols_s[i], :, cols_t[j]]
-                        if ma is not None:  # matrix x matrix
-                            view += ma.T @ (np.bincount(ra, b[:, i, j], nodes)[:, None] * mb)
-                        elif np.array_equal(ra, rb):  # both read the point's own node
-                            view += np.bincount(ra, b[:, i, j], nodes)[:, None] * mb
-                        else:
-                            np.add.at(view, ra, b[:, i, j, None] * mb[rb])
+            (cols_s, ma, ra), (cols_t, mb, rb) = self.slots[s], self.slots[t]
+            b = 0.5 * block if s == t else block
+            if mb is None:  # identity x identity
+                index = (ra[:, None, None], cols_s[:, None], rb[:, None, None], cols_t)
+                np.add.at(part, index, b)
+                continue
+            for i, j in zip(*np.nonzero(b.any(axis=0))):  # same rows: B scales M_t's rows
+                scaled = np.bincount(ra, b[:, i, j], nodes)[:, None] * mb
+                part[:, cols_s[i], :, cols_t[j]] += scaled if ma is None else ma.T @ scaled
         part = part.reshape(nodes * width, nodes * width)
         return part + part.T
 
@@ -244,7 +232,7 @@ def schur_newton(
     """
     if not np.isfinite(point).all():
         raise NumericsError("Hessian holds non-finite entries")
-    offsets = np.cumsum([0] + [len(cols) for cols, _ in action.slots])
+    offsets = np.cumsum([0] + [len(cols) for cols, _, _ in action.slots])
     r = offsets[-1]
     brr, bzr, bzz = point[:, :r, :r], point[:, r:, :r], point[:, r:, r:]
     tau = 0.0
@@ -293,7 +281,7 @@ def _slot_blocks(b: np.ndarray, offsets) -> dict:
 
 
 def _runs(rows: np.ndarray):
-    """``(gather, runs)`` for a term's rows: ``runs`` pairs a slice of nodes
+    """``(gather, runs)`` for a slot's rows: ``runs`` pairs a slice of nodes
     with the slice of points that reads it, one pair per run of consecutive
     nodes; ``gather`` is the node slice of a single run, or ``rows``."""
     starts = np.flatnonzero(np.diff(rows, prepend=rows[:1] - 2) != 1)

@@ -34,13 +34,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .fracops import caputo_left, caputo_left_matrix, derivative_order, rl_derivative_right
-from .grid import (
-    Grid,
-    GridFunction,
-    central_difference,
-    central_difference_matrix,
-    trapezoid_weights,
-)
+from .grid import Grid, GridFunction, central_difference, trapezoid_weights
 from .lagrangian import check_partial, fd_partial, quadratic_mix
 from .minimize import MAX_UNKNOWNS, PointwiseSum, bfgs_minimize, schur_newton
 from .noether import check_truncation, series_terms
@@ -227,7 +221,7 @@ def _sbp_difference_matrix(n: int, h: float) -> np.ndarray:
     """Central interior, first-order one-sided ends; adjoint-compatible with
     trapezoid weights, which is what makes the penalty multipliers consistent
     estimates of the adjoint functions."""
-    m = central_difference_matrix(n, h)
+    m = central_difference(np.eye(n + 1), h)
     m[0, :3] = -1.0 / h, 1.0 / h, 0.0
     m[n, n - 2 :] = 0.0, -1.0 / h, 1.0 / h
     return m
@@ -268,9 +262,9 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
     penalty = PointwiseSum(
         (n + 1, sd),
         [
-            (q_columns, [(None, k, 1.0)]),
-            (q_columns, [(_sbp_difference_matrix(n, h), k, 1.0)]),
-            (q_columns, [(caputo_left_matrix(n, h, cp.alpha), k, 1.0)]),
+            (q_columns, None, k),
+            (q_columns, _sbp_difference_matrix(n, h), k),
+            (q_columns, caputo_left_matrix(n, h, cp.alpha), k),
         ],
     )
     # a node's second partials in the order (q, a, c, u, mu) from (y, a, c)

@@ -31,10 +31,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NumericsError, ValidationError
-from .fracops import caputo_left, caputo_left_operator, derivative_order, rl_derivative_right
+from .fracops import (
+    MatrixFree,
+    caputo_left,
+    caputo_left_operator,
+    derivative_order,
+    rl_derivative_right,
+)
 from .grid import (
     Grid,
     GridFunction,
+    cell_differences,
+    cell_differences_T,
     central_difference,
     require_finite,
     trapezoid,
@@ -176,7 +184,7 @@ def el_residual(problem: VariationalProblem, q: GridFunction) -> GridFunction:
 
 def el_residual_norm(problem: VariationalProblem, q: GridFunction) -> float:
     res = el_residual(problem, q).values
-    return float(np.max(np.abs(res[1:-1]))) if problem.grid.n >= 2 else 0.0
+    return float(np.max(np.abs(res[1:-1])))
 
 
 # ------------------------------------------------------------- the solver
@@ -188,11 +196,13 @@ def solve_extremal(
     """Minimize the discretized action over interior nodes (endpoints fixed).
 
     The interpolant action is a :class:`~fracvar.minimize.PointwiseSum`
-    over the node value, the cell slope and the node's L1 Caputo derivative
-    (an FFT operator), at both ends of every cell. Newton steps start from
-    the linear interpolant of the boundary values; their second partials
-    are central differences of the analytic first partials, and each step
-    is solved matrix-free by :func:`~fracvar.minimize.pcg_direction`. The
+    over the node value, the cell slope (the cell differences over h) and
+    the node's L1 Caputo derivative (the FFT operator of
+    :func:`~fracvar.fracops.caputo_left_operator`), at both ends of every
+    cell: three slots of one linear map each. Newton steps start from the
+    linear interpolant of the boundary values; their second partials are
+    central differences of the analytic first partials, and each step is
+    solved matrix-free by :func:`~fracvar.minimize.pcg_direction`. The
     tridiagonal preconditioner ``K = Delta' diag(d) Delta + diag(e)`` keeps,
     per state component, the diagonal second partials: those of the slope
     and the Caputo derivative in cell-difference coordinates (d), and those
@@ -208,13 +218,11 @@ def solve_extremal(
     cell = np.tile(np.arange(n), 2)  # the left ends of all cells, then the right ends
     node, columns = cell + np.repeat([0, 1], n), np.arange(d)
     caputo = caputo_left_operator(n, h, problem.alpha)
+    slope = MatrixFree(  # the cell differences over h
+        lambda f: cell_differences(f) * (1.0 / h), lambda g: cell_differences_T(g) * (1.0 / h)
+    )
     action = PointwiseSum(
-        (n + 1, d),
-        [
-            (columns, [(None, node, 1.0)]),
-            (columns, [(None, cell + 1, 1.0 / h), (None, cell, -1.0 / h)]),
-            (columns, [(caputo, node, 1.0)]),
-        ],
+        (n + 1, d), [(columns, None, node), (columns, slope, cell + 1), (columns, caputo, node)]
     )
     partials = (lag.dq, lag.dv, lag.dw)
 

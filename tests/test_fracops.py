@@ -23,7 +23,14 @@ from fracvar.fracops import (
     rl_integral_left,
     rl_integral_right,
 )
-from fracvar.grid import Grid, GridFunction, central_difference, central_difference_T
+from fracvar.grid import (
+    Grid,
+    GridFunction,
+    cell_differences,
+    cell_differences_T,
+    central_difference,
+    central_difference_T,
+)
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)  # = 1.1283791670955126
 ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)  # = 0.5641895835477563
@@ -467,12 +474,17 @@ def test_fft_transpose_matches_dense_transpose(n, alpha, dim):
 
 def test_central_difference_pair_is_adjoint():
     rng = np.random.default_rng(21)
+    pairs = (
+        (central_difference, central_difference_T),
+        (lambda x, h: cell_differences(x) / h, lambda y, h: cell_differences_T(y) / h),
+    )
     for n in (2, 3, 17, 256):
         x, y = rng.standard_normal((2, n + 1, 2))
         h = 1.0 / n
-        lhs = np.sum(central_difference(x, h) * y)
-        rhs = np.sum(x * central_difference_T(y, h))
-        assert abs(lhs - rhs) <= 1e-13 * (np.sum(np.abs(x)) * np.sum(np.abs(y)) / h)
+        for apply, apply_T in pairs:
+            lhs = np.sum(apply(x, h) * y)
+            rhs = np.sum(x * apply_T(y, h))
+            assert abs(lhs - rhs) <= 1e-13 * (np.sum(np.abs(x)) * np.sum(np.abs(y)) / h)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])

@@ -9,7 +9,6 @@ from fracvar.grid import (
     Grid,
     GridFunction,
     central_difference,
-    central_difference_matrix,
     trapezoid,
     trapezoid_weights,
     write_csv,
@@ -110,14 +109,6 @@ def test_central_difference_exact_for_quadratics():
     t = g.nodes()
     d = central_difference(3.0 * t**2 - t, g.h)
     npt.assert_allclose(d, 6.0 * t - 1.0, atol=1e-12)
-
-
-def test_central_difference_matrix_matches_function():
-    g = Grid(0.0, 1.0, 12)
-    t = g.nodes()
-    vals = np.sin(t)
-    m = central_difference_matrix(g.n, g.h)
-    npt.assert_allclose(m @ vals, central_difference(vals, g.h), atol=1e-14)
 
 
 def test_trapezoid_basics():

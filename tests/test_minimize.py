@@ -20,7 +20,7 @@ def double_well_hess(x):
 
 # the double well as a sum over one point, whose identity slot reads the node
 # value X = x[1 - local]; x[local] is the point's own unknown Z
-WELL = PointwiseSum((1, 1), [(np.arange(1), [(None, np.arange(1), 1.0)])])
+WELL = PointwiseSum((1, 1), [(np.arange(1), None, np.arange(1))])
 
 
 def schur_on_double_well(x, g, local=0, hess=double_well_hess):
@@ -108,7 +108,7 @@ def test_hvp_is_the_assembled_hessian_times_x():
     rows = np.tile(np.arange(4), 2) + np.repeat([0, 1], 4)
     matrix = rng.standard_normal((5, 5))
     cols = np.arange(2)
-    ps = PointwiseSum((5, 2), [(cols, [(None, rows, 1.0)]), (cols, [(matrix, rows, 0.5)])])
+    ps = PointwiseSum((5, 2), [(cols, None, rows), (cols, 0.5 * matrix, rows)])
     blocks = {key: rng.standard_normal((8, 2, 2)) for key in ((0, 0), (0, 1), (1, 1))}
     x = rng.standard_normal((5, 2))
     expected = ps.hessian(blocks) @ x.ravel()
@@ -119,8 +119,8 @@ def test_slice_scatter_matches_np_add_at_bit_for_bit():
     # rows of two runs scatter by slices, in np.add.at's order of additions
     rng = np.random.default_rng(4)
     rows = np.tile(np.arange(6), 2) + np.repeat([0, 1], 6)
-    part = [rng.standard_normal((12, 1))]
-    got = PointwiseSum((7, 1), [(np.arange(1), [(None, rows, 0.3)])]).gradient(part)
+    part = 0.3 * rng.standard_normal((12, 1))
+    got = PointwiseSum((7, 1), [(np.arange(1), None, rows)]).gradient([part])
     expected = np.zeros((7, 1))
-    np.add.at(expected, rows, 0.3 * part[0])
+    np.add.at(expected, rows, part)
     npt.assert_array_equal(got, expected)

@@ -13,7 +13,7 @@ so a renamed function would otherwise break it unnoticed. No module calls or
 imports ``savetxt``: ``grid.write_csv`` is the one CSV writer. No module
 imports scipy, which ``pyproject.toml`` lists only as a test extra. Every
 name in ``fracvar.__all__`` exists, and every name ``__init__.py`` imports is
-listed.
+listed; every name in the ``__all__`` of ``fracops`` and ``grunwald`` exists.
 """
 
 import ast
@@ -232,15 +232,26 @@ def test_traced_function_checker_flags_a_missing_name():
     assert missing_targets(source) == ["fracvar.minimize.no_such_solver is missing"]
 
 
-def export_mismatches(source: str, package) -> list:
-    """One line per ``__all__`` name that ``package`` lacks and per name the
-    source imports at top level that ``__all__`` does not list."""
-    tree = ast.parse(source)
+def _listed(tree: ast.Module) -> list:
     (listed,) = [
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
     ]
+    return listed
+
+
+def missing_exports(source: str, module) -> list:
+    """One line per ``__all__`` name that ``module`` lacks."""
+    listed = _listed(ast.parse(source))
+    return [f"{name} is listed but missing" for name in listed if not hasattr(module, name)]
+
+
+def export_mismatches(source: str, package) -> list:
+    """:func:`missing_exports`, then one line per name the source imports at
+    top level that ``__all__`` does not list."""
+    tree = ast.parse(source)
+    listed = _listed(tree)
     imported = [
         alias.asname or alias.name.split(".")[0]
         for node in tree.body
@@ -248,7 +259,7 @@ def export_mismatches(source: str, package) -> list:
         or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
         for alias in node.names
     ]
-    return [f"{name} is listed but missing" for name in listed if not hasattr(package, name)] + [
+    return missing_exports(source, package) + [
         f"{name} is imported but not listed" for name in imported if name not in listed
     ]
 
@@ -256,6 +267,18 @@ def export_mismatches(source: str, package) -> list:
 def test_package_exports_match_imports():
     init = pathlib.Path(fracvar.__file__).read_text(encoding="utf-8")
     assert export_mismatches(init, fracvar) == []
+
+
+@pytest.mark.parametrize("name", ["fracops", "grunwald"])
+def test_operator_module_exports_exist(name):
+    module = importlib.import_module(f"fracvar.{name}")
+    assert missing_exports(pathlib.Path(module.__file__).read_text(encoding="utf-8"), module) == []
+
+
+def test_missing_export_checker_flags_a_removed_name():
+    source = '__all__ = ["caputo_left", "central_difference_matrix"]\n'
+    module = SimpleNamespace(caputo_left=1)
+    assert missing_exports(source, module) == ["central_difference_matrix is listed but missing"]
 
 
 def test_export_checker_flags_each_pattern():
