@@ -25,7 +25,7 @@ from .errors import NumericsError, ValidationError
 from .fracops import caputo_left
 from .grid import Grid, GridFunction, central_difference
 from .lagrangian import LagrangianSpec
-from .variational import VariationalProblem
+from .variational import VariationalProblem, along
 
 #: dissipation order of the model; the quadratic friction term is built on it
 FRICTION_ORDER = 0.5
@@ -58,12 +58,11 @@ class FrictionProblem:
 
 @dataclass
 class FrictionDiagnostics:
-    """Momenta, Hamiltonian and the dissipation-corrected energy defect."""
+    """Momenta and Hamiltonian along a trajectory on the problem window."""
 
-    momentum: GridFunction  # m qdot
-    half_momentum: GridFunction  # gamma D_C^(1/2) q
+    momentum: GridFunction  # dL/dv = m qdot
+    half_momentum: GridFunction  # dL/dw = gamma D_C^(1/2) q
     hamiltonian: GridFunction
-    noether_defect: GridFunction  # (gamma/2)(D_C^(1/2) q)^2 - H
 
 
 def friction_lagrangian(fp: FrictionProblem) -> LagrangianSpec:
@@ -90,23 +89,18 @@ def friction_variational_problem(fp: FrictionProblem, q_a: float, q_b: float) ->
 
 
 def friction_diagnostics(fp: FrictionProblem, q: GridFunction) -> FrictionDiagnostics:
-    """Momenta, Hamiltonian H = m qdot^2/2 + U + (gamma/2) w^2, and defect."""
+    """Momenta and H = qdot dL/dv + w dL/dw - L (= m qdot^2/2 + U + (gamma/2) w^2),
+    read from :func:`variational.along` at the model's half order."""
     if q.grid != fp.window:
         raise ValidationError("trajectory does not live on the problem window")
     if q.dim != 1:
         raise ValidationError("friction diagnostics expect a scalar trajectory")
-    v = central_difference(q.values, q.grid.h)[:, 0]
-    w = caputo_left(q, FRICTION_ORDER).values[:, 0]
-    u = np.asarray(fp.potential(q.values[:, 0]), dtype=float)
-    ham = 0.5 * fp.mass * v**2 + u + 0.5 * fp.gamma * w**2
-    defect = 0.5 * fp.gamma * w**2 - ham
-    if not np.isfinite(ham).all():
-        raise NumericsError("non-finite Hamiltonian values along the trajectory")
+    f = along(friction_lagrangian(fp), q.grid, FRICTION_ORDER, q.values)
+    ham = (f.v * f.dv + f.w * f.dw)[:, 0] - f.L
     return FrictionDiagnostics(
-        momentum=GridFunction(q.grid, fp.mass * v),
-        half_momentum=GridFunction(q.grid, fp.gamma * w),
+        momentum=GridFunction(q.grid, f.dv),
+        half_momentum=GridFunction(q.grid, f.dw),
         hamiltonian=GridFunction(q.grid, ham),
-        noether_defect=GridFunction(q.grid, defect),
     )
 
 
@@ -175,25 +169,20 @@ def simulate_damped_eom(
         raise ValidationError(f"horizon must be positive, got {horizon}")
     grid = Grid(0.0, float(horizon), int(steps))
     dt = grid.h
-    out = np.empty((steps + 1, 2))
-    out[0] = (q0, v0)
-
     grad, gamma, mass = fp.potential_grad, float(fp.gamma), float(fp.mass)
-
-    def accel(q, v):
-        return (-float(grad(q)) - gamma * v) / mass
 
     # scalar stages, in the operation order of the vector form y + c * k
     q, v = float(q0), float(v0)
+    qs, vs = [q], [v]
     half, sixth = 0.5 * dt, dt / 6.0
     for k in range(steps):
-        a1 = accel(q, v)
+        a1 = (-float(grad(q)) - gamma * v) / mass
         q2, v2 = q + half * v, v + half * a1
-        a2 = accel(q2, v2)
+        a2 = (-float(grad(q2)) - gamma * v2) / mass
         q3, v3 = q + half * v2, v + half * a2
-        a3 = accel(q3, v3)
+        a3 = (-float(grad(q3)) - gamma * v3) / mass
         q4, v4 = q + dt * v3, v + dt * a3
-        a4 = accel(q4, v4)
+        a4 = (-float(grad(q4)) - gamma * v4) / mass
         q += sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
         v += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         if not (math.isfinite(q) and math.isfinite(v)) or abs(q) > 1e12:
@@ -201,5 +190,6 @@ def simulate_damped_eom(
                 f"integration blew up at step {k + 1} (t = {(k + 1) * dt:.6g}); "
                 "reduce the step size"
             )
-        out[k + 1] = (q, v)
-    return GridFunction(grid, out)
+        qs.append(q)
+        vs.append(v)
+    return GridFunction(grid, np.column_stack((qs, vs)))

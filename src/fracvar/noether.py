@@ -94,20 +94,22 @@ def _iterated_derivatives(values: np.ndarray, h: float, upto: int) -> list:
 
 def series_terms(f2: np.ndarray, g: np.ndarray, grid, alpha: float, truncation: int) -> np.ndarray:
     """Node values of each term; f2 plays f and g plays g in the identity.
-    Every term vanishes for f2 = 0, where no integral is evaluated."""
-    if not f2.any():
-        return np.zeros((truncation + 1, grid.n + 1))
+    An integral whose factor is identically zero is not evaluated, so a
+    constant f2 (f2 - f2(a) = 0) skips every left-sided one."""
     h = grid.h
     f2_shift = GridFunction(grid, f2 - f2[0])
+    g_fn = GridFunction(grid, g)
     f2_derivs = _iterated_derivatives(f2, h, truncation)
     g_derivs = _iterated_derivatives(g, h, truncation)
-    terms = np.empty((truncation + 1, grid.n + 1))
+    terms = np.zeros((truncation + 1, grid.n + 1))
     for r in range(truncation + 1):
         order = r + 1.0 - alpha
-        ileft = _fractional_integral(f2_shift, order, left=True)
-        iright = _fractional_integral(GridFunction(grid, g), order, left=False)
-        terms[r] = (-1.0) ** r * np.sum(g_derivs[r] * ileft, axis=1)
-        terms[r] += np.sum(f2_derivs[r] * iright, axis=1)
+        if f2_shift.values.any():
+            ileft = _fractional_integral(f2_shift, order, left=True)
+            terms[r] += (-1.0) ** r * np.sum(g_derivs[r] * ileft, axis=1)
+        if f2_derivs[r].any():
+            iright = _fractional_integral(g_fn, order, left=False)
+            terms[r] += np.sum(f2_derivs[r] * iright, axis=1)
     return terms
 
 

@@ -352,13 +352,12 @@ def _run_friction(params: _Params, out: Path):
     diag = friction_diagnostics(fp, q_window)
     write_csv(
         out / "diagnostics.csv",
-        ["t", "p", "p_half", "hamiltonian", "noether_defect"],
+        ["t", "p", "p_half", "hamiltonian"],
         [
             window.nodes(),
             diag.momentum.values,
             diag.half_momentum.values,
             diag.hamiltonian.values,
-            diag.noether_defect.values,
         ],
     )
 

@@ -18,9 +18,9 @@ node-based central-difference velocity paired with nodal trapezoid weights
 is *not* variationally consistent - with that pairing even the free particle
 has a non-zero discrete gradient at the straight line - while the
 interpolant action is, and is second-order accurate. Every diagnostic here
-and in ``noether``, ``optctrl`` and ``scenarios`` keeps the node-based
-convention by reading one record, :func:`along`: t, q, v, w, and L with its
-partials, checked finite node by node.
+and in ``noether``, ``optctrl``, ``friction`` and ``scenarios`` keeps the
+node-based convention by reading one record, :func:`along`: t, q, v, w, and L
+with its partials, checked finite node by node.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from fracvar.friction import (
 )
 from fracvar.grid import Grid, GridFunction, central_difference
 from fracvar.lagrangian import polynomial_potential
-from fracvar.noether import drift_report
+from fracvar.noether import autonomous_quantity, drift_report
 from fracvar.variational import el_residual, solve_extremal
 
 ZERO_POTENTIAL = (lambda q: np.zeros_like(q), lambda q: np.zeros_like(q))
@@ -101,18 +101,14 @@ class TestFrictionDiagnostics:
         expected = 0.8 * v0 * 2.0 * np.sqrt(t / math.pi)
         npt.assert_allclose(diag.half_momentum.column()[1:], expected[1:], atol=2e-3)
 
-    def test_defect_identity_by_construction(self):
-        u, du = polynomial_potential([0.0, 0.0, 1.0])
-        win = Grid(0.0, 1.0, 64)
-        fp = make_problem(gamma=1.5, potential=(u, du), window=win)
-        q = GridFunction(win, np.sin(win.nodes()))
-        diag = friction_diagnostics(fp, q)
-        from fracvar.fracops import caputo_left
-
-        w = caputo_left(q, FRICTION_ORDER).column()
-        lhs = diag.noether_defect.column()
-        rhs = 0.5 * fp.gamma * w**2 - diag.hamiltonian.column()
-        npt.assert_array_equal(lhs, rhs)
+    def test_potential_grad_that_is_not_the_potential_derivative_is_rejected(self):
+        # the diagnostics build the Lagrangian, whose contract check compares
+        # potential_grad with finite differences of potential
+        u, _ = polynomial_potential([0.0, 0.0, 0.5])
+        fp = make_problem(potential=(u, lambda q: 2.0 * q), window=Grid(0.0, 1.0, 64))
+        q = GridFunction(fp.window, np.sin(fp.window.nodes()))
+        with pytest.raises(ValidationError, match="analytic partial dq"):
+            friction_diagnostics(fp, q)
 
 
 # ------------------------------------------------------------ shrink study
@@ -282,25 +278,23 @@ class TestFrictionInvariants:
             problem = friction_variational_problem(fp, 0.0, 0.2)
             sol = solve_extremal(problem)
             diag = friction_diagnostics(fp, sol.trajectory)
-            drifts.append((drift_report(diag.noether_defect), drift_report(diag.hamiltonian)))
+            defect = autonomous_quantity(problem, sol)
+            drifts.append((drift_report(defect), drift_report(diag.hamiltonian)))
         for defect_drift, ham_drift in drifts:
             assert defect_drift < ham_drift
 
     def test_autonomous_quantity_equals_defect_diagnostic(self):
         # two assembly paths for the same quantity: via the Lagrangian
         # (L - qdot dL/dv - alpha dL/dw w) and via the diagnostics
-        # ((gamma/2) w^2 - H); both reduce to -(m qdot^2/2 + U)
-        from fracvar.noether import autonomous_quantity
-
+        # (p_half^2 / (2 gamma) - H); both reduce to -(m qdot^2/2 + U)
         u, du = polynomial_potential([0.0, 0.0, 0.5])
         fp = make_problem(gamma=0.8, potential=(u, du), window=Grid(0.0, 0.5, 128))
         problem = friction_variational_problem(fp, 0.0, 0.3)
         sol = solve_extremal(problem)
         diag = friction_diagnostics(fp, sol.trajectory)
         quantity = autonomous_quantity(problem, sol)
-        npt.assert_allclose(
-            quantity.values[:, 0], diag.noether_defect.column(), atol=1e-12
-        )
+        defect = diag.half_momentum.column() ** 2 / (2.0 * fp.gamma) - diag.hamiltonian.column()
+        npt.assert_allclose(quantity.values[:, 0], defect, atol=1e-12)
 
     def test_nonconservation_detectable_against_matched_frictionless_run(self):
         u, du = polynomial_potential([0.0, 0.0, 0.5])

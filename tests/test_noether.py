@@ -8,6 +8,7 @@ from fracvar.errors import ValidationError
 from fracvar.fracops import caputo_left, rl_derivative_right, rl_integral_right
 from fracvar.grid import Grid, GridFunction, central_difference
 from fracvar.lagrangian import LagrangianSpec, free_particle, harmonic_oscillator, quadratic_mix
+import fracvar.noether as noether_module
 from fracvar.noether import (
     _transformed_integrand,
     autonomous_quantity,
@@ -15,6 +16,7 @@ from fracvar.noether import (
     invariance_defect,
     invariance_necessary_residual,
     noether_quantity,
+    series_terms,
     transfer_series,
 )
 from fracvar.symmetry import SymmetryGroup, rotation, space_translation, time_translation
@@ -212,6 +214,34 @@ class TestTransferSeries:
         series = transfer_series(zeros, poly, 0.5, 3)
         npt.assert_array_equal(series.terms, 0.0)
         assert series.tail_estimate == 0.0
+
+    def test_constant_rate_evaluates_one_integral(self, monkeypatch):
+        # f2 - f2(a) and every difference of f2 vanish identically (1.5 makes
+        # the one-sided end stencils exact), so only the order-0 right-sided
+        # integral has a non-zero factor
+        calls = []
+
+        def counted(name):
+            op = getattr(noether_module, name)
+
+            def call(f, order):
+                calls.append(name)
+                return op(f, order)
+
+            return call
+
+        for name in ("rl_integral_left", "rl_integral_right"):
+            monkeypatch.setattr(noether_module, name, counted(name))
+        n, alpha = 256, 0.5
+        grid = Grid(0.0, 1.0, n)
+        s = 1.0 - grid.nodes()
+        f2 = np.full((n + 1, 1), 1.5)
+        g = (0.9 * s + 1.1 * s**2)[:, None]
+        terms = series_terms(f2, g, grid, alpha, 6)
+        assert calls == ["rl_integral_right"]
+        expected = 1.5 * rl_integral_right(GridFunction(grid, g), 1.0 - alpha).values[:, 0]
+        npt.assert_array_equal(terms[0], expected)
+        npt.assert_array_equal(terms[1:], 0.0)
 
     def test_tail_estimate_leaves_out_the_end_stencils(self):
         # constant f2 (a space-translation rate): the order-6 term vanishes on
