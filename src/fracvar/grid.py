@@ -127,12 +127,13 @@ def write_csv(path, header, columns) -> None:
 
 
 def central_difference(values: np.ndarray, h: float) -> np.ndarray:
-    """Second-order derivative of nodal samples: central interior, one-sided ends."""
+    """Second-order derivative of nodal samples: central interior, one-sided
+    ends, written in differences from the end node so constants give exactly 0."""
     v = np.asarray(values, dtype=float)
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    out[0] = (4.0 * (v[1] - v[0]) - (v[2] - v[0])) / (2.0 * h)
+    out[-1] = (4.0 * (v[-1] - v[-2]) - (v[-1] - v[-3])) / (2.0 * h)
     return out
 
 

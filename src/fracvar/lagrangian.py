@@ -33,19 +33,23 @@ def fd_partial(evaluate: Callable, args: Sequence, slot: int) -> np.ndarray:
 
     ``args[slot]`` has shape (k, width); the result stacks one derivative per
     column on a new last axis, so a (k,)-valued ``evaluate`` gives (k, width)
-    and a (k, n)-valued one gives the Jacobian (k, n, width).
+    and a (k, n)-valued one gives the Jacobian (k, n, width). ``evaluate`` is
+    called once, on all 2 * width probes stacked along the point axis: array
+    arguments are tiled and scalars pass through, so it must act row by row.
     """
     x = np.asarray(args[slot], dtype=float)
-    columns = []
-    for j in range(x.shape[1]):
-        step = _FD_STEP * (1.0 + np.abs(x[:, j]))
-        hi, lo = list(args), list(args)
-        hi[slot], lo[slot] = x.copy(), x.copy()
-        hi[slot][:, j] += step
-        lo[slot][:, j] -= step
-        diff = np.asarray(evaluate(*hi), dtype=float) - np.asarray(evaluate(*lo), dtype=float)
-        columns.append(diff / (2.0 * step).reshape((-1,) + (1,) * (diff.ndim - 1)))
-    return np.stack(columns, axis=-1)
+    k, width = x.shape
+    step = (_FD_STEP * (1.0 + np.abs(x))).T  # (width, k)
+    stacked = [np.tile(a, (2 * width,) + (1,) * (np.ndim(a) - 1)) if np.ndim(a) else a for a in args]
+    stacked[slot] = np.tile(x, (2 * width, 1))
+    probes = stacked[slot].reshape(2, width, k, width)  # (up or down, column, point, column)
+    columns = np.arange(width)
+    probes[0, columns, :, columns] += step
+    probes[1, columns, :, columns] -= step
+    out = np.asarray(evaluate(*stacked), dtype=float)
+    hi, lo = out.reshape((2, width, k) + out.shape[1:])
+    diff = (hi - lo) / (2.0 * step).reshape((width, k) + (1,) * (out.ndim - 1))
+    return np.stack(list(diff), axis=-1)
 
 
 def check_partial(

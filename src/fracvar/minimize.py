@@ -57,15 +57,19 @@ class PointwiseSum:
 
     def args(self, x: np.ndarray) -> list:
         """Each slot's argument at every point, shape ``(points, |columns|)``."""
-        return [
-            (x[:, cols] if m is None else m @ x[:, cols])[gather]
-            for (cols, m, _), (gather, _) in zip(self.slots, self._rows)
-        ]
+        return [self._arg(s, x) for s in range(len(self.slots))]
+
+    def _arg(self, s: int, x: np.ndarray) -> np.ndarray:
+        (cols, m, _), (gather, _) = self.slots[s], self._rows[s]
+        return (x[:, cols] if m is None else m @ x[:, cols])[gather]
 
     def gradient(self, partials) -> np.ndarray:
-        """dF/dX from each slot's partials of f, shape ``(points, |columns|)``."""
+        """dF/dX from each slot's partials of f, shape ``(points, |columns|)``;
+        a slot whose partials are all zero adds nothing and is skipped."""
         g = np.zeros(self.shape)
         for (cols, m, _), (_, runs), part in zip(self.slots, self._rows, partials):
+            if not part.any():
+                continue
             scattered = np.zeros((self.shape[0], len(cols)))
             for nodes, points in runs:  # np.add.at's additions, in its order
                 scattered[nodes] += part[points]
@@ -74,9 +78,11 @@ class PointwiseSum:
 
     def hvp(self, blocks, x: np.ndarray) -> np.ndarray:
         """``J' B J x`` for node values ``x``, with B the second partials as
-        :meth:`hessian` takes them: the matrix-free ``hessian @ x``."""
-        u = self.args(x)
-        y = [np.zeros_like(a) for a in u]
+        :meth:`hessian` takes them: the matrix-free ``hessian @ x``. All-zero
+        blocks are dropped, and only the slots the others read are evaluated."""
+        blocks = {st: block for st, block in blocks.items() if block.any()}
+        u = {s: self._arg(s, x) for s in {s for st in blocks for s in st}}
+        y = [np.zeros((len(rows), len(cols))) for cols, _, rows in self.slots]
         for (s, t), block in blocks.items():
             b = 0.5 * block if s == t else block
             y[s] += np.einsum("pij,pj->pi", b, u[t])

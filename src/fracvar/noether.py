@@ -15,9 +15,11 @@ derivatives are raw iterated central differences - noisy for large R, which
 is why truncation orders above 6 are rejected outright; their one-sided end
 stencils amplify round-off by about h^-R, so the tail leaves the ends out.
 
-The energy-type :func:`autonomous_quantity` is the time-translation instance
-(tau = 1, f2 = 0) of :func:`noether_quantity`, the one conserved-quantity formula.
-Every quantity here reads its trajectory fields from ``variational.along``.
+:func:`momentum_quantity` is the one conserved-quantity formula, in the
+momenta p, p_alpha: :func:`noether_quantity` passes -dL/dv and -dL/dw, and
+``optctrl`` its solved adjoints. The energy-type :func:`autonomous_quantity`
+is the time-translation instance (tau = 1, f2 = 0). Every quantity here
+reads its trajectory fields from ``variational.along``.
 :func:`invariance_defect` pushes the trajectory through both maps of the group;
 for a state-only group the time map is the identity, so the nodes and the
 Caputo anchor stay where they are.
@@ -94,8 +96,9 @@ def _iterated_derivatives(values: np.ndarray, h: float, upto: int) -> list:
 
 def series_terms(f2: np.ndarray, g: np.ndarray, grid, alpha: float, truncation: int) -> np.ndarray:
     """Node values of each term; f2 plays f and g plays g in the identity.
-    An integral whose factor is identically zero is not evaluated, so a
-    constant f2 (f2 - f2(a) = 0) skips every left-sided one."""
+    An integral whose own or other factor is identically zero is not
+    evaluated: a constant f2 (f2 - f2(a) = 0) skips every left-sided one,
+    and g = 0 skips them all."""
     h = grid.h
     f2_shift = GridFunction(grid, f2 - f2[0])
     g_fn = GridFunction(grid, g)
@@ -104,10 +107,10 @@ def series_terms(f2: np.ndarray, g: np.ndarray, grid, alpha: float, truncation: 
     terms = np.zeros((truncation + 1, grid.n + 1))
     for r in range(truncation + 1):
         order = r + 1.0 - alpha
-        if f2_shift.values.any():
+        if f2_shift.values.any() and g_derivs[r].any():
             ileft = _fractional_integral(f2_shift, order, left=True)
             terms[r] += (-1.0) ** r * np.sum(g_derivs[r] * ileft, axis=1)
-        if f2_derivs[r].any():
+        if f2_derivs[r].any() and g.any():
             iright = _fractional_integral(g_fn, order, left=False)
             terms[r] += np.sum(f2_derivs[r] * iright, axis=1)
     return terms
@@ -237,29 +240,34 @@ def invariance_necessary_residual(
 # ------------------------------------------------------ conserved quantities
 
 
+def momentum_quantity(grid: Grid, alpha, tau, f2, p, p_alpha, energy, truncation) -> GridFunction:
+    """Candidate conserved quantity of a group with rates (tau, f2), from
+    node values of the momenta p, p_alpha and of the energy term.
+
+    C(t) = -f2 . p
+         - sum_{r=0}^{R} [ (-1)^r p_alpha^(r) . I_left^(r+1-alpha)(f2 - f2(a))
+                           + f2^(r) . I_right^(r+1-alpha) p_alpha ]
+         + tau energy
+
+    With tau = 0 this is the no-time-change form; R is the series truncation.
+    """
+    series = series_terms(f2, p_alpha, grid, alpha, check_truncation(truncation)).sum(axis=0)
+    return GridFunction(grid, -np.sum(f2 * p, axis=1) - series + tau * energy)
+
+
 def noether_quantity(
     problem: VariationalProblem,
     sol: ExtremalSolution,
     s: SymmetryGroup,
     truncation: int = 2,
 ) -> GridFunction:
-    """Candidate conserved quantity along an extremal.
-
-    C(t) = f2 . dL/dv
-         + sum_{r=0}^{R} [ (-1)^r (dL/dw)^(r) . I_left^(r+1-alpha)(f2 - f2(a))
-                           + f2^(r) . I_right^(r+1-alpha)(dL/dw) ]
-         + tau (L - qdot . dL/dv - alpha dL/dw . D_C^alpha q)
-
-    With tau = 0 this is the no-time-change form; R is the series truncation.
-    """
-    truncation = check_truncation(truncation)
+    """:func:`momentum_quantity` along an extremal: p = -dL/dv,
+    p_alpha = -dL/dw and energy L - qdot . dL/dv - alpha dL/dw . D_C^alpha q."""
     _check_invariance_inputs(problem, sol.trajectory, s, None)
     f = problem.along(sol.trajectory)
     tau, f2 = s.rates_on(f.t, f.q)
-    series = series_terms(f2, f.dw, problem.grid, problem.alpha, truncation).sum(axis=0)
-    energy_like = f.L - np.sum(f.v * f.dv, axis=1) - problem.alpha * np.sum(f.dw * f.w, axis=1)
-    c = np.sum(f2 * f.dv, axis=1) + series + tau * energy_like
-    return GridFunction(problem.grid, c)
+    energy = f.L - np.sum(f.v * f.dv, axis=1) - problem.alpha * np.sum(f.dw * f.w, axis=1)
+    return momentum_quantity(problem.grid, problem.alpha, tau, f2, -f.dv, -f.dw, energy, truncation)
 
 
 def autonomous_quantity(problem: VariationalProblem, sol: ExtremalSolution) -> GridFunction:

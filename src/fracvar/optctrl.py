@@ -22,7 +22,10 @@ for that.
 Special cases are calls to their general form: the linear-quadratic family
 is the :func:`variational_reduction` (phi = u, rho = mu) of
 ``lagrangian.quadratic_mix``, and :func:`autonomous_control_quantity` is the
-time-translation instance of :func:`control_noether_quantity`.
+time-translation instance of :func:`control_noether_quantity`. Residual (iii)
+and the conserved quantity are ``variational.costate_residual`` and
+``noether.momentum_quantity``, which the variational forms call at the
+momenta p = -dL/dv, p_alpha = -dL/dw.
 """
 
 from __future__ import annotations
@@ -33,13 +36,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .fracops import caputo_left, caputo_left_matrix, derivative_order, rl_derivative_right
+from .fracops import caputo_left, caputo_left_matrix, derivative_order
 from .grid import Grid, GridFunction, central_difference, trapezoid_weights
 from .lagrangian import check_partial, fd_partial, quadratic_mix
 from .minimize import MAX_UNKNOWNS, PointwiseSum, bfgs_minimize, schur_newton
-from .noether import check_truncation, series_terms
+from .noether import momentum_quantity
 from .symmetry import SymmetryGroup, time_translation
-from .variational import along
+from .variational import along, costate_residual
 
 _PROBE_SEED = 9319
 _BASE_WEIGHT = 100.0  # penalty weight of the first round; tenfold per round after
@@ -195,8 +198,7 @@ def pontryagin_residuals(cp: ControlProblem, state: PontryaginState):
         + np.einsum("kij,ki->kj", np.asarray(cp.velocity_dq(t, q, u), float), p)
         + np.einsum("kij,ki->kj", np.asarray(cp.frac_velocity_dq(t, q, mu), float), pa)
     )
-    rl_pa = rl_derivative_right(GridFunction(cp.grid, pa), cp.alpha).values
-    res3 = dhdq + central_difference(p, h) - rl_pa
+    res3 = costate_residual(cp.grid, cp.alpha, dhdq, p, pa).values
     res4 = np.asarray(cp.cost_du(t, q, u, mu), dtype=float) + np.einsum(
         "kij,ki->kj", np.asarray(cp.velocity_du(t, q, u), float), p
     )
@@ -296,9 +298,10 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
             value += 0.5 * weight * float(np.sum((q[-1] - q_goal) ** 2))
         return value
 
-    def node_gradient(y, a, c, weight):
+    def node_gradient(t, wt, y, a, c, weight):
         """Gradient of each node's term of the objective in its own y,
-        followed by the term's gradient in its row of ``a`` and of ``c``."""
+        followed by the term's gradient in its row of ``a`` and of ``c``,
+        at node times ``t`` with trapezoid weights ``wt``."""
         q, u, mu = np.hsplit(y, (sd, sd + md))
         r1 = weight * wt[:, None] * (a - np.asarray(cp.velocity(t, q, u), dtype=float))
         r2 = weight * wt[:, None] * (c - np.asarray(cp.frac_velocity(t, q, mu), dtype=float))
@@ -307,7 +310,7 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
         gq -= np.einsum("kij,ki->kj", np.asarray(cp.frac_velocity_dq(t, q, mu), float), r2)
         gu = wt[:, None] * np.asarray(cp.cost_du(t, q, u, mu), dtype=float)
         gu -= np.einsum("kij,ki->kj", np.asarray(cp.velocity_du(t, q, u), float), r1)
-        gmu = np.zeros((n + 1, 0))
+        gmu = np.zeros((len(t), 0))
         if dd:
             gmu = wt[:, None] * np.asarray(cp.cost_dmu(t, q, u, mu), dtype=float)
             gmu -= np.einsum("kij,ki->kj", np.asarray(cp.frac_velocity_dmu(t, q, mu), float), r2)
@@ -315,7 +318,7 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
 
     def gradient(z, weight):
         y, a, c = args(z)
-        gy, ga, gc = np.hsplit(node_gradient(y, a, c, weight), (s, s + sd))
+        gy, ga, gc = np.hsplit(node_gradient(t, wt, y, a, c, weight), (s, s + sd))
         g = np.hstack((penalty.gradient([gy[:, :sd], ga, gc]), gy[:, sd:]))
         if q_goal is not None:
             g[-1, :sd] += weight * (y[-1, :sd] - q_goal)
@@ -325,7 +328,7 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
         # each node's (y, y) block is a central difference of node_gradient
         # in y, whose r1 and r2 rows give the (a|c, y) blocks; the (a, a) and
         # (c, c) blocks are exactly weight * wt * I
-        jac = fd_partial(node_gradient, (*args(z), weight), 0)
+        jac = fd_partial(node_gradient, (t, wt, *args(z), weight), 2)
         point = np.zeros((n + 1, s + 2 * sd, s + 2 * sd))
         point[:, :s, :s] = 0.5 * (jac[:, :s] + jac[:, :s].transpose(0, 2, 1))
         point[:, s:, :s] = jac[:, s:]
@@ -385,25 +388,16 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
 def control_noether_quantity(
     cp: ControlProblem, state: PontryaginState, s: SymmetryGroup, truncation: int = 2
 ) -> GridFunction:
-    """Hamiltonian-form candidate conserved quantity along a solved state.
-
-    C(t) = -f2 . p
-         - sum_{r=0}^{R} [ (-1)^r p_alpha^(r) . I_left^(r+1-alpha)(f2 - f2(a))
-                           + f2^(r) . I_right^(r+1-alpha) p_alpha ]
-         + tau (H - (1 - alpha) p_alpha . D_C^alpha q)
-    """
-    truncation = check_truncation(truncation)
+    """``noether.momentum_quantity`` along a solved state: its p and p_alpha,
+    and energy H - (1 - alpha) p_alpha . D_C^alpha q."""
     if s.dim != cp.state_dim:
         raise ValidationError(f"symmetry dimension {s.dim} != state dimension {cp.state_dim}")
     q, u, mu, p, pa = _state_arrays(cp, state)
-    t = cp.grid.nodes()
-    tau, f2 = s.rates_on(t, q)
-    series = series_terms(f2, pa, cp.grid, cp.alpha, truncation).sum(axis=0)
+    tau, f2 = s.rates_on(cp.grid.nodes(), q)
     cap_q = caputo_left(GridFunction(cp.grid, q), cp.alpha).values
     ham = _hamiltonian_values(cp, q, u, mu, p, pa)
-    corrected = ham - (1.0 - cp.alpha) * np.sum(pa * cap_q, axis=1)
-    c = -np.sum(f2 * p, axis=1) - series + tau * corrected
-    return GridFunction(cp.grid, c)
+    energy = ham - (1.0 - cp.alpha) * np.sum(pa * cap_q, axis=1)
+    return momentum_quantity(cp.grid, cp.alpha, tau, f2, p, pa, energy, truncation)
 
 
 def autonomous_control_quantity(cp: ControlProblem, state: PontryaginState) -> GridFunction:

@@ -2,10 +2,8 @@
 
 A problem is the functional ``I[q] = int_a^b L(t, q, dq/dt, D^alpha q) dt``
 with both endpoint values of q prescribed. This module evaluates the action,
-its directional (Frechet) differential, the Euler-Lagrange residual
-
-    dL/dq - d/dt dL/dv + D_right^alpha dL/dw ,
-
+its directional (Frechet) differential, the Euler-Lagrange residual (the
+costate residual that ``optctrl`` shares, at p = -dL/dv, p_alpha = -dL/dw),
 and solves for extremals by direct transcription: the trajectory nodes are
 the decision variables and the discretized action is minimized by Newton's
 method, each step solved by preconditioned conjugate gradients on
@@ -171,15 +169,19 @@ def frechet_differential(
     return trapezoid(integrand, problem.grid.h)
 
 
-def el_residual(problem: VariationalProblem, q: GridFunction) -> GridFunction:
-    """Node-wise Euler-Lagrange residual; endpoint nodes are zero by convention."""
-    f = problem.along(q)
-    ddt_dv = central_difference(f.dv, problem.grid.h)
-    rl_term = rl_derivative_right(GridFunction(problem.grid, f.dw), problem.alpha).values
-    residual = f.dq - ddt_dv + rl_term
+def costate_residual(grid: Grid, alpha, dh_dq, p, p_alpha) -> GridFunction:
+    """dH/dq + dp/dt - D_right^alpha p_alpha; endpoint nodes are zero by convention."""
+    rl_term = rl_derivative_right(GridFunction(grid, p_alpha), alpha).values
+    residual = dh_dq + central_difference(p, grid.h) - rl_term
     residual[0] = 0.0
     residual[-1] = 0.0
-    return GridFunction(problem.grid, residual)
+    return GridFunction(grid, residual)
+
+
+def el_residual(problem: VariationalProblem, q: GridFunction) -> GridFunction:
+    """Node-wise Euler-Lagrange residual dL/dq - d/dt dL/dv + D_right^alpha dL/dw."""
+    f = problem.along(q)
+    return costate_residual(problem.grid, problem.alpha, f.dq, -f.dv, -f.dw)
 
 
 def el_residual_norm(problem: VariationalProblem, q: GridFunction) -> float:
@@ -259,7 +261,7 @@ def solve_extremal(
     result = bfgs_minimize(fun, grad, straight[1:-1].ravel(), direction, tol=tol, max_iter=max_iter)
     q = GridFunction(grid, assemble(result.x))
     f = problem.along(q)
-    residual = el_residual(problem, q)
+    residual = costate_residual(grid, problem.alpha, f.dq, -f.dv, -f.dw)
     return ExtremalSolution(
         trajectory=q,
         velocity=GridFunction(grid, f.v),

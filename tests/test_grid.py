@@ -111,6 +111,14 @@ def test_central_difference_exact_for_quadratics():
     npt.assert_allclose(d, 6.0 * t - 1.0, atol=1e-12)
 
 
+def test_central_difference_of_a_constant_is_exactly_zero():
+    # the one-sided ends are differences from the end node, so no round-off
+    # is left for iterated differences to amplify
+    g = Grid(0.0, 1.0, 8)
+    for c in np.random.default_rng(12).uniform(0.5, 1.5, size=1000):
+        npt.assert_array_equal(central_difference(np.full((9, 1), c), g.h), 0.0)
+
+
 def test_trapezoid_basics():
     g = Grid(0.0, 1.0, 100)
     t = g.nodes()

@@ -2,7 +2,8 @@
 
 The free particle and the harmonic oscillator are built through the
 quadratic family; their callables must still equal the textbook formulas
-exactly. ``polynomial_potential`` must equal ``np.polyval`` bit for bit.
+exactly. ``polynomial_potential`` must equal ``np.polyval`` bit for bit, and
+``fd_partial``'s one batched call must equal one call pair per column.
 """
 
 import numpy as np
@@ -10,6 +11,8 @@ import numpy.testing as npt
 import pytest
 
 from fracvar.lagrangian import (
+    _FD_STEP,
+    fd_partial,
     free_particle,
     harmonic_oscillator,
     polynomial_potential,
@@ -118,3 +121,46 @@ def test_potential_polynomial_uses_the_shared_potential():
     t, q, v, w = probes(1)
     npt.assert_array_equal(spec.evaluate(t, q, v, w), 0.75 * v[:, 0] ** 2 - u(q[:, 0]))
     npt.assert_array_equal(spec.dq(t, q, v, w), -du(q))
+
+
+def loop_fd_partial(evaluate, args, slot):
+    """One pair of ``evaluate`` calls per column of ``args[slot]``."""
+    x = np.asarray(args[slot], dtype=float)
+    columns = []
+    for j in range(x.shape[1]):
+        step = _FD_STEP * (1.0 + np.abs(x[:, j]))
+        hi, lo = list(args), list(args)
+        hi[slot], lo[slot] = x.copy(), x.copy()
+        hi[slot][:, j] += step
+        lo[slot][:, j] -= step
+        diff = np.asarray(evaluate(*hi), dtype=float) - np.asarray(evaluate(*lo), dtype=float)
+        columns.append(diff / (2.0 * step).reshape((-1,) + (1,) * (diff.ndim - 1)))
+    return np.stack(columns, axis=-1)
+
+
+def _jacobian(t, q, u, scale):
+    """A (k, 3, 2)-valued row-wise map with a scalar argument passed through."""
+    return scale * np.sin(q[:, :, None] * u[:, None, :]) + t[:, None, None] * u[:, None, :] ** 2
+
+
+@pytest.mark.parametrize(
+    "evaluate, slot",
+    [
+        (quadratic_mix(1.3, 0.7, 0.4, 0.2, dim=3).evaluate, 2),  # (k,)-valued
+        (harmonic_oscillator(dim=3, mass=1.7).dq, 1),  # (k, n)-valued
+        (_jacobian, 2),  # Jacobian-valued, scalar argument last
+    ],
+    ids=["scalar", "vector", "jacobian"],
+)
+def test_batched_fd_partial_equals_the_per_column_loop(evaluate, slot):
+    t, q, v, w = probes(3)
+    args = (t, q, v[:, :2], 0.8) if evaluate is _jacobian else (t, q, v, w)
+    calls = []
+
+    def counted(*a):
+        calls.append(1)
+        return evaluate(*a)
+
+    got = fd_partial(counted, args, slot)
+    assert len(calls) == 1
+    npt.assert_array_equal(got, loop_fd_partial(evaluate, args, slot))

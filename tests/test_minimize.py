@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from fracvar.errors import NumericsError
+from fracvar.fracops import ToeplitzScheme, caputo_left_matrix, caputo_left_operator
 from fracvar.minimize import PointwiseSum, bfgs_minimize, pcg_direction, schur_newton
 
 
@@ -124,3 +125,36 @@ def test_slice_scatter_matches_np_add_at_bit_for_bit():
     expected = np.zeros((7, 1))
     np.add.at(expected, rows, part)
     npt.assert_array_equal(got, expected)
+
+
+def test_hvp_skips_zero_blocks_and_the_slots_only_they_read(monkeypatch):
+    # a w-free Lagrangian's Caputo blocks are all zero: no FFT apply is made,
+    # and the product is still the assembled Hessian's
+    calls = []
+    for name in ("apply", "apply_T"):
+        op = getattr(ToeplitzScheme, name)
+        monkeypatch.setattr(
+            ToeplitzScheme, name, lambda self, v, op=op, name=name: calls.append(name) or op(self, v)
+        )
+    n, h, alpha = 16, 1.0 / 16, 0.4
+    rng = np.random.default_rng(11)
+    rows, cols = np.arange(n + 1), np.arange(2)
+    difference = rng.standard_normal((n + 1, n + 1))
+    slots = [(cols, None, rows), (cols, difference, rows)]
+    fft = PointwiseSum((n + 1, 2), slots + [(cols, caputo_left_operator(n, h, alpha), rows)])
+    dense = PointwiseSum((n + 1, 2), slots + [(cols, caputo_left_matrix(n, h, alpha), rows)])
+    blocks = {(s, t): rng.standard_normal((n + 1, 2, 2)) for s in range(3) for t in range(s, 3)}
+    for key in ((0, 2), (1, 2), (2, 2)):
+        blocks[key] = np.zeros((n + 1, 2, 2))
+    x = rng.standard_normal((n + 1, 2))
+    got = fft.hvp(blocks, x)
+    assert calls == []
+    npt.assert_allclose(got.ravel(), dense.hessian(blocks) @ x.ravel(), rtol=1e-13, atol=1e-13)
+    # every block over every slot's argument, zero ones included: bit for bit
+    u = fft.args(x)
+    y = [np.zeros_like(a) for a in u]
+    for (s, t), block in blocks.items():
+        b = 0.5 * block if s == t else block
+        y[s] += np.einsum("pij,pj->pi", b, u[t])
+        y[t] += np.einsum("pij,pi->pj", b, u[s])
+    npt.assert_array_equal(got, fft.gradient(y))

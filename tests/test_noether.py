@@ -206,6 +206,18 @@ class TestNecessaryResidual:
 # ----------------------------------------------------------- transfer series
 
 
+@pytest.fixture
+def integral_calls(monkeypatch):
+    """The names of the RL integrals that noether evaluates, in call order."""
+    calls = []
+    for name in ("rl_integral_left", "rl_integral_right"):
+        op = getattr(noether_module, name)
+        monkeypatch.setattr(
+            noether_module, name, lambda f, order, op=op, name=name: calls.append(name) or op(f, order)
+        )
+    return calls
+
+
 class TestTransferSeries:
     def test_zero_f2_gives_zero_terms(self):
         g = Grid(0.0, 1.0, 64)
@@ -215,45 +227,40 @@ class TestTransferSeries:
         npt.assert_array_equal(series.terms, 0.0)
         assert series.tail_estimate == 0.0
 
-    def test_constant_rate_evaluates_one_integral(self, monkeypatch):
-        # f2 - f2(a) and every difference of f2 vanish identically (1.5 makes
-        # the one-sided end stencils exact), so only the order-0 right-sided
-        # integral has a non-zero factor
-        calls = []
-
-        def counted(name):
-            op = getattr(noether_module, name)
-
-            def call(f, order):
-                calls.append(name)
-                return op(f, order)
-
-            return call
-
-        for name in ("rl_integral_left", "rl_integral_right"):
-            monkeypatch.setattr(noether_module, name, counted(name))
+    def test_constant_rate_evaluates_one_integral(self, integral_calls):
+        # f2 - f2(a) and every difference of f2 vanish identically, so only
+        # the order-0 right-sided integral has a non-zero factor
         n, alpha = 256, 0.5
         grid = Grid(0.0, 1.0, n)
         s = 1.0 - grid.nodes()
         f2 = np.full((n + 1, 1), 1.5)
         g = (0.9 * s + 1.1 * s**2)[:, None]
         terms = series_terms(f2, g, grid, alpha, 6)
-        assert calls == ["rl_integral_right"]
+        assert integral_calls == ["rl_integral_right"]
         expected = 1.5 * rl_integral_right(GridFunction(grid, g), 1.0 - alpha).values[:, 0]
         npt.assert_array_equal(terms[0], expected)
         npt.assert_array_equal(terms[1:], 0.0)
 
+    def test_zero_g_evaluates_no_integral(self, integral_calls):
+        # g = 0 is the other factor of every integral, whatever f2 is
+        n = 64
+        grid = Grid(0.0, 1.0, n)
+        t = grid.nodes()
+        terms = series_terms((t**2 - t)[:, None], np.zeros((n + 1, 1)), grid, 0.5, 6)
+        assert integral_calls == []
+        npt.assert_array_equal(terms, 0.0)
+
     def test_tail_estimate_leaves_out_the_end_stencils(self):
-        # constant f2 (a space-translation rate): the order-6 term vanishes on
-        # the interior panel; the one-sided end differences there are h^-6
-        # amplified round-off and must not be reported as the tail
+        # constant f2 (a space-translation rate): every difference of f2 is
+        # exactly 0, the one-sided end stencils included, so the order-6 term
+        # vanishes at every node and not only on the panel the tail reads
         n = 16384
         grid = Grid(0.0, 1.0, n)
         s = 1.0 - grid.nodes()
         f2 = GridFunction(grid, np.full(n + 1, 1.2))
         g = GridFunction(grid, 0.9 * s + 1.1 * s**2 + 0.8 * s**3)
         series = transfer_series(f2, g, 0.5, 6)
-        assert np.max(np.abs(series.terms[-1])) > 1.0
+        npt.assert_array_equal(series.terms[-1], 0.0)
         assert series.tail_estimate == 0.0
 
     def test_identity_against_direct_operators(self):

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,7 @@ from fracvar.fracops import caputo_left
 from fracvar.grid import Grid, GridFunction, central_difference, trapezoid, trapezoid_weights
 from fracvar.lagrangian import quadratic_mix
 from fracvar.minimize import PointwiseSum
-from fracvar.noether import drift_report
+from fracvar.noether import drift_report, noether_quantity
 from fracvar.optctrl import (
     ControlProblem,
     PontryaginState,
@@ -24,7 +25,7 @@ from fracvar.optctrl import (
     variational_reduction,
     _hamiltonian_values,
 )
-from fracvar.symmetry import time_translation
+from fracvar.symmetry import space_translation, time_translation
 from fracvar.variational import VariationalProblem, el_residual, solve_extremal
 
 
@@ -270,6 +271,34 @@ class TestPontryaginResiduals:
             assert np.max(np.abs(res[2].values - el)) <= 1e-10 * scale
             for k in (0, 1, 3, 4):
                 npt.assert_array_equal(res[k].values, 0.0)
+
+    def test_variational_forms_are_the_control_forms_at_the_reduction_momenta(self):
+        # acceptance criterion 9's five reductions: el_residual is residual
+        # (iii) and noether_quantity is control_noether_quantity, both at
+        # p = -dL/dv and p_alpha = -dL/dw; only the two energy terms are
+        # assembled differently
+        rng = np.random.default_rng(77)
+        for trial in range(5):
+            cv, cw = rng.uniform(0.5, 2.0, size=2)
+            cq, slope = rng.uniform(-0.5, 0.5, size=2)
+            lag = quadratic_mix(cv, cw, cq, slope)
+            grid = Grid(0.0, 1.0, 64)
+            alpha = rng.uniform(0.3, 0.9)
+            cp = variational_reduction(lag, grid, alpha, [0.0])
+            t = grid.nodes()
+            q = GridFunction(grid, t + 0.3 * np.sin((trial + 1) * np.pi * t))
+            state = reduction_state(cp, q, lag)
+            vp = VariationalProblem(lag, grid, alpha, ([0.0], [float(q.values[-1, 0])]))
+            npt.assert_array_equal(el_residual(vp, q).values, pontryagin_residuals(cp, state)[2].values)
+            sol = SimpleNamespace(trajectory=q)  # noether_quantity reads only the trajectory
+            space, time = space_translation([1.0]), time_translation()
+            npt.assert_array_equal(
+                noether_quantity(vp, sol, space, 3).values,
+                control_noether_quantity(cp, state, space, 3).values,
+            )
+            got = noether_quantity(vp, sol, time, 3).values
+            expected = control_noether_quantity(cp, state, time, 3).values
+            assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     def test_dimension_validation(self):
         cp = scalar_tracking_problem(Grid(0.0, 1.0, 16), 0.5, 1.0)

@@ -14,6 +14,9 @@ imports ``savetxt``: ``grid.write_csv`` is the one CSV writer. No module
 imports scipy, which ``pyproject.toml`` lists only as a test extra. Every
 name in ``fracvar.__all__`` exists, and every name ``__init__.py`` imports is
 listed; every name in the ``__all__`` of ``fracops`` and ``grunwald`` exists.
+``optctrl`` imports the costate residual and the conserved-quantity formula
+that the variational forms use, and calls none of their building blocks, so
+neither formula is written twice.
 """
 
 import ast
@@ -292,4 +295,59 @@ def test_export_checker_flags_each_pattern():
     assert export_mismatches(source, package) == [
         "Removed is listed but missing",
         "GridFunction is imported but not listed",
+    ]
+
+
+#: the formula each form shares, by the module that writes it
+SHARED_FORMULAS = {"costate_residual": "variational", "momentum_quantity": "noether"}
+#: what only those formulas call
+FORMULA_PARTS = ("series_terms", "rl_derivative_right")
+
+
+def formula_copies(source: str, module: str) -> list:
+    """One line per shared formula the module does not import from its
+    module, then one per call of a formula part, in line order."""
+    tree = ast.parse(source)
+    imported = {
+        (alias.name, (node.module or "").split(".")[-1])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    found = [
+        f"{module} does not import {name} from {home}"
+        for name, home in SHARED_FORMULAS.items()
+        if (name, home) not in imported
+    ]
+    calls = sorted(
+        (node.lineno, _callee(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) in FORMULA_PARTS
+    )
+    return found + [f"{module}:{line} calls {name}" for line, name in calls]
+
+
+def _callee(call: ast.Call) -> str:
+    """The called name: ``f`` of ``f(...)`` and of ``m.f(...)``."""
+    return getattr(call.func, "id", getattr(call.func, "attr", ""))
+
+
+def test_control_forms_call_the_shared_formulas():
+    path = next(p for p in MODULES if p.name == "optctrl.py")
+    assert formula_copies(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_formula_copy_checker_flags_each_pattern():
+    source = (
+        "from .noether import momentum_quantity as quantity, series_terms\n"
+        "from .grid import costate_residual\n"
+        "from . import fracops\n"
+        "def f(g, p):\n"
+        "    terms = series_terms(g, p)\n"
+        "    return fracops.rl_derivative_right(p, 0.5), quantity(terms), g[0](p)\n"
+    )
+    assert formula_copies(source, "m.py") == [
+        "m.py does not import costate_residual from variational",
+        "m.py:5 calls series_terms",
+        "m.py:6 calls rl_derivative_right",
     ]

@@ -386,6 +386,17 @@ class TestSolveExtremal:
         assert sol.iterations == 1
         assert len(calls) <= most
 
+    def test_solve_reads_the_trajectory_record_once(self, monkeypatch):
+        # the post-solve velocity, Caputo velocity, action and residual all
+        # come from one along record
+        p = line_problem(n=64, alpha=0.5, lagrangian=quadratic_mix(1.0, 1.0))
+        calls = []
+        record = variational.along
+        monkeypatch.setattr(variational, "along", lambda *a: calls.append(1) or record(*a))
+        sol = solve_extremal(p)
+        assert len(calls) == 1
+        npt.assert_array_equal(sol.residual.values, el_residual(p, sol.trajectory).values)
+
     def test_solve_holds_no_dense_matrix(self):
         # one dense 2047 x 2047 Hessian alone is 32 MiB; the solve peaks near 1 MiB
         p = line_problem(n=2048, alpha=0.5, lagrangian=quadratic_mix(1.0, 1.0))
