@@ -22,8 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .fracops import caputo_left
-from .grid import Grid, GridFunction, central_difference
+from .grid import Grid, GridFunction
 from .lagrangian import LagrangianSpec
 from .variational import VariationalProblem, along
 
@@ -111,10 +110,11 @@ def window_shrink_study(
 
     For each window: Delta t, (gamma/2)(D_C^(1/2) q)^2 at the midpoint, the
     first-order approximation (2/pi) gamma qdot^2 Delta t, their ratio, and
-    the half-momentum at the midpoint. The ratio column is reported, not
-    asserted: evaluating the half-derivative mid-window gives half the
-    first-order constant obtained at the window end, so the constant depends
-    on the evaluation point. Windows must shrink around a common midpoint.
+    the half-momentum at the midpoint, all read from :func:`variational.along`.
+    The ratio column is reported, not asserted: evaluating the half-derivative
+    mid-window gives half the first-order constant obtained at the window
+    end, so the constant depends on the evaluation point. Windows must shrink
+    around a common midpoint.
     """
     if len(windows) < 2:
         raise ValidationError("shrink study needs at least two windows")
@@ -128,16 +128,16 @@ def window_shrink_study(
     energy = np.empty(len(windows))
     first_order = np.empty(len(windows))
     half_momentum = np.empty(len(windows))
+    lagrangian = friction_lagrangian(fp)
     for k, win in enumerate(windows):
         if win.n % 2 != 0:
             raise ValidationError("window grids need an even interval count (midpoint node)")
         q = GridFunction.from_callable(win, q_global)
+        f = along(lagrangian, win, FRICTION_ORDER, q.values)
         mid = win.n // 2
-        w_mid = caputo_left(q, FRICTION_ORDER).values[mid, 0]
-        v_mid = central_difference(q.values, win.h)[mid, 0]
-        energy[k] = 0.5 * fp.gamma * w_mid**2
-        first_order[k] = (2.0 / np.pi) * fp.gamma * v_mid**2 * delta_t[k]
-        half_momentum[k] = fp.gamma * w_mid
+        energy[k] = 0.5 * fp.gamma * f.w[mid, 0] ** 2
+        first_order[k] = (2.0 / np.pi) * fp.gamma * f.v[mid, 0] ** 2 * delta_t[k]
+        half_momentum[k] = f.dw[mid, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(first_order != 0.0, energy / first_order, np.nan)
     return {

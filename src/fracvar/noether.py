@@ -35,7 +35,6 @@ from .errors import ValidationError
 from .fracops import (
     caputo_left,
     derivative_order,
-    rl_derivative_right,
     rl_integral_left,
     rl_integral_right,
 )
@@ -48,7 +47,9 @@ from .grid import (
     trapezoid,
 )
 from .symmetry import SymmetryGroup, time_translation
-from .variational import ExtremalSolution, VariationalProblem, along, el_residual_norm
+from .variational import (
+    ExtremalSolution, VariationalProblem, along, costate_residual, el_residual_norm
+)
 
 _MAX_TRUNCATION = 6
 _DEFAULT_EPS = 1e-4
@@ -217,20 +218,18 @@ def invariance_necessary_residual(
     f2 . (d/dt dL/dv) + dL/dv . (d/dt f2) + dL/dw . D_C^alpha f2
        - f2 . D_right^alpha dL/dw ;
     small along extremals of an invariant functional. Endpoint nodes zero.
+    The first and last terms are -f2 . ``variational.costate_residual`` with
+    dH/dq = 0 at the momenta p = -dL/dv, p_alpha = -dL/dw.
     """
     _check_invariance_inputs(problem, q, s, el_tol)
     grid = problem.grid
     f = problem.along(q)
     _, f2 = s.rates_on(f.t, f.q)
-    ddt_dv = central_difference(f.dv, grid.h)
-    ddt_f2 = central_difference(f2, grid.h)
-    cap_f2 = caputo_left(GridFunction(grid, f2), problem.alpha).values
-    rl_dw = rl_derivative_right(GridFunction(grid, f.dw), problem.alpha).values
+    el = costate_residual(grid, problem.alpha, 0.0, -f.dv, -f.dw).values
     residual = (
-        np.sum(f2 * ddt_dv, axis=1)
-        + np.sum(f.dv * ddt_f2, axis=1)
-        + np.sum(f.dw * cap_f2, axis=1)
-        - np.sum(f2 * rl_dw, axis=1)
+        np.sum(f.dv * central_difference(f2, grid.h), axis=1)
+        + np.sum(f.dw * caputo_left(GridFunction(grid, f2), problem.alpha).values, axis=1)
+        - np.sum(f2 * el, axis=1)
     )
     residual[0] = 0.0
     residual[-1] = 0.0

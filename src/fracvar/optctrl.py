@@ -17,7 +17,9 @@ steps that eliminate every node's controls first, so that only the states'
 Schur complement is assembled and factored, and the adjoints are recovered
 from the converged penalty multipliers (p = -weight * defect). Adjoint
 recovery is first-order in the final weight - tolerances downstream account
-for that.
+for that. Each node's penalty gradient is the trapezoid-weighted gradient of
+H at those multiplier estimates, so the partials of H are written once, for
+the solver and for the stationarity residuals.
 
 Special cases are calls to their general form: the linear-quadratic family
 is the :func:`variational_reduction` (phi = u, rho = mu) of
@@ -175,6 +177,22 @@ def _hamiltonian_values(cp, q, u, mu, p, pa) -> np.ndarray:
     return lvals + np.sum(p * phi, axis=1) + np.sum(pa * rho, axis=1)
 
 
+def _hamiltonian_partials(cp, t, q, u, mu, p, pa):
+    """dH/dq, dH/du and dH/dmu row by row; dH/dmu has no columns when frac_dim = 0."""
+
+    def plus(gradient, jacobian, covector):  # gradient + covector . jacobian at each node
+        jacobian = np.asarray(jacobian, dtype=float)
+        return np.asarray(gradient, dtype=float) + np.einsum("kij,ki->kj", jacobian, covector)
+
+    dhdq = plus(cp.cost_dq(t, q, u, mu), cp.velocity_dq(t, q, u), p)
+    dhdq = plus(dhdq, cp.frac_velocity_dq(t, q, mu), pa)
+    dhdu = plus(cp.cost_du(t, q, u, mu), cp.velocity_du(t, q, u), p)
+    dhdmu = np.zeros((len(t), 0))
+    if cp.frac_dim:
+        dhdmu = plus(cp.cost_dmu(t, q, u, mu), cp.frac_velocity_dmu(t, q, mu), pa)
+    return dhdq, dhdu, dhdmu
+
+
 def pontryagin_residuals(cp: ControlProblem, state: PontryaginState):
     """Five node-wise residual functions of the stationarity structure.
 
@@ -188,26 +206,13 @@ def pontryagin_residuals(cp: ControlProblem, state: PontryaginState):
     """
     q, u, mu, p, pa = _state_arrays(cp, state)
     t = cp.grid.nodes()
-    h = cp.grid.h
     phi = np.asarray(cp.velocity(t, q, u), dtype=float)
     rho = np.asarray(cp.frac_velocity(t, q, mu), dtype=float)
-    res1 = phi - central_difference(q, h)
+    res1 = phi - central_difference(q, cp.grid.h)
     res2 = rho - caputo_left(GridFunction(cp.grid, q), cp.alpha).values
-    dhdq = (
-        np.asarray(cp.cost_dq(t, q, u, mu), dtype=float)
-        + np.einsum("kij,ki->kj", np.asarray(cp.velocity_dq(t, q, u), float), p)
-        + np.einsum("kij,ki->kj", np.asarray(cp.frac_velocity_dq(t, q, mu), float), pa)
-    )
+    dhdq, res4, dhdmu = _hamiltonian_partials(cp, t, q, u, mu, p, pa)
     res3 = costate_residual(cp.grid, cp.alpha, dhdq, p, pa).values
-    res4 = np.asarray(cp.cost_du(t, q, u, mu), dtype=float) + np.einsum(
-        "kij,ki->kj", np.asarray(cp.velocity_du(t, q, u), float), p
-    )
-    if cp.frac_dim:
-        res5 = np.asarray(cp.cost_dmu(t, q, u, mu), dtype=float) + np.einsum(
-            "kij,ki->kj", np.asarray(cp.frac_velocity_dmu(t, q, mu), float), pa
-        )
-    else:
-        res5 = np.zeros((cp.grid.n + 1, 1))
+    res5 = dhdmu if cp.frac_dim else np.zeros((cp.grid.n + 1, 1))
     out = []
     for res in (res1, res2, res3, res4, res5):
         res[0] = 0.0
@@ -281,16 +286,15 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
         _, a, c = penalty.args(y[:, :sd])
         return y, a, c
 
-    def split(z):
-        """q, u, mu and the two dynamics defects."""
-        y, a, c = args(z)
+    def defects(t, y, a, c):
+        """q, u and mu of the node values y, and the two dynamics defects."""
         q, u, mu = np.hsplit(y, (sd, sd + md))
         e1 = a - np.asarray(cp.velocity(t, q, u), dtype=float)
         e2 = c - np.asarray(cp.frac_velocity(t, q, mu), dtype=float)
         return q, u, mu, e1, e2
 
     def objective(z, weight):
-        q, u, mu, e1, e2 = split(z)
+        q, u, mu, e1, e2 = defects(t, *args(z))
         lvals = np.asarray(cp.cost(t, q, u, mu), dtype=float)
         value = float(wt @ lvals)
         value += 0.5 * weight * float(wt @ np.sum(e1 * e1 + e2 * e2, axis=1))
@@ -299,22 +303,14 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
         return value
 
     def node_gradient(t, wt, y, a, c, weight):
-        """Gradient of each node's term of the objective in its own y,
-        followed by the term's gradient in its row of ``a`` and of ``c``,
-        at node times ``t`` with trapezoid weights ``wt``."""
-        q, u, mu = np.hsplit(y, (sd, sd + md))
-        r1 = weight * wt[:, None] * (a - np.asarray(cp.velocity(t, q, u), dtype=float))
-        r2 = weight * wt[:, None] * (c - np.asarray(cp.frac_velocity(t, q, mu), dtype=float))
-        gq = wt[:, None] * np.asarray(cp.cost_dq(t, q, u, mu), dtype=float)
-        gq -= np.einsum("kij,ki->kj", np.asarray(cp.velocity_dq(t, q, u), float), r1)
-        gq -= np.einsum("kij,ki->kj", np.asarray(cp.frac_velocity_dq(t, q, mu), float), r2)
-        gu = wt[:, None] * np.asarray(cp.cost_du(t, q, u, mu), dtype=float)
-        gu -= np.einsum("kij,ki->kj", np.asarray(cp.velocity_du(t, q, u), float), r1)
-        gmu = np.zeros((len(t), 0))
-        if dd:
-            gmu = wt[:, None] * np.asarray(cp.cost_dmu(t, q, u, mu), dtype=float)
-            gmu -= np.einsum("kij,ki->kj", np.asarray(cp.frac_velocity_dmu(t, q, mu), float), r2)
-        return np.hstack((gq, gu, gmu, r1, r2))
+        """Gradient of each node's term of the objective in its own y, then
+        in its rows of ``a`` and ``c``, at node times ``t`` with trapezoid
+        weights ``wt``: wt times the gradient of H in (q, u, mu, p, p_alpha)
+        at the multiplier estimates p = -weight * e1, p_alpha = -weight * e2."""
+        q, u, mu, e1, e2 = defects(t, y, a, c)
+        p, pa = -weight * e1, -weight * e2
+        partials = _hamiltonian_partials(cp, t, q, u, mu, p, pa)
+        return wt[:, None] * np.hstack((*partials, -p, -pa))
 
     def gradient(z, weight):
         y, a, c = args(z)
@@ -326,8 +322,8 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
 
     def direction(z, g, weight):
         # each node's (y, y) block is a central difference of node_gradient
-        # in y, whose r1 and r2 rows give the (a|c, y) blocks; the (a, a) and
-        # (c, c) blocks are exactly weight * wt * I
+        # in y, whose -p and -p_alpha rows give the (a|c, y) blocks; the
+        # (a, a) and (c, c) blocks are exactly weight * wt * I
         jac = fd_partial(node_gradient, (t, wt, *args(z), weight), 2)
         point = np.zeros((n + 1, s + 2 * sd, s + 2 * sd))
         point[:, :s, :s] = 0.5 * (jac[:, :s] + jac[:, :s].transpose(0, 2, 1))
@@ -354,7 +350,7 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
             tol=tol,
         )
         z = result.x
-        q, u, mu, e1, e2 = split(z)
+        q, u, mu, e1, e2 = defects(t, *args(z))
         norm = float(np.sqrt(wt @ np.sum(e1 * e1 + e2 * e2, axis=1)))
         weights.append(weight)
         defect_norms.append(norm)

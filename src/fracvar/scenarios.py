@@ -335,12 +335,15 @@ def _run_friction(params: _Params, out: Path):
         params.number("window_b", 1.0),
         params.integer("window_n", 512),
     )
+    horizon = params.number("horizon", 1.0)
+    if not (0.0 <= window.a and window.b <= horizon):
+        raise ValidationError(f"window_a, window_b must lie in [0, horizon] = [0, {horizon:g}]")
     fp = FrictionProblem(mass, gamma, *potential, window)
     sim = simulate_damped_eom(
         fp,
         q0=params.number("q0", 0.0),
         v0=params.number("v0", 1.0),
-        horizon=params.number("horizon", 1.0),
+        horizon=horizon,
         steps=params.integer("steps", 1024),
     )
     t_sim = sim.grid.nodes()

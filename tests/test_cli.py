@@ -324,6 +324,22 @@ class TestCommandLine:
         proc = cli("study", str(path), "--grids", "64,banana")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize(
+        "line, edit",
+        [("window_b = 1.0", "window_b = 3.0"), ("window_a = 0.0", "window_a = -0.5")],
+        ids=["past-horizon", "before-start"],
+    )
+    def test_friction_window_outside_the_simulation_exits_one(self, tmp_path, line, edit):
+        # the window's path is interpolated from the simulated one, which
+        # covers [0, horizon] only
+        path = tmp_path / "s.ini"
+        path.write_text(FRICTION_INI.replace(line, edit))
+        proc = cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"] == "validation"
+        assert all(key in record["message"] for key in ("window_a", "window_b", "horizon"))
+
     def test_numerical_failure_exits_two(self, tmp_path):
         blowup = FRICTION_INI.replace("potential = 0", "potential = 0,0,-500000000")
         blowup = blowup.replace("steps = 256", "steps = 16").replace(

@@ -202,6 +202,34 @@ class TestNecessaryResidual:
             npt.assert_allclose(res.values[2:-2, 0], expected[2:-2], atol=5e-3)
             assert np.max(np.abs(res.values)) > 0.5
 
+    @pytest.mark.parametrize(
+        "symmetry",
+        [space_translation([1.0]), rotation(1.0)],
+        ids=["space-translation", "rotation"],
+    )
+    def test_matches_the_four_term_expression(self, symmetry):
+        # the residual reads its Euler-Lagrange terms from the costate
+        # residual; the reference is the four-term sum, each term written out
+        d = symmetry.dim
+        p = VariationalProblem(
+            quadratic_mix(1.0, 0.7, -0.4, dim=d), Grid(0.0, 1.0, 256), 0.6, ([0.1] * d, [0.9] * d)
+        )
+        t = p.grid.nodes()
+        waves = [(1.0 + t) * np.sin(2.0 + k + t) for k in range(d)]
+        q = GridFunction(p.grid, np.column_stack(waves))
+        f = p.along(q)
+        _, f2 = symmetry.rates_on(t, q.values)
+        expected = (
+            np.sum(f2 * central_difference(f.dv, p.grid.h), axis=1)
+            + np.sum(f.dv * central_difference(f2, p.grid.h), axis=1)
+            + np.sum(f.dw * caputo_left(GridFunction(p.grid, f2), p.alpha).values, axis=1)
+            - np.sum(f2 * rl_derivative_right(GridFunction(p.grid, f.dw), p.alpha).values, axis=1)
+        )
+        expected[0] = expected[-1] = 0.0
+        res = invariance_necessary_residual(p, q, symmetry).values[:, 0]
+        assert np.max(np.abs(expected)) > 0.1
+        npt.assert_allclose(res, expected, rtol=0.0, atol=1e-13 * np.max(np.abs(expected)))
+
 
 # ----------------------------------------------------------- transfer series
 

@@ -7,7 +7,7 @@ import pytest
 
 from fracvar import optctrl
 from fracvar.errors import NumericsError, ValidationError
-from fracvar.fracops import caputo_left
+from fracvar.fracops import caputo_left, caputo_left_matrix
 from fracvar.grid import Grid, GridFunction, central_difference, trapezoid, trapezoid_weights
 from fracvar.lagrangian import quadratic_mix
 from fracvar.minimize import PointwiseSum
@@ -437,6 +437,37 @@ class TestSolveControl:
         boundary = np.zeros((n + 1, n + 1))
         boundary[0, 0], boundary[n, n] = -1.0, 1.0
         npt.assert_allclose(wd + wd.T, boundary, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "problem, terminal",
+        [
+            (lambda: feasible_nonlinear_problem(8), None),
+            (lambda: scalar_tracking_problem(Grid(0.0, 1.0, 16), 0.5, 1.0), [0.7]),
+        ],
+        ids=["feasible-nonlinear", "linear-quadratic-terminal"],
+    )
+    def test_control_gradient_is_weighted_stationarity_residual(
+        self, monkeypatch, problem, terminal
+    ):
+        # at any point, the first round's penalty gradient in an interior
+        # node's (u, mu) is wt times residuals (iv) and (v) at the multiplier
+        # estimates p = -weight * e1 and p_alpha = -weight * e2
+        cp = problem()
+        grad, _, m = captured_direction(monkeypatch, cp, terminal)
+        n, h, sd, md = cp.grid.n, cp.grid.h, cp.state_dim, cp.control_dim
+        z = np.random.default_rng(31).standard_normal(m)
+        q, u, mu = np.hsplit(np.concatenate((cp.q_start, z)).reshape(n + 1, -1), (sd, sd + md))
+        t = cp.grid.nodes()
+        e1 = optctrl._sbp_difference_matrix(n, h) @ q - cp.velocity(t, q, u)
+        e2 = caputo_left_matrix(n, h, cp.alpha) @ q - cp.frac_velocity(t, q, mu)
+        weight = optctrl._BASE_WEIGHT
+        fields = (q, u, mu, -weight * e1, -weight * e2)
+        state = PontryaginState(*(GridFunction(cp.grid, v) for v in fields))
+        _, _, _, res4, res5 = pontryagin_residuals(cp, state)
+        expected = trapezoid_weights(n, h)[:, None] * np.hstack((res4.values, res5.values))
+        g = np.concatenate((np.zeros(sd), grad(z))).reshape(n + 1, -1)
+        bound = 1e-12 * np.max(np.abs(expected))
+        npt.assert_allclose(g[1:-1, sd:], expected[1:-1], rtol=0.0, atol=bound)
 
     def test_penalty_hessian_matches_finite_differences_of_gradient(self, monkeypatch):
         # the Newton step at a random point solves the system of the

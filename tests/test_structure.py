@@ -16,7 +16,11 @@ name in ``fracvar.__all__`` exists, and every name ``__init__.py`` imports is
 listed; every name in the ``__all__`` of ``fracops`` and ``grunwald`` exists.
 ``optctrl`` imports the costate residual and the conserved-quantity formula
 that the variational forms use, and calls none of their building blocks, so
-neither formula is written twice.
+neither formula is written twice; one ``optctrl`` function alone calls the
+cost and dynamics partials, so the partials of H are written once too.
+``noether`` calls no right RL derivative (its Euler-Lagrange terms come from
+the costate residual), and ``friction`` imports neither the Caputo nor the
+difference operator (its fields come from ``variational.along``).
 """
 
 import ast
@@ -298,15 +302,28 @@ def test_export_checker_flags_each_pattern():
     ]
 
 
-#: the formula each form shares, by the module that writes it
-SHARED_FORMULAS = {"costate_residual": "variational", "momentum_quantity": "noether"}
-#: what only those formulas call
-FORMULA_PARTS = ("series_terms", "rl_derivative_right")
+#: what keeps each shared formula written once, per module: the formulas it
+#: imports from the module that writes them, the building blocks it may
+#: neither call nor import, and the callables that one function alone calls
+FORMULA_RULES = {
+    "optctrl.py": {
+        "imports": {"costate_residual": "variational", "momentum_quantity": "noether"},
+        "no_calls": ("series_terms", "rl_derivative_right"),
+        "owned": (
+            "_hamiltonian_partials",
+            ("cost_dq", "cost_du", "cost_dmu", "velocity_dq", "velocity_du")
+            + ("frac_velocity_dq", "frac_velocity_dmu"),
+        ),
+    },
+    "noether.py": {"no_calls": ("rl_derivative_right",)},
+    "friction.py": {"no_imports": ("caputo_left", "central_difference")},
+}
 
 
-def formula_copies(source: str, module: str) -> list:
+def formula_copies(source: str, module: str, rules: dict) -> list:
     """One line per shared formula the module does not import from its
-    module, then one per call of a formula part, in line order."""
+    module, then, in line order, one per forbidden import, per call of a
+    building block and per call of an owned callable outside its owner."""
     tree = ast.parse(source)
     imported = {
         (alias.name, (node.module or "").split(".")[-1])
@@ -316,15 +333,31 @@ def formula_copies(source: str, module: str) -> list:
     }
     found = [
         f"{module} does not import {name} from {home}"
-        for name, home in SHARED_FORMULAS.items()
+        for name, home in rules.get("imports", {}).items()
         if (name, home) not in imported
     ]
-    calls = sorted(
-        (node.lineno, _callee(node))
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and _callee(node) in FORMULA_PARTS
-    )
-    return found + [f"{module}:{line} calls {name}" for line, name in calls]
+    owner, owned = rules.get("owned", ("", ()))
+    lines = []
+    for node, functions in _scoped_nodes(tree):
+        if isinstance(node, ast.ImportFrom):
+            lines += [
+                (node.lineno, f"imports {alias.name}")
+                for alias in node.names
+                if alias.name in rules.get("no_imports", ())
+            ]
+        elif isinstance(node, ast.Call) and _callee(node) in rules.get("no_calls", ()):
+            lines.append((node.lineno, f"calls {_callee(node)}"))
+        elif isinstance(node, ast.Call) and _callee(node) in owned and owner not in functions:
+            lines.append((node.lineno, f"calls {_callee(node)} outside {owner}"))
+    return found + [f"{module}:{line} {what}" for line, what in sorted(lines)]
+
+
+def _scoped_nodes(node: ast.AST, functions: tuple = ()):
+    """Every node below ``node``, with the names of the functions that enclose it."""
+    for child in ast.iter_child_nodes(node):
+        yield child, functions
+        inner = functions + (child.name,) if isinstance(child, ast.FunctionDef) else functions
+        yield from _scoped_nodes(child, inner)
 
 
 def _callee(call: ast.Call) -> str:
@@ -332,22 +365,46 @@ def _callee(call: ast.Call) -> str:
     return getattr(call.func, "id", getattr(call.func, "attr", ""))
 
 
+def _module_source(name: str) -> str:
+    return next(p for p in MODULES if p.name == name).read_text(encoding="utf-8")
+
+
 def test_control_forms_call_the_shared_formulas():
-    path = next(p for p in MODULES if p.name == "optctrl.py")
-    assert formula_copies(path.read_text(encoding="utf-8"), path.name) == []
+    rules = FORMULA_RULES["optctrl.py"]
+    assert formula_copies(_module_source("optctrl.py"), "optctrl.py", rules) == []
+
+
+@pytest.mark.parametrize("name", ["noether.py", "friction.py"])
+def test_shared_formulas_are_not_rebuilt(name):
+    assert formula_copies(_module_source(name), name, FORMULA_RULES[name]) == []
 
 
 def test_formula_copy_checker_flags_each_pattern():
     source = (
         "from .noether import momentum_quantity as quantity, series_terms\n"
-        "from .grid import costate_residual\n"
+        "from .grid import costate_residual, central_difference\n"
         "from . import fracops\n"
         "def f(g, p):\n"
         "    terms = series_terms(g, p)\n"
         "    return fracops.rl_derivative_right(p, 0.5), quantity(terms), g[0](p)\n"
+        "def partials(cp, t):\n"
+        "    def plus(x):\n"
+        "        return x + cp.velocity_dq(t)\n"
+        "    return plus(cp.cost_dq(t)), getattr(cp, 'cost_du')\n"
+        "def residual(cp, t):\n"
+        "    return cp.cost_dq(t) + cp.cost_du(t) + cp.velocity(t)\n"
     )
-    assert formula_copies(source, "m.py") == [
+    rules = {
+        "imports": {"costate_residual": "variational", "momentum_quantity": "noether"},
+        "no_calls": ("series_terms", "rl_derivative_right"),
+        "no_imports": ("central_difference",),
+        "owned": ("partials", ("cost_dq", "cost_du", "velocity_dq")),
+    }
+    assert formula_copies(source, "m.py", rules) == [
         "m.py does not import costate_residual from variational",
+        "m.py:2 imports central_difference",
         "m.py:5 calls series_terms",
         "m.py:6 calls rl_derivative_right",
+        "m.py:12 calls cost_dq outside partials",
+        "m.py:12 calls cost_du outside partials",
     ]
