@@ -33,6 +33,7 @@ derivative (one-sided at the ends), matching the classical limit exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gamma, inf
 from typing import Callable, Optional
 
@@ -101,6 +102,7 @@ class ToeplitzScheme:
 
     ``kernel`` has n entries and ``first_column`` n + 1. Weights or a scale
     outside double-precision range raise ``NumericsError`` naming the order.
+    The kernel's spectrum is computed on first use and kept with the scheme.
     """
 
     order: float
@@ -114,12 +116,18 @@ class ToeplitzScheme:
             n = len(self.kernel)
             raise NumericsError(f"order {self.order} at n = {n} leaves double-precision range")
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """rfft of the kernel at the padded length of :meth:`apply`, as a column."""
+        n = len(self.kernel)
+        return np.fft.rfft(self.kernel, _fft_length(2 * n - 1))[:, None]
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         """M @ values, column by column, through one zero-padded rfft/irfft."""
         n = len(self.kernel)
         nfft = _fft_length(2 * n - 1)
         spectrum = np.fft.rfft(values[1:], nfft, axis=0)
-        spectrum *= np.fft.rfft(self.kernel, nfft)[:, None]
+        spectrum *= self._spectrum
         out = self.first_column[:, None] * values[0]
         out[1:] += np.fft.irfft(spectrum, nfft, axis=0)[:n]
         out *= self.scale
@@ -131,7 +139,7 @@ class ToeplitzScheme:
         n = len(self.kernel)
         nfft = _fft_length(2 * n - 1)
         spectrum = np.fft.rfft(values[:0:-1], nfft, axis=0)
-        spectrum *= np.fft.rfft(self.kernel, nfft)[:, None]
+        spectrum *= self._spectrum
         out = np.empty(values.shape)
         out[0] = self.first_column @ values
         out[1:] = np.fft.irfft(spectrum, nfft, axis=0)[n - 1 :: -1]

@@ -34,9 +34,9 @@ FRICTION_ORDER = 0.5
 class FrictionProblem:
     """Particle of mass m with drag coefficient gamma in potential U.
 
-    ``simulate_damped_eom`` calls ``potential_grad`` on Python floats; the
-    Lagrangian and the diagnostics call ``potential`` and ``potential_grad``
-    on arrays.
+    ``simulate_damped_eom`` calls ``potential_grad`` on Python floats, or
+    not at all when it carries affine Horner ``coefficients``; the Lagrangian
+    and the diagnostics call ``potential`` and ``potential_grad`` on arrays.
     """
 
     mass: float
@@ -158,10 +158,15 @@ def simulate_damped_eom(
     ordinary ODE; the fractional content lives in the window diagnostics.
     Returns columns (q, qdot) on a fresh grid over [0, horizon].
 
-    The stages run on Python floats, so ``fp.potential_grad`` is called on a
-    float and its result taken with ``float``; the diagnostics call it on
-    arrays. Raises ``NumericsError`` at the first step whose state is
-    non-finite or exceeds 1e12 in magnitude.
+    Two paths run the same scheme. A ``potential_grad`` from
+    ``lagrangian.polynomial_potential`` with at most 2 Horner ``coefficients``
+    is an affine force: one step is then a fixed matrix on (q, qdot, 1), the
+    trajectory is filled by repeated squaring without calling the force, and
+    its error stays at the rounding floor (~1e-15) where the loop's grows
+    with the step count. Any other force runs scalar stages on Python floats,
+    calling ``potential_grad`` on a float and taking ``float`` of the result.
+    Raises ``NumericsError`` at the first step whose state is non-finite or
+    exceeds 1e12 in magnitude.
     """
     if steps < 16:
         raise ValidationError(f"steps must be >= 16, got {steps}")
@@ -170,6 +175,10 @@ def simulate_damped_eom(
     grid = Grid(0.0, float(horizon), int(steps))
     dt = grid.h
     grad, gamma, mass = fp.potential_grad, float(fp.gamma), float(fp.mass)
+    coefficients = getattr(grad, "coefficients", None)
+    if coefficients is not None and len(coefficients) <= 2:
+        slope, offset = (0.0, 0.0, *coefficients)[-2:]
+        return GridFunction(grid, _affine_rk4(slope, offset, gamma, mass, q0, v0, dt, grid.n))
 
     # scalar stages, in the operation order of the vector form y + c * k
     q, v = float(q0), float(v0)
@@ -186,10 +195,43 @@ def simulate_damped_eom(
         q += sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
         v += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         if not (math.isfinite(q) and math.isfinite(v)) or abs(q) > 1e12:
-            raise NumericsError(
-                f"integration blew up at step {k + 1} (t = {(k + 1) * dt:.6g}); "
-                "reduce the step size"
-            )
+            raise _blowup(k + 1, dt)
         qs.append(q)
         vs.append(v)
     return GridFunction(grid, np.column_stack((qs, vs)))
+
+
+def _affine_rk4(slope, offset, gamma, mass, q0, v0, dt, steps) -> np.ndarray:
+    """RK4 states (q, qdot) for U'(q) = slope q + offset, steps + 1 rows.
+
+    On y = (q, qdot, 1) the ODE is y' = (A/dt) y, and one RK4 step is its
+    stability polynomial I + E with E = A + A^2/2 + A^3/6 + A^4/24. E is kept
+    apart from I, so its small entries keep full precision: rows d..2d-1 are
+    rows 0..d-1 plus their product with E = R^d - I, and E then becomes
+    (I + E)^2 - I = 2E + E^2. Forming I + E and squaring it instead would
+    let the rounding of I + E compound linearly in the step count.
+    """
+    rates = [[0.0, 1.0, 0.0], [-slope / mass, -gamma / mass, -offset / mass], [0.0, 0.0, 0.0]]
+    a = dt * np.array(rates)
+    eye = np.eye(3)
+    e = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+    y = np.empty((steps + 1, 3))
+    y[0] = (q0, v0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        done = 1
+        while done <= steps:
+            k = min(done, steps + 1 - done)
+            y[done : done + k] = y[:k] + y[:k] @ e.T
+            e = 2.0 * e + e @ e
+            done += k
+        q, v = y[1:, 0], y[1:, 1]
+        bad = ~(np.isfinite(q) & np.isfinite(v)) | (np.abs(q) > 1e12)
+    if bad.any():
+        raise _blowup(int(np.argmax(bad)) + 1, dt)
+    return y[:, :2]
+
+
+def _blowup(step: int, dt: float) -> NumericsError:
+    return NumericsError(
+        f"integration blew up at step {step} (t = {step * dt:.6g}); reduce the step size"
+    )

@@ -148,21 +148,22 @@ def harmonic_oscillator(dim: int = 1, mass: float = 1.0, stiffness: float = 1.0)
 
 def polynomial_potential(coeffs: Sequence[float]):
     """(U, U') for U(q) = sum_k coeffs[k] q^k, by Horner's rule in ``np.polyval``'s
-    operation order: bit-identical to it, and cheap on scalars and 0-d arrays."""
+    operation order: bit-identical to it, and cheap on scalars and 0-d arrays.
+
+    Each callable carries its Horner coefficients, highest power first, as the
+    tuple ``coefficients``; an empty tuple is the zero polynomial."""
     c = [float(x) for x in coeffs]
     return _horner(c[::-1]), _horner([k * c[k] for k in range(len(c) - 1, 0, -1)])
 
 
 def _horner(p: list):
-    if not p:
-        return np.zeros_like
-
     def value(q):
-        y = 0.0
+        y = 0.0 if p else np.zeros_like(q)
         for pk in p:
             y = y * q + pk
         return y
 
+    value.coefficients = tuple(p)
     return value
 
 

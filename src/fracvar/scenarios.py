@@ -349,9 +349,10 @@ def _run_friction(params: _Params, out: Path):
     t_sim = sim.grid.nodes()
     write_csv(out / "trajectory.csv", ["t", "q", "qdot"], [t_sim, sim.values])
 
-    q_window = GridFunction.from_callable(
-        window, lambda t: np.interp(t, t_sim, sim.values[:, 0])
-    )
+    def q_sim(t):
+        return np.interp(t, t_sim, sim.values[:, 0])
+
+    q_window = GridFunction.from_callable(window, q_sim)
     diag = friction_diagnostics(fp, q_window)
     write_csv(
         out / "diagnostics.csv",
@@ -370,7 +371,7 @@ def _run_friction(params: _Params, out: Path):
     windows = [
         Grid(center - base / 2**k / 2.0, center + base / 2**k / 2.0, 256) for k in range(count)
     ]
-    table = window_shrink_study(fp, lambda t: np.interp(t, t_sim, sim.values[:, 0]), windows)
+    table = window_shrink_study(fp, q_sim, windows)
     columns = ["delta_t", "friction_energy", "first_order", "ratio", "half_momentum_mid"]
     write_csv(out / "window_table.csv", columns, [table[k] for k in columns])
     names = ["trajectory.csv", "diagnostics.csv", "window_table.csv"]

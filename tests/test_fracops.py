@@ -440,6 +440,21 @@ def test_fft_apply_matches_direct_convolution(n, dim):
         npt.assert_allclose(scheme.dense() @ values, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
 
 
+def test_scheme_takes_the_kernel_spectrum_once(monkeypatch):
+    # one rfft for the kernel, then one per product: 2 FFTs per apply or apply_T
+    rng = np.random.default_rng(3)
+    scheme = ToeplitzScheme(0.5, 1.7, rng.uniform(-1.0, 1.0, 64), rng.uniform(-1.0, 1.0, 65))
+    values = rng.uniform(-1.0, 1.0, (65, 2))
+    fresh = [ToeplitzScheme(0.5, 1.7, scheme.kernel, scheme.first_column) for _ in range(3)]
+    refs = [fresh[0].apply(values), fresh[1].apply_T(values), fresh[2].apply(values)]
+    rfft, calls = np.fft.rfft, []
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(a) or rfft(*a, **k))
+    outs = [scheme.apply(values), scheme.apply_T(values), scheme.apply(values)]
+    assert len(calls) == 4
+    for out, ref in zip(outs, refs):
+        npt.assert_array_equal(out, ref)
+
+
 def test_fft_length_is_the_smaller_fast_size():
     assert [_fft_length(m) for m in (1, 2, 3, 4, 5, 7, 9, 13)] == [1, 2, 3, 4, 6, 8, 12, 16]
     assert _fft_length(131073) == 3 * 2**16

@@ -169,7 +169,7 @@ class TestSimulateDampedEom:
         assert out.values[-1, 0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-8)
 
     def test_frictionless_free_motion_is_exact(self):
-        # U' = np.zeros_like, which returns a 0-d array on a Python float
+        # U' of the empty polynomial: the affine path with zero force
         fp = make_problem(gamma=0.0, potential=polynomial_potential([]))
         out = simulate_damped_eom(fp, q0=0.25, v0=2.0, horizon=3.0, steps=64)
         t = out.grid.nodes()
@@ -223,9 +223,53 @@ class TestSimulateDampedEom:
         out = simulate_damped_eom(fp, q0=1.02, v0=-0.05, horizon=2.0, steps=2048)
         npt.assert_array_equal(out.values, ref)
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[], [0.4], [0.1, -0.3], [0.2, -0.3, 2.1]],
+        ids=["zero", "constant", "linear", "quadratic"],
+    )
+    def test_affine_force_is_never_called(self, coeffs):
+        # a force of degree <= 1 is read from its Horner coefficients, so the
+        # integrator fills the trajectory without calling it
+        u, du = polynomial_potential(coeffs)
+        calls = []
+
+        def counting(q):
+            calls.append(q)
+            return du(q)
+
+        counting.coefficients = du.coefficients
+        fp = make_problem(mass=1.03, gamma=0.7, potential=(u, counting))
+        out = simulate_damped_eom(fp, q0=1.02, v0=-0.05, horizon=2.0, steps=2048)
+        assert calls == []
+        ref = self.vector_stage_reference(
+            fp, lambda q: -float(du(float(q))), 1.02, -0.05, 2.0, 2048
+        )
+        npt.assert_allclose(out.values, ref, rtol=0.0, atol=1e-13)
+
+    def test_affine_path_is_at_the_rounding_floor_of_the_closed_form(self):
+        # the benchmark's underdamped oscillator, m q'' + gamma q' + k q = 0;
+        # step-by-step RK4 rounding reaches 3.4e-15 here, the step matrix 6.7e-16
+        m, gamma, k, q0, v0 = 1.077788, 0.470256, 4.649042, 1.011095, -0.047459
+        fp = make_problem(mass=m, gamma=gamma, potential=polynomial_potential([0.0, 0.0, k / 2.0]))
+        out = simulate_damped_eom(fp, q0=q0, v0=v0, horizon=2.0, steps=16384)
+        t = out.grid.nodes()
+        lam = gamma / (2.0 * m)
+        wd = math.sqrt(k / m - lam * lam)
+        exact = np.exp(-lam * t) * (q0 * np.cos(wd * t) + (v0 + lam * q0) / wd * np.sin(wd * t))
+        assert np.max(np.abs(out.values[:, 0] - exact)) <= 2e-15
+        ref = self.vector_stage_reference(
+            fp, lambda q: -float(fp.potential_grad(float(q))), q0, v0, 2.0, 16384
+        )
+        npt.assert_allclose(out.values, ref, rtol=0.0, atol=1e-13)
+
     @staticmethod
-    def blowup_message(stiffness):
-        stiff = (lambda q: -0.5 * stiffness * q**2, lambda q: -stiffness * q)  # repulsive, unstable
+    def blowup_message(stiffness, polynomial=False):
+        # U = -stiffness q^2 / 2: repulsive, unstable
+        if polynomial:
+            stiff = polynomial_potential([0.0, 0.0, -0.5 * stiffness])
+        else:
+            stiff = (lambda q: -0.5 * stiffness * q**2, lambda q: -stiffness * q)
         fp = make_problem(gamma=0.0, potential=stiff)
         with pytest.raises(NumericsError) as info:
             simulate_damped_eom(fp, q0=1.0, v0=0.0, horizon=10.0, steps=16)
@@ -237,6 +281,18 @@ class TestSimulateDampedEom:
     def test_blowup_detected_at_the_step_it_happens(self):
         # checked after every step, not once at the end
         assert "blew up at step 12 (t = 7.5);" in self.blowup_message(16.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "stiffness, where",
+        [(1e9, "step 1 (t = 0.625)"), (16.0, "step 12 (t = 7.5)"), (1e30, "step 1 (t = 0.625)")],
+    )
+    def test_affine_blowup_is_reported_at_the_same_step(self, stiffness, where):
+        # the step-matrix path reports the first bad row, as the loop reports
+        # the first bad step; at 1e30 its squarings overflow, without a warning
+        message = self.blowup_message(stiffness, polynomial=True)
+        assert f"blew up at {where};" in message
+        assert message == self.blowup_message(stiffness)
 
     def test_step_floor(self):
         fp = make_problem()

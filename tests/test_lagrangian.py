@@ -114,6 +114,15 @@ def test_polynomial_potential_on_0d_returns_scalar_like_polyval():
     assert float(u(x)) == 0.75 and float(du(x)) == -1.0
 
 
+def test_polynomial_potential_carries_its_horner_coefficients():
+    u, du = polynomial_potential([1.0, 2.0, 3.0])
+    assert u.coefficients == (3.0, 2.0, 1.0) and du.coefficients == (6.0, 2.0)
+    zero, dzero = polynomial_potential([])
+    assert zero.coefficients == () and dzero.coefficients == ()
+    # the zero polynomial is a function of its own, not numpy's shared zeros_like
+    assert zero is not np.zeros_like and not hasattr(np.zeros_like, "coefficients")
+
+
 def test_potential_polynomial_uses_the_shared_potential():
     coeffs = [0.2, -1.0, 0.5, 0.0, 2.0]
     spec = potential_polynomial(coeffs, mass=1.5)
