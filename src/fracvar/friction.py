@@ -168,11 +168,14 @@ def simulate_damped_eom(
     Raises ``NumericsError`` at the first step whose state is non-finite or
     exceeds 1e12 in magnitude.
     """
-    if steps < 16:
-        raise ValidationError(f"steps must be >= 16, got {steps}")
+    if not np.isfinite(steps) or int(steps) != steps or steps < 16:
+        raise ValidationError(f"steps must be an integer >= 16, got {steps}")
+    steps = int(steps)
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValidationError(f"horizon must be positive, got {horizon}")
-    grid = Grid(0.0, float(horizon), int(steps))
+    if not (np.isfinite(q0) and np.isfinite(v0)):
+        raise ValidationError(f"initial state must be finite, got q0 = {q0}, v0 = {v0}")
+    grid = Grid(0.0, float(horizon), steps)
     dt = grid.h
     grad, gamma, mass = fp.potential_grad, float(fp.gamma), float(fp.mass)
     coefficients = getattr(grad, "coefficients", None)

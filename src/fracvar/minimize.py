@@ -6,7 +6,8 @@ solves ``H p = -g`` by preconditioned conjugate gradients on
 Hessian-vector products (Newton-CG, Nocedal-Wright Algorithm 7.1), without
 forming H. Both solvers' objectives are sums of pointwise terms over a few
 linear images J of the node values, one linear map per slot read at given
-rows, so their Hessians are ``J' B J`` with block-diagonal B:
+rows, so their Hessians are ``J' B J`` with block-diagonal B, given as one
+symmetric matrix per point over its slots' arguments in slot order:
 :class:`PointwiseSum` applies it (``hvp``) or assembles it (``hessian``).
 :func:`schur_newton` takes the step for such a sum whose points also own
 unknowns of their own: it eliminates those point by point and factors only
@@ -21,12 +22,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, LineSearchError, NumericsError
+from .errors import ConvergenceError, LineSearchError, NumericsError, ValidationError
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _CG_RTOL = 1e-12  # CG's relative residual: quadratic objectives converge in one step
-MAX_ITER = 50  # default cap: over 8x the most Newton steps any test solve takes (6)
+MAX_ITER = 50  # Newton iteration cap: over 8x the most Newton steps any test solve takes (6)
 # largest m either solver accepts, checked before it allocates. Neither holds
 # an m x m array. The control solve's largest are the (n + 1) x (n + 1)
 # difference and Caputo matrices and the states' Schur complement of side
@@ -48,12 +49,17 @@ class PointwiseSum:
     and every slot it pairs with a matrix slot reading the same rows.
     The caller evaluates f and its partials at :meth:`args`;
     :meth:`gradient`, :meth:`hvp` and :meth:`hessian` chain them back to X.
+    Both products take f's symmetric second partials as one array
+    ``(points, r, r)`` over a point's r concatenated arguments, slot s's at
+    ``spans[s]``.
     """
 
     def __init__(self, shape, slots):
         self.shape, self.slots = shape, slots
         # per slot: the rows as a gather index and as runs of consecutive nodes
         self._rows = [_runs(rows) for _, _, rows in slots]
+        ends = np.cumsum([len(cols) for cols, _, _ in slots])
+        self.spans = [slice(end - len(cols), end) for end, (cols, _, _) in zip(ends, slots)]
 
     def args(self, x: np.ndarray) -> list:
         """Each slot's argument at every point, shape ``(points, |columns|)``."""
@@ -76,38 +82,36 @@ class PointwiseSum:
             g[:, cols] += scattered if m is None else m.T @ scattered
         return g
 
-    def hvp(self, blocks, x: np.ndarray) -> np.ndarray:
-        """``J' B J x`` for node values ``x``, with B the second partials as
-        :meth:`hessian` takes them: the matrix-free ``hessian @ x``. All-zero
-        blocks are dropped, and only the slots the others read are evaluated."""
-        blocks = {st: block for st, block in blocks.items() if block.any()}
-        u = {s: self._arg(s, x) for s in {s for st in blocks for s in st}}
-        y = [np.zeros((len(rows), len(cols))) for cols, _, rows in self.slots]
-        for (s, t), block in blocks.items():
-            b = 0.5 * block if s == t else block
-            y[s] += np.einsum("pij,pj->pi", b, u[t])
-            y[t] += np.einsum("pij,pi->pj", b, u[s])
-        return self.gradient(y)
+    def hvp(self, point: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``J' B J x`` for node values ``x``: the matrix-free ``hessian(point) @ x``.
+        Only the slots whose rows of ``point`` are not all zero are evaluated."""
+        u = np.zeros(point.shape[:2])
+        for s, span in enumerate(self.spans):
+            if point[:, span].any():
+                u[:, span] = self._arg(s, x)
+        y = np.einsum("pij,pj->pi", point, u)
+        return self.gradient([y[:, span] for span in self.spans])
 
-    def hessian(self, blocks) -> np.ndarray:
-        """d2F/dX2 in ``X.ravel()`` from the second partials of f, as blocks
-        ``{(s, t): (points, |columns_s|, |columns_t|)}`` for slots s <= t.
-        Diagonal blocks enter halved and the result is ``part + part'``, so
-        that it is exactly symmetric."""
+    def hessian(self, point: np.ndarray) -> np.ndarray:
+        """d2F/dX2 in ``X.ravel()`` from the second partials of f, read in the
+        blocks of slots s <= t. Diagonal blocks enter halved and the result is
+        ``part + part'``, so that it is exactly symmetric."""
         nodes, width = self.shape
         part = np.zeros((nodes, width, nodes, width))
-        for (s, t), block in blocks.items():
-            if not block.any():
-                continue
-            (cols_s, ma, ra), (cols_t, mb, rb) = self.slots[s], self.slots[t]
-            b = 0.5 * block if s == t else block
-            if mb is None:  # identity x identity
-                index = (ra[:, None, None], cols_s[:, None], rb[:, None, None], cols_t)
-                np.add.at(part, index, b)
-                continue
-            for i, j in zip(*np.nonzero(b.any(axis=0))):  # same rows: B scales M_t's rows
-                scaled = np.bincount(ra, b[:, i, j], nodes)[:, None] * mb
-                part[:, cols_s[i], :, cols_t[j]] += scaled if ma is None else ma.T @ scaled
+        for s, (cols_s, ma, ra) in enumerate(self.slots):
+            for t in range(s, len(self.slots)):
+                block = point[:, self.spans[s], self.spans[t]]
+                if not block.any():
+                    continue
+                cols_t, mb, rb = self.slots[t]
+                b = 0.5 * block if s == t else block
+                if mb is None:  # identity x identity
+                    index = (ra[:, None, None], cols_s[:, None], rb[:, None, None], cols_t)
+                    np.add.at(part, index, b)
+                    continue
+                for i, j in zip(*np.nonzero(b.any(axis=0))):  # same rows: B scales M_t's rows
+                    scaled = np.bincount(ra, b[:, i, j], nodes)[:, None] * mb
+                    part[:, cols_s[i], :, cols_t[j]] += scaled if ma is None else ma.T @ scaled
         part = part.reshape(nodes * width, nodes * width)
         return part + part.T
 
@@ -125,16 +129,18 @@ def bfgs_minimize(
     x0: np.ndarray,
     direction: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol: float = 1e-8,
-    max_iter: int = MAX_ITER,
 ) -> MinimizeResult:
     """Minimize ``fun`` from ``x0``; converged when max|grad| < tol.
 
     ``direction(x, g)`` returns the Newton step at ``x`` with gradient ``g``
     (from :func:`pcg_direction` or :func:`schur_newton`); one that does not
-    descend is replaced by ``-g``. Raises ``ConvergenceError`` (with the
-    final gradient norm) at the iteration cap and ``LineSearchError`` after
-    60 failed step reductions.
+    descend is replaced by ``-g``. A ``tol`` that is not finite and positive
+    raises ``ValidationError``. Raises ``ConvergenceError`` (with the final
+    gradient norm) after ``MAX_ITER`` iterations and ``LineSearchError``
+    after 60 failed step reductions.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     x = np.asarray(x0, dtype=float).copy()
     if x.size == 0:
         return MinimizeResult(x, 0.0, 0)
@@ -142,7 +148,7 @@ def bfgs_minimize(
     f = float(fun(x))
     if not np.isfinite(f):
         raise LineSearchError("objective is non-finite at the initial point")
-    for iteration in range(max_iter):
+    for iteration in range(MAX_ITER):
         gnorm = float(np.max(np.abs(g)))
         if gnorm < tol:
             return MinimizeResult(x, gnorm, iteration)
@@ -183,7 +189,7 @@ def bfgs_minimize(
         f = f_new
     gnorm = float(np.max(np.abs(g)))
     raise ConvergenceError(
-        f"no convergence within {max_iter} iterations; gradient max-norm {gnorm:.6e}",
+        f"no convergence within {MAX_ITER} iterations; gradient max-norm {gnorm:.6e}",
         gradient_norm=gnorm,
     )
 
@@ -238,8 +244,7 @@ def schur_newton(
     """
     if not np.isfinite(point).all():
         raise NumericsError("Hessian holds non-finite entries")
-    offsets = np.cumsum([0] + [len(cols) for cols, _, _ in action.slots])
-    r = offsets[-1]
+    r = action.spans[-1].stop
     brr, bzr, bzz = point[:, :r, :r], point[:, r:, :r], point[:, r:, r:]
     tau = 0.0
     while True:
@@ -248,17 +253,18 @@ def schur_newton(
             # with w = L^-1 B_zr, B_rz (B_zz + tau I)^-1 B_zr = w' w
             inv = np.linalg.inv(lower)
             w = inv @ bzr
-            schur = action.hessian(_slot_blocks(brr - w.transpose(0, 2, 1) @ w, offsets))
+            schur = action.hessian(brr - w.transpose(0, 2, 1) @ w)
             schur = schur[fixed:, fixed:]
             schur[np.diag_indices_from(schur)] += tau
             if _cholesky(schur) is not None:
                 break
         if not tau:  # H's diagonal: the assembled (X, X) part's, then the B_zz blocks'
-            diag = action.hessian(_slot_blocks(brr, offsets)).diagonal()[fixed:]
+            diag = action.hessian(brr).diagonal()[fixed:]
             diag = np.concatenate((diag, np.diagonal(bzz, axis1=1, axis2=2).ravel()))
         tau = 2.0 * tau if tau else 1e-3 * (float(np.max(np.abs(diag))) or 1.0)
     wg = inv @ gz[..., None]  # L^-1 g_z
-    rhs = action.gradient(np.split((w.transpose(0, 2, 1) @ wg)[..., 0], offsets[1:-1], axis=1))
+    wwg = (w.transpose(0, 2, 1) @ wg)[..., 0]
+    rhs = action.gradient([wwg[:, span] for span in action.spans])
     rhs -= gx
     px = np.linalg.solve(schur, rhs.ravel()[fixed:])
     px = np.concatenate((np.zeros(fixed), px)).reshape(action.shape)
@@ -274,16 +280,6 @@ def _cholesky(a: np.ndarray):
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
-
-
-def _slot_blocks(b: np.ndarray, offsets) -> dict:
-    """Per-point matrices over all slots' arguments as :meth:`PointwiseSum.hessian`'s blocks."""
-    k = len(offsets) - 1
-    return {
-        (s, t): b[:, offsets[s] : offsets[s + 1], offsets[t] : offsets[t + 1]]
-        for s in range(k)
-        for t in range(s, k)
-    }
 
 
 def _runs(rows: np.ndarray):

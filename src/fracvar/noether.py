@@ -195,8 +195,10 @@ def invariance_defect(
 
     Time is reparametrized through psi1 and the state through psi2,
     integrating on the image of each panel. Central eps-difference with the
-    given step.
+    given step, which must be finite and positive.
     """
+    if not 0.0 < eps < np.inf:
+        raise ValidationError(f"eps must be finite and positive, got {eps}")
     _check_invariance_inputs(problem, q, s, el_tol)
     grid_p, plus = _transformed_integrand(problem, q, s, eps)
     grid_m, minus = _transformed_integrand(problem, q, s, -eps)

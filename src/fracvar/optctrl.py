@@ -274,8 +274,8 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
             (q_columns, caputo_left_matrix(n, h, cp.alpha), k),
         ],
     )
-    # a node's second partials in the order (q, a, c, u, mu) from (y, a, c)
-    order = np.concatenate((q_columns, np.arange(s, s + 2 * sd), np.arange(sd, s)))
+    # a node's y = (q, u, mu) among its slot-ordered arguments (q, a, c, u, mu)
+    y_columns = np.concatenate((q_columns, np.arange(3 * sd, 2 * sd + s)))
 
     def nodes(z):
         return np.concatenate((cp.q_start, z)).reshape(n + 1, s)
@@ -303,34 +303,33 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
         return value
 
     def node_gradient(t, wt, y, a, c, weight):
-        """Gradient of each node's term of the objective in its own y, then
-        in its rows of ``a`` and ``c``, at node times ``t`` with trapezoid
-        weights ``wt``: wt times the gradient of H in (q, u, mu, p, p_alpha)
-        at the multiplier estimates p = -weight * e1, p_alpha = -weight * e2."""
+        """Gradient of each node's term of the objective in its arguments
+        (q, a, c, u, mu), at node times ``t`` with trapezoid weights ``wt``:
+        wt times the gradient of H in (q, p, p_alpha, u, mu) at the
+        multiplier estimates p = -weight * e1, p_alpha = -weight * e2."""
         q, u, mu, e1, e2 = defects(t, y, a, c)
         p, pa = -weight * e1, -weight * e2
-        partials = _hamiltonian_partials(cp, t, q, u, mu, p, pa)
-        return wt[:, None] * np.hstack((*partials, -p, -pa))
+        dhdq, dhdu, dhdmu = _hamiltonian_partials(cp, t, q, u, mu, p, pa)
+        return wt[:, None] * np.hstack((dhdq, -p, -pa, dhdu, dhdmu))
 
     def gradient(z, weight):
         y, a, c = args(z)
-        gy, ga, gc = np.hsplit(node_gradient(t, wt, y, a, c, weight), (s, s + sd))
-        g = np.hstack((penalty.gradient([gy[:, :sd], ga, gc]), gy[:, sd:]))
+        gq, ga, gc, gz = np.hsplit(node_gradient(t, wt, y, a, c, weight), (sd, 2 * sd, 3 * sd))
+        g = np.hstack((penalty.gradient([gq, ga, gc]), gz))
         if q_goal is not None:
             g[-1, :sd] += weight * (y[-1, :sd] - q_goal)
         return g.ravel()[sd:]
 
     def direction(z, g, weight):
-        # each node's (y, y) block is a central difference of node_gradient
-        # in y, whose -p and -p_alpha rows give the (a|c, y) blocks; the
-        # (a, a) and (c, c) blocks are exactly weight * wt * I
+        # each node's y columns are a central difference of node_gradient
+        # in y, whose -p and -p_alpha rows also give the (y, a|c) blocks by
+        # transpose; the (a|c, a|c) block is exactly weight * wt * I
         jac = fd_partial(node_gradient, (t, wt, *args(z), weight), 2)
         point = np.zeros((n + 1, s + 2 * sd, s + 2 * sd))
-        point[:, :s, :s] = 0.5 * (jac[:, :s] + jac[:, :s].transpose(0, 2, 1))
-        point[:, s:, :s] = jac[:, s:]
-        point[:, :s, s:] = jac[:, s:].transpose(0, 2, 1)
-        point[:, s:, s:] = weight * wt[:, None, None] * np.eye(2 * sd)
-        point = point[:, order][:, :, order]
+        point[:, :, y_columns] = jac
+        point[:, sd : 3 * sd, sd : 3 * sd] = weight * wt[:, None, None] * np.eye(2 * sd)
+        point[:, y_columns, sd : 3 * sd] = point[:, sd : 3 * sd, y_columns].transpose(0, 2, 1)
+        point = 0.5 * (point + point.transpose(0, 2, 1))
         if q_goal is not None:
             point[-1, q_columns, q_columns] += weight
         gn = np.concatenate((np.zeros(sd), g)).reshape(n + 1, s)

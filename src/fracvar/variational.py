@@ -47,7 +47,7 @@ from .grid import (
     write_csv,
 )
 from .lagrangian import LagrangianSpec, fd_partial
-from .minimize import MAX_ITER, MAX_UNKNOWNS, PointwiseSum, bfgs_minimize, pcg_direction
+from .minimize import MAX_UNKNOWNS, PointwiseSum, bfgs_minimize, pcg_direction
 
 
 class VariationalProblem:
@@ -192,9 +192,7 @@ def el_residual_norm(problem: VariationalProblem, q: GridFunction) -> float:
 # ------------------------------------------------------------- the solver
 
 
-def solve_extremal(
-    problem: VariationalProblem, tol: float = 1e-8, max_iter: int = MAX_ITER
-) -> ExtremalSolution:
+def solve_extremal(problem: VariationalProblem, tol: float = 1e-8) -> ExtremalSolution:
     """Minimize the discretized action over interior nodes (endpoints fixed).
 
     The interpolant action is a :class:`~fracvar.minimize.PointwiseSum`
@@ -203,7 +201,7 @@ def solve_extremal(
     :func:`~fracvar.fracops.caputo_left_operator`), at both ends of every
     cell: three slots of one linear map each. Newton steps start from the
     linear interpolant of the boundary values; their second partials are
-    central differences of the analytic first partials, and each step is
+    symmetrized central differences of the analytic first partials, and each step is
     solved matrix-free by :func:`~fracvar.minimize.pcg_direction`. The
     tridiagonal preconditioner ``K = Delta' diag(d) Delta + diag(e)`` keeps,
     per state component, the diagonal second partials: those of the slope
@@ -226,7 +224,6 @@ def solve_extremal(
     action = PointwiseSum(
         (n + 1, d), [(columns, None, node), (columns, slope, cell + 1), (columns, caputo, node)]
     )
-    partials = (lag.dq, lag.dv, lag.dw)
 
     def assemble(x, q_a=problem.q_a, q_b=problem.q_b):
         return np.vstack((q_a, x.reshape(n - 1, d), q_b))
@@ -237,28 +234,30 @@ def solve_extremal(
     def fun(x):
         return 0.5 * h * float(np.sum(np.asarray(lag.evaluate(*args(x)), dtype=float)))
 
+    def partials(*a):  # dL/dq, dL/dv and dL/dw side by side: the slots' order
+        return np.hstack([np.asarray(f(*a), dtype=float) for f in (lag.dq, lag.dv, lag.dw)])
+
     def grad(x):
-        a = args(x)
-        g = action.gradient([0.5 * h * np.asarray(f(*a), dtype=float) for f in partials])
-        return g[1:-1].ravel()
+        dl = 0.5 * h * partials(*args(x))
+        return action.gradient([dl[:, span] for span in action.spans])[1:-1].ravel()
 
     def direction(x, g):
         a = args(x)
-        pairs = [(s, r) for s in range(3) for r in range(s, 3)]
-        blocks = {(s, r): 0.5 * h * fd_partial(partials[s], a, 1 + r) for s, r in pairs}
-        state, slope, curv = (np.diagonal(blocks[s, s], axis1=1, axis2=2) for s in range(3))
+        jac = np.concatenate([fd_partial(partials, a, 1 + r) for r in range(3)], axis=2)
+        point = 0.25 * h * (jac + jac.transpose(0, 2, 1))  # h/2 times the estimates' mean
+        state, slope, curv = (np.diagonal(point[:, i, i], axis1=1, axis2=2) for i in action.spans)
         cells = (slope[:n] + slope[n:]) / (h * h) + caputo.cell_gram(_node_sums(curv))
         precondition = _tridiagonal_solver(cells, _node_sums(state)[1:-1])
         zero = np.zeros(d)
 
         def hvp(v):
-            return action.hvp(blocks, assemble(v, zero, zero))[1:-1].ravel()
+            return action.hvp(point, assemble(v, zero, zero))[1:-1].ravel()
 
         return pcg_direction(hvp, lambda r: precondition(r.reshape(n - 1, d)).ravel(), g)
 
     frac = ((t - grid.a) / (grid.b - grid.a))[:, None]
     straight = (1.0 - frac) * problem.q_a[None, :] + frac * problem.q_b[None, :]
-    result = bfgs_minimize(fun, grad, straight[1:-1].ravel(), direction, tol=tol, max_iter=max_iter)
+    result = bfgs_minimize(fun, grad, straight[1:-1].ravel(), direction, tol=tol)
     q = GridFunction(grid, assemble(result.x))
     f = problem.along(q)
     residual = costate_residual(grid, problem.alpha, f.dq, -f.dv, -f.dw)

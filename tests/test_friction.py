@@ -299,6 +299,24 @@ class TestSimulateDampedEom:
         with pytest.raises(ValidationError):
             simulate_damped_eom(fp, 0.0, 1.0, 1.0, steps=8)
 
+    # the affine path (a polynomial force) and the loop (a lambda force)
+    FORCES = [polynomial_potential([0.0, 0.0, 0.5]), (lambda q: 0.5 * q**2, lambda q: q)]
+
+    @pytest.mark.parametrize("potential", FORCES, ids=["affine", "loop"])
+    def test_steps_must_be_an_integer(self, potential):
+        fp = make_problem(potential=potential)
+        with pytest.raises(ValidationError, match="steps must be an integer"):
+            simulate_damped_eom(fp, 1.0, 0.0, 1.0, steps=16.5)
+        whole = simulate_damped_eom(fp, 1.0, 0.0, 1.0, steps=16.0)
+        npt.assert_array_equal(whole.values, simulate_damped_eom(fp, 1.0, 0.0, 1.0, 16).values)
+
+    @pytest.mark.parametrize("potential", FORCES, ids=["affine", "loop"])
+    @pytest.mark.parametrize("q0, v0", [(np.nan, 0.0), (1.0, np.inf)])
+    def test_initial_state_must_be_finite(self, potential, q0, v0):
+        fp = make_problem(potential=potential)
+        with pytest.raises(ValidationError, match="initial state must be finite"):
+            simulate_damped_eom(fp, q0, v0, 1.0, steps=16)
+
 
 # -------------------------------------------------------------- invariants
 

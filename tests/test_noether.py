@@ -133,6 +133,14 @@ class TestInvarianceDefect:
         with pytest.raises(ValidationError):
             invariance_defect(p, wiggly, space_translation([1.0]), el_tol=1e-3)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-4, np.nan, np.inf])
+    def test_step_must_be_finite_and_positive(self, eps):
+        # checked before the trajectory is transformed, so no warning comes first
+        p = VariationalProblem(free_particle(), Grid(0.0, 1.0, 32), 1.0, ([0.0], [1.0]))
+        line = GridFunction(p.grid, p.grid.nodes())
+        with pytest.raises(ValidationError, match="eps must be finite and positive"):
+            invariance_defect(p, line, space_translation([1.0]), eps=eps)
+
     def test_nonuniform_time_map_rejected(self):
         p = VariationalProblem(free_particle(), Grid(0.0, 1.0, 64), 1.0, ([0.0], [1.0]))
         sol = solve_extremal(p)

@@ -397,6 +397,12 @@ class TestSolveControl:
         with pytest.raises(ValidationError):
             solve_control(cp)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        cp = scalar_tracking_problem(Grid(0.0, 1.0, 16), 0.5, 1.0)
+        with pytest.raises(ValidationError, match="tol must be finite and positive"):
+            solve_control(cp, tol=tol)
+
     def test_unknowns_capped_before_allocating(self):
         # n = 2048 with 4 dims per channel: 24,584 unknowns, a 4.8 GB Hessian
         cp = scalar_tracking_problem(Grid(0.0, 1.0, 2048), 0.5, 1.0)
@@ -535,13 +541,7 @@ class TestSolveControl:
             (cp.grid.n + 1, s),
             [(np.arange(s), None, states.slots[0][2])] + states.slots[1:],
         )
-        edges = (0, s, s + sd, s + 2 * sd)
-        blocks = {
-            (i, j): point[:, edges[i] : edges[i + 1], edges[j] : edges[j + 1]]
-            for i in range(3)
-            for j in range(i, 3)
-        }
-        expected, tau = dense_shifted_newton(full.hessian(blocks)[sd:, sd:], g)
+        expected, tau = dense_shifted_newton(full.hessian(point)[sd:, sd:], g)
         assert (tau > 0.0) == (seed is not None)
         npt.assert_allclose(p, expected, rtol=0.0, atol=1e-10 * np.max(np.abs(expected)))
 

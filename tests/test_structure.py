@@ -7,12 +7,14 @@ import an underscore name from another package module, and ``obj._name`` is
 allowed only where ``_name`` is bound or assigned in the same module (or the
 object is ``self``/``cls``). Dunder names are not private. Every imported
 name must be read somewhere in its module; ``__init__.py`` is exempt, since
-its imports are the package's re-exports. ``perfbench/tracer.py`` names the
-functions it wraps in ``TARGETS``; the tests here do not run the benchmark,
-so a renamed function would otherwise break it unnoticed. No module calls or
-imports ``savetxt``: ``grid.write_csv`` is the one CSV writer. No module
-imports scipy, which ``pyproject.toml`` lists only as a test extra. Every
-name in ``fracvar.__all__`` exists, and every name ``__init__.py`` imports is
+its imports are the package's re-exports. The files under ``tests`` keep the
+same rule, so none still imports a helper that a change removed.
+``perfbench/tracer.py`` names the functions it wraps in ``TARGETS``; the
+tests here do not run the benchmark, so a renamed function would otherwise
+break it unnoticed. No module calls or imports ``savetxt``:
+``grid.write_csv`` is the one CSV writer. No module imports scipy, which
+``pyproject.toml`` lists only as a test extra. Every name in
+``fracvar.__all__`` exists, and every name ``__init__.py`` imports is
 listed; every name in the ``__all__`` of ``fracops`` and ``grunwald`` exists.
 ``optctrl`` imports the costate residual and the conserved-quantity formula
 that the variational forms use, and calls none of their building blocks, so
@@ -33,6 +35,7 @@ import pytest
 import fracvar
 
 MODULES = sorted(pathlib.Path(fracvar.__file__).resolve().parent.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _private(name: str) -> bool:
@@ -114,7 +117,7 @@ def unused_imports(source: str, module: str) -> list:
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+    "path", [p for p in MODULES + TESTS if p.name != "__init__.py"], ids=lambda p: p.name
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8"), path.name) == []

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fracvar import variational
+from fracvar import minimize, variational
 from fracvar.errors import ConvergenceError, GridMismatchError, NumericsError, ValidationError
 from fracvar.fracops import caputo_left
 from fracvar.grid import Grid, GridFunction, central_difference
@@ -337,13 +337,20 @@ class TestSolveExtremal:
         assert window_norm[0] / window_norm[1] > 1.5
         assert window_norm[1] / window_norm[2] > 1.5
 
-    def test_nonconvergence_reports_gradient_norm(self):
+    def test_nonconvergence_reports_gradient_norm(self, monkeypatch):
         # a quartic potential: Newton needs 3 steps, so one is not enough
+        monkeypatch.setattr(minimize, "MAX_ITER", 1)
         quartic = potential_polynomial([0.0, 0.0, 0.5, 0.0, 2.0])
         p = VariationalProblem(quartic, Grid(0.0, 1.0, 128), 1.0, ([1.0], [-1.0]))
         with pytest.raises(ConvergenceError) as excinfo:
-            solve_extremal(p, max_iter=1)
+            solve_extremal(p)
         assert excinfo.value.gradient_norm > 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # no gradient norm is below 0, -1 or nan, and every one is below inf
+        with pytest.raises(ValidationError, match="tol must be finite and positive"):
+            solve_extremal(line_problem(n=64, alpha=0.5), tol=tol)
 
     def test_quadratic_action_converges_in_one_newton_step(self):
         p = line_problem(n=256, alpha=0.5, lagrangian=quadratic_mix(1.0, 1.0))
