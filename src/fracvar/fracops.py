@@ -47,8 +47,9 @@ from .grid import (
     cell_differences_T,
     central_difference,
     central_difference_T,
+    require_close,
     require_finite,
-    require_same_grid,
+    require_on,
     trapezoid,
 )
 
@@ -253,14 +254,10 @@ def ibp_residual(f: GridFunction, g: GridFunction, order) -> float:
     where the exact integrand vanishes because f does.
     """
     alpha = derivative_order(order)
-    require_same_grid(f, g)
-    if f.dim != g.dim:
-        raise ValidationError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    require_finite(f)
-    require_finite(g)
-    scale = 1.0 + float(np.max(np.abs(f.values)))
-    if max(np.max(np.abs(f.values[0])), np.max(np.abs(f.values[-1]))) > 1e-14 * scale:
-        raise ValidationError("ibp_residual requires f to vanish at both endpoints")
+    require_on(g, f.grid, f.dim, "g")
+    require_finite(f, "f")
+    tol = 1e-14 * (1.0 + float(np.max(np.abs(f.values))))
+    require_close(f.values[[0, -1]], 0, tol, "ibp_residual requires f to vanish at both endpoints")
     h = f.grid.h
     lhs = trapezoid(np.sum(g.values * caputo_left(f, alpha).values, axis=1), h)
     rhs_integrand = np.sum(f.values * rl_derivative_right(g, alpha).values, axis=1)

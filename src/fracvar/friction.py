@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, require_close, require_on
 from .lagrangian import LagrangianSpec
 from .variational import VariationalProblem, along
 
@@ -90,10 +90,7 @@ def friction_variational_problem(fp: FrictionProblem, q_a: float, q_b: float) ->
 def friction_diagnostics(fp: FrictionProblem, q: GridFunction) -> FrictionDiagnostics:
     """Momenta and H = qdot dL/dv + w dL/dw - L (= m qdot^2/2 + U + (gamma/2) w^2),
     read from :func:`variational.along` at the model's half order."""
-    if q.grid != fp.window:
-        raise ValidationError("trajectory does not live on the problem window")
-    if q.dim != 1:
-        raise ValidationError("friction diagnostics expect a scalar trajectory")
+    require_on(q, fp.window, 1, "trajectory")
     f = along(friction_lagrangian(fp), q.grid, FRICTION_ORDER, q.values)
     ham = (f.v * f.dv + f.w * f.dw)[:, 0] - f.L
     return FrictionDiagnostics(
@@ -120,8 +117,8 @@ def window_shrink_study(
         raise ValidationError("shrink study needs at least two windows")
     mids = [0.5 * (w.a + w.b) for w in windows]
     spans = [w.b - w.a for w in windows]
-    if np.max(np.abs(np.diff(mids))) > 1e-12 * (1.0 + abs(mids[0])):
-        raise ValidationError("windows are not nested around a common midpoint")
+    tol = 1e-12 * (1.0 + abs(mids[0]))
+    require_close(np.diff(mids), 0.0, tol, "windows are not nested around a common midpoint")
     if not all(spans[i] > spans[i + 1] for i in range(len(spans) - 1)):
         raise ValidationError("windows must strictly shrink")
     delta_t = np.array(spans)

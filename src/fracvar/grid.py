@@ -175,13 +175,35 @@ def trapezoid(values: np.ndarray, h: float) -> float:
     return float(np.dot(w, v))
 
 
-def require_same_grid(f: GridFunction, g: GridFunction) -> None:
-    if f.grid != g.grid:
-        raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
-
-
 def require_finite(f: GridFunction, what: str = "input") -> None:
     if not np.isfinite(f.values).all():
         bad = np.argwhere(~np.isfinite(f.values))
         node = int(bad[0][0])
         raise ValidationError(f"{what} contains non-finite values (first at node {node})")
+
+
+def require_on(f: GridFunction, grid: Grid, dim: int, what: str) -> None:
+    """Raise unless ``f`` is a finite ``dim``-component function on ``grid``:
+    ``GridMismatchError`` for another grid or dimension, ``ValidationError``
+    (:func:`require_finite`) naming ``what`` and the first non-finite node."""
+    if f.grid != grid:
+        raise GridMismatchError(f"{what} lives on {f.grid}, not on {grid}")
+    if f.dim != dim:
+        raise GridMismatchError(f"{what} has dimension {f.dim}, expected {dim}")
+    require_finite(f, what)
+
+
+def require_close(got, want, tol, message: str) -> None:
+    """Raise ``ValidationError`` with ``message`` unless every |got - want| <= tol.
+
+    The arguments broadcast, so ``tol`` may vary per entry. An entry passes
+    only when |got - want| - tol <= 0: a NaN anywhere fails it, as does an
+    infinite gap, with no numpy warning. The message ends with the index of
+    the worst entry, where a NaN counts as the worst.
+    """
+    with np.errstate(invalid="ignore"):
+        excess = np.abs(np.subtract(got, want, dtype=float)) - tol
+    if not (excess <= 0.0).all():
+        excess = np.nan_to_num(excess, nan=np.inf, posinf=np.inf)
+        worst = np.unravel_index(np.argmax(excess), excess.shape)
+        raise ValidationError(f"{message} (worst entry at index {[int(i) for i in worst]})")

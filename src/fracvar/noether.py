@@ -42,8 +42,9 @@ from .grid import (
     Grid,
     GridFunction,
     central_difference,
+    require_close,
     require_finite,
-    require_same_grid,
+    require_on,
     trapezoid,
 )
 from .symmetry import SymmetryGroup, time_translation
@@ -70,7 +71,7 @@ class InvariantSeries:
 
 
 def check_truncation(truncation: int) -> int:
-    if int(truncation) != truncation or truncation < 0:
+    if not np.isfinite(truncation) or int(truncation) != truncation or truncation < 0:
         raise ValidationError(f"truncation order must be a non-negative integer, got {truncation}")
     if truncation > _MAX_TRUNCATION:
         raise ValidationError(
@@ -120,11 +121,8 @@ def series_terms(f2: np.ndarray, g: np.ndarray, grid, alpha: float, truncation: 
 def transfer_series(f2: GridFunction, g: GridFunction, alpha, truncation: int) -> InvariantSeries:
     """Evaluate the truncated transfer-formula series for the pair (f2, g)."""
     truncation = check_truncation(truncation)
-    require_same_grid(f2, g)
-    if f2.dim != g.dim:
-        raise ValidationError(f"dimension mismatch: {f2.dim} vs {g.dim}")
-    require_finite(f2)
-    require_finite(g)
+    require_on(g, f2.grid, f2.dim, "g")
+    require_finite(f2, "f2")
     terms = series_terms(f2.values, g.values, f2.grid, derivative_order(alpha, "series"), truncation)
     i_a, i_b = _panel_indices(f2.grid.n)[1]
     tail = float(np.max(np.abs(terms[-1, i_a : i_b + 1])))
@@ -172,11 +170,11 @@ def _transformed_integrand(problem, q: GridFunction, s: SymmetryGroup, eps: floa
     if np.any(diffs <= 0.0):
         raise ValidationError("transformed time nodes are not increasing; map unsupported")
     h_new = float(diffs.mean())
-    if np.max(np.abs(diffs - h_new)) > 1e-9 * (1.0 + abs(h_new)):
-        raise ValidationError(
-            "time map sends the uniform grid to a nonuniform one; the transformed "
-            "Caputo term is not computable on this grid type"
-        )
+    require_close(
+        diffs, h_new, 1e-9 * (1.0 + abs(h_new)),
+        "time map sends the uniform grid to a nonuniform one; the transformed "
+        "Caputo term is not computable on this grid type",
+    )
     # image of [a, b]: t[-1] can miss b by an ulp, and the identity must keep the grid
     a_new, b_new = np.asarray(s.time_map(eps, np.array([q.grid.a, q.grid.b])), dtype=float)
     grid_new = Grid(float(a_new), float(b_new), q.grid.n)

@@ -39,7 +39,9 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .fracops import caputo_left, caputo_left_matrix, derivative_order
-from .grid import Grid, GridFunction, central_difference, trapezoid_weights
+from .grid import (
+    Grid, GridFunction, central_difference, require_close, require_on, trapezoid_weights
+)
 from .lagrangian import check_partial, fd_partial, quadratic_mix
 from .minimize import MAX_UNKNOWNS, PointwiseSum, bfgs_minimize, schur_newton
 from .noether import momentum_quantity
@@ -79,7 +81,6 @@ class ControlProblem:
     control_dim: int
     frac_dim: int
     autonomous: bool = False
-    name: str = "custom"
 
     def __post_init__(self):
         self.alpha = derivative_order(self.alpha, "control")
@@ -139,22 +140,16 @@ def _state_arrays(cp: ControlProblem, state: PontryaginState):
     for f, label, d in (
         (state.q, "q", cp.state_dim),
         (state.u, "u", cp.control_dim),
-        (state.mu, "mu", cp.frac_dim),
+        (state.mu, "mu", cp.frac_dim or state.mu.dim),  # a placeholder when frac_dim = 0
         (state.p, "p", cp.state_dim),
         (state.p_alpha, "p_alpha", cp.state_dim),
     ):
-        if f.grid != cp.grid:
-            raise ValidationError(f"{label} does not live on the problem grid")
-        if label == "mu":
-            if d and f.dim != d:
-                raise ValidationError(f"mu dimension {f.dim} != {d}")
-        elif f.dim != d:
-            raise ValidationError(f"{label} dimension {f.dim} != {d}")
-    scale = 1.0 + float(np.max(np.abs(state.q.values)))
-    if np.max(np.abs(state.q.values[0] - cp.q_start)) > 1e-12 * scale:
-        raise ValidationError("state does not satisfy the initial condition")
+        require_on(f, cp.grid, d, label)
+    q = state.q.values
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(q))))
+    require_close(q[0], cp.q_start, tol, "state does not satisfy the initial condition")
     mu_vals = state.mu.values if cp.frac_dim else np.zeros((cp.grid.n + 1, 0))
-    return state.q.values, state.u.values, mu_vals, state.p.values, state.p_alpha.values
+    return q, state.u.values, mu_vals, state.p.values, state.p_alpha.values
 
 
 def hamiltonian(cp: ControlProblem, state: PontryaginState, t_index: int) -> float:
@@ -433,7 +428,6 @@ def variational_reduction(lagrangian, grid: Grid, alpha, q_start) -> ControlProb
         control_dim=d,
         frac_dim=d,
         autonomous=lagrangian.autonomous,
-        name="reduction-of-variations",
     )
 
 
@@ -462,6 +456,4 @@ def scalar_tracking_problem(
     phi = u, rho = mu; the :func:`variational_reduction` of
     ``quadratic_mix(cu, cmu, cq)``."""
     lag = quadratic_mix(control_weight, frac_weight, state_weight)
-    cp = variational_reduction(lag, grid, alpha, [q_start])
-    cp.name = "linear-quadratic"
-    return cp
+    return variational_reduction(lag, grid, alpha, [q_start])

@@ -92,8 +92,7 @@ class RunManifest:
 class _Params:
     """Typed access to one config section with key-named errors."""
 
-    def __init__(self, section: str, data: dict):
-        self.section = section
+    def __init__(self, data: dict):
         self.data = dict(data)
 
     def require(self, key: str) -> str:
@@ -460,7 +459,7 @@ def _execute(scenario: Scenario, out: Path):
         raise ValidationError(f"unknown scenario kind {scenario.kind!r}")
     start = time.monotonic()
     out.mkdir(parents=True, exist_ok=True)
-    names, metric = _EXECUTORS[scenario.kind](_Params(scenario.kind, scenario.parameters), out)
+    names, metric = _EXECUTORS[scenario.kind](_Params(scenario.parameters), out)
     return _write_manifest(out, scenario, start, names), metric
 
 

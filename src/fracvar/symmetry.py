@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
+from .grid import require_close
 
 _IDENTITY_TOL = 1e-12
 _GROUP_TOL = 1e-8
@@ -41,29 +42,25 @@ class SymmetryGroup:
         self._check_group_property(t, q)
         self._check_rates(t, q)
 
+    def _require(self, got, want, tol, failure: str) -> None:
+        require_close(got, want, tol, f"symmetry {self.name!r}: {failure}")
+
     def _check_identity(self, t, q):
-        if np.max(np.abs(self.time_map(0.0, t) - t)) > _IDENTITY_TOL:
-            raise ValidationError(f"symmetry {self.name!r}: time map at eps=0 is not the identity")
-        if np.max(np.abs(self.state_map(0.0, q) - q)) > _IDENTITY_TOL:
-            raise ValidationError(f"symmetry {self.name!r}: state map at eps=0 is not the identity")
+        for what, psi, x in (("time", self.time_map, t), ("state", self.state_map, q)):
+            self._require(psi(0.0, x), x, _IDENTITY_TOL, f"{what} map at eps=0 is not the identity")
 
     def _check_group_property(self, t, q):
         for e1, e2 in ((0.3, 0.2), (-0.4, 0.15)):
-            t_comp = self.time_map(e1, self.time_map(e2, t))
-            if np.max(np.abs(t_comp - self.time_map(e1 + e2, t))) > _GROUP_TOL:
-                raise ValidationError(f"symmetry {self.name!r}: time maps do not compose additively")
-            q_comp = self.state_map(e1, self.state_map(e2, q))
-            if np.max(np.abs(q_comp - self.state_map(e1 + e2, q))) > _GROUP_TOL:
-                raise ValidationError(f"symmetry {self.name!r}: state maps do not compose additively")
+            for what, psi, x in (("time", self.time_map, t), ("state", self.state_map, q)):
+                failure = f"{what} maps do not compose additively"
+                self._require(psi(e1, psi(e2, x)), psi(e1 + e2, x), _GROUP_TOL, failure)
 
     def _check_rates(self, t, q):
         eps = 1e-5
         tau_fd = (self.time_map(eps, t) - self.time_map(-eps, t)) / (2.0 * eps)
-        if np.max(np.abs(np.asarray(self.time_rate(t), float) - tau_fd)) > _RATE_TOL:
-            raise ValidationError(f"symmetry {self.name!r}: tau does not match d(psi1)/d(eps)")
+        self._require(self.time_rate(t), tau_fd, _RATE_TOL, "tau does not match d(psi1)/d(eps)")
         f2_fd = (self.state_map(eps, q) - self.state_map(-eps, q)) / (2.0 * eps)
-        if np.max(np.abs(np.asarray(self.state_rate(t, q), float) - f2_fd)) > _RATE_TOL:
-            raise ValidationError(f"symmetry {self.name!r}: f2 does not match d(psi2)/d(eps)")
+        self._require(self.state_rate(t, q), f2_fd, _RATE_TOL, "f2 does not match d(psi2)/d(eps)")
 
     def rates_on(self, t: np.ndarray, q: np.ndarray):
         """tau and f2 sampled along a trajectory."""
@@ -90,6 +87,8 @@ def time_translation(dim: int = 1) -> SymmetryGroup:
 def space_translation(direction) -> SymmetryGroup:
     """psi2 = q + eps * direction; time untouched."""
     d = np.atleast_1d(np.asarray(direction, dtype=float))
+    if not np.isfinite(d).all():
+        raise ValidationError(f"space translation 'direction' must be finite, got {d}")
     return SymmetryGroup(
         time_map=lambda eps, t: t,
         state_map=lambda eps, q: q + eps * d[None, :],
@@ -102,6 +101,8 @@ def space_translation(direction) -> SymmetryGroup:
 
 def rotation(rate: float = 1.0) -> SymmetryGroup:
     """Planar rotation by angle eps * rate (dim 2)."""
+    if not np.isfinite(rate):
+        raise ValidationError(f"rotation 'rate' must be finite, got {rate}")
 
     def state_map(eps, q):
         c, s = np.cos(eps * rate), np.sin(eps * rate)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, NumericsError, ValidationError
+from .errors import NumericsError, ValidationError
 from .fracops import (
     MatrixFree,
     caputo_left,
@@ -42,7 +42,8 @@ from .grid import (
     cell_differences,
     cell_differences_T,
     central_difference,
-    require_finite,
+    require_close,
+    require_on,
     trapezoid,
     write_csv,
 )
@@ -80,20 +81,11 @@ class VariationalProblem:
     def check_trajectory(self, q: GridFunction, boundary: bool) -> None:
         """Raise unless ``q`` is a finite trajectory on the problem grid
         (that meets the boundary values, with ``boundary``)."""
-        if q.grid != self.grid:
-            raise GridMismatchError("trajectory grid does not match the problem grid")
-        if q.dim != self.dim:
-            raise GridMismatchError(
-                f"trajectory dimension {q.dim} does not match problem dimension {self.dim}"
-            )
-        require_finite(q, "trajectory")
+        require_on(q, self.grid, self.dim, "trajectory")
         if boundary:
-            scale = 1.0 + float(np.max(np.abs(q.values)))
-            if (
-                np.max(np.abs(q.values[0] - self.q_a)) > 1e-12 * scale
-                or np.max(np.abs(q.values[-1] - self.q_b)) > 1e-12 * scale
-            ):
-                raise ValidationError("trajectory does not satisfy the boundary values")
+            tol = 1e-12 * (1.0 + float(np.max(np.abs(q.values))))
+            message = "trajectory does not satisfy the boundary values"
+            require_close(q.values[[0, -1]], [self.q_a, self.q_b], tol, message)
 
 
 #: node values along a trajectory: t, q, v = dq/dt, w = D_C^alpha q, and L with
@@ -157,12 +149,9 @@ def frechet_differential(
 ) -> float:
     """Directional differential: int [dL/dq . h + dL/dv . h' + dL/dw . D^alpha h]."""
     f = problem.along(q)
-    if h.grid != problem.grid or h.dim != problem.dim:
-        raise GridMismatchError("variation does not live on the problem grid")
-    require_finite(h, "variation")
-    scale = 1.0 + float(np.max(np.abs(h.values)))
-    if max(np.max(np.abs(h.values[0])), np.max(np.abs(h.values[-1]))) > 1e-12 * scale:
-        raise ValidationError("admissible variations must vanish at both endpoints")
+    require_on(h, problem.grid, problem.dim, "variation")
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(h.values))))
+    require_close(h.values[[0, -1]], 0, tol, "admissible variations must vanish at both endpoints")
     hdot = central_difference(h.values, problem.grid.h)
     hcap = caputo_left(h, problem.alpha).values
     integrand = np.sum(f.dq * h.values + f.dv * hdot + f.dw * hcap, axis=1)

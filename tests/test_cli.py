@@ -116,9 +116,9 @@ class TestParsing:
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_integer_keys_name_the_key(self, raw):
         with pytest.raises(ValidationError, match="key 'n' must be an integer"):
-            _Params("x", {"n": raw}).integer("n")
+            _Params({"n": raw}).integer("n")
         with pytest.raises(ValidationError, match="key 'grids' must list integers"):
-            _Params("x", {"grids": f"64,{raw}"}).int_list("grids")
+            _Params({"grids": f"64,{raw}"}).int_list("grids")
 
     def test_lagrangian_families(self):
         for family, extra in (
@@ -128,17 +128,17 @@ class TestParsing:
             ("friction", {"gamma": "0.5"}),
             ("custom-coefficients", {"caputo_weight": "1.0"}),
         ):
-            lag = build_lagrangian(_Params("x", {"lagrangian": family, **extra}))
+            lag = build_lagrangian(_Params({"lagrangian": family, **extra}))
             assert lag.dim == 1
 
     def test_symmetry_families(self):
-        assert build_symmetry(_Params("x", {}), dim=1).name == "time-translation"
+        assert build_symmetry(_Params({}), dim=1).name == "time-translation"
         s = build_symmetry(
-            _Params("x", {"symmetry": "space-translation", "direction": "1,0"}), dim=2
+            _Params({"symmetry": "space-translation", "direction": "1,0"}), dim=2
         )
         assert s.dim == 2
         with pytest.raises(ValidationError):
-            build_symmetry(_Params("x", {"symmetry": "rotation"}), dim=1)
+            build_symmetry(_Params({"symmetry": "rotation"}), dim=1)
 
 
 # --------------------------------------------------------------- execution
@@ -287,11 +287,13 @@ class TestCommandLine:
             ("tolerance = nan", "'tolerance'"),
             ("tolerance = -1", "'tolerance'"),
             ("stiffness = nan", "'stiffness'"),
+            ("direction = nan", "'direction'"),
         ],
     )
     def test_non_finite_or_non_positive_key_exits_one_with_key_name(self, tmp_path, line, key):
         path = tmp_path / "s.ini"
-        path.write_text(EXTREMAL_INI + line + "\n")
+        ini = EXTREMAL_INI.replace("extremal", "noether") + "symmetry = space-translation\n"
+        path.write_text(ini + line + "\n")
         proc = cli("run", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 1
         record = json.loads(proc.stderr.strip().splitlines()[-1])

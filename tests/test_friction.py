@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fracvar.errors import NumericsError, ValidationError
+from fracvar.errors import GridMismatchError, NumericsError, ValidationError
 from fracvar.fracops import rl_derivative_right
 from fracvar.friction import (
     FRICTION_ORDER,
@@ -109,6 +109,14 @@ class TestFrictionDiagnostics:
         q = GridFunction(fp.window, np.sin(fp.window.nodes()))
         with pytest.raises(ValidationError, match="analytic partial dq"):
             friction_diagnostics(fp, q)
+
+    @pytest.mark.parametrize(
+        "grid, dim", [(Grid(0.0, 2.0, 64), 1), (Grid(0.0, 1.0, 64), 2)], ids=["grid", "dimension"]
+    )
+    def test_trajectory_off_the_window_is_a_grid_mismatch(self, grid, dim):
+        fp = make_problem(window=Grid(0.0, 1.0, 64))
+        with pytest.raises(GridMismatchError, match="^trajectory "):
+            friction_diagnostics(fp, GridFunction(grid, np.zeros((65, dim))))
 
 
 # ------------------------------------------------------------ shrink study

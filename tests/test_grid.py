@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,8 @@ from fracvar.grid import (
     Grid,
     GridFunction,
     central_difference,
+    require_close,
+    require_on,
     trapezoid,
     trapezoid_weights,
     write_csv,
@@ -125,3 +128,43 @@ def test_trapezoid_basics():
     assert trapezoid(t, g.h) == pytest.approx(0.5, abs=1e-12)
     w = trapezoid_weights(g.n, g.h)
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_require_on_names_what_is_wrong():
+    g = Grid(0.0, 1.0, 4)
+    f = GridFunction(g, np.zeros((5, 2)))
+    require_on(f, g, 2, "f")
+    with pytest.raises(GridMismatchError, match="^f lives on Grid"):
+        require_on(f, Grid(0.0, 2.0, 4), 2, "f")
+    with pytest.raises(GridMismatchError, match="^f has dimension 2, expected 1"):
+        require_on(f, g, 1, "f")
+    f.values[3, 1] = math.nan
+    with pytest.raises(ValidationError, match=r"^f contains non-finite values \(first at node 3\)"):
+        require_on(f, g, 2, "f")
+
+
+def test_require_close_passes_within_a_per_entry_tolerance():
+    require_close([1.0, 2.0], [1.05, 2.0], [0.1, 0.0], "unused")
+    require_close(np.zeros((3, 2)), 0.0, 0.0, "unused")
+    require_close([1.0], [2.0], math.inf, "unused")
+
+
+# RuntimeWarnings are errors in this suite, so each case also shows the
+# check runs without one
+@pytest.mark.parametrize(
+    "got, want, tol, worst",
+    [
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 2.5], 0.1, "[2]"),
+        ([[0.0, 0.5], [0.0, 0.0]], 0.0, [[1.0, 0.1], [1.0, 1.0]], "[0, 1]"),
+        ([0.0, math.nan, 2.0], [0.0, 1.0, 9.0], 0.1, "[1]"),
+        ([1.0, 1.0], [1.0, 1.0], [0.1, math.nan], "[1]"),
+        ([0.0, math.inf], [0.0, 1.0], 1e300, "[1]"),
+        ([math.inf, 1.0], [math.inf, 1.0], 0.1, "[0]"),
+        ([0.0, 1.0], [math.inf, math.inf], math.inf, "[0]"),
+    ],
+    ids=["gap", "per-entry-tol", "nan-beats-a-wider-gap", "nan-tol", "inf", "inf-inf", "inf-tol"],
+)
+def test_require_close_names_the_worst_entry(got, want, tol, worst):
+    message = re.escape(f"off (worst entry at index {worst})")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        require_close(got, want, tol, "off")

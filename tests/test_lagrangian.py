@@ -6,12 +6,16 @@ exactly. ``polynomial_potential`` must equal ``np.polyval`` bit for bit, and
 ``fd_partial``'s one batched call must equal one call pair per column.
 """
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fracvar.errors import ValidationError
 from fracvar.lagrangian import (
     _FD_STEP,
+    LagrangianSpec,
     fd_partial,
     free_particle,
     harmonic_oscillator,
@@ -173,3 +177,9 @@ def test_batched_fd_partial_equals_the_per_column_loop(evaluate, slot):
     got = fd_partial(counted, args, slot)
     assert len(calls) == 1
     npt.assert_array_equal(got, loop_fd_partial(evaluate, args, slot))
+
+
+@pytest.mark.parametrize("dim", [0, 1.5, math.nan, math.inf])
+def test_dim_must_be_a_positive_integer(dim):
+    with pytest.raises(ValidationError, match="dim must be a positive integer"):
+        LagrangianSpec(dim=dim, evaluate=lambda t, q, v, w: np.zeros(len(t)))

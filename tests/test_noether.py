@@ -59,6 +59,31 @@ class TestSymmetryGroup:
                 state_rate=lambda t, q: np.zeros_like(q),
             )
 
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (lambda: space_translation([math.nan]), "'direction'"),
+            (lambda: space_translation([1.0, math.inf]), "'direction'"),
+            (lambda: rotation(math.nan), "'rate'"),
+            (lambda: rotation(-math.inf), "'rate'"),
+        ],
+        ids=["translation-nan", "translation-inf", "rotation-nan", "rotation-inf"],
+    )
+    def test_families_reject_a_non_finite_parameter(self, build, key):
+        with pytest.raises(ValidationError, match=f"{key} must be finite"):
+            build()
+
+    @pytest.mark.parametrize("which", ["tau", "f2"])
+    def test_nan_rate_rejected(self, which):
+        nan_tau = which == "tau"
+        with pytest.raises(ValidationError, match=f"{which} does not match"):
+            SymmetryGroup(
+                time_map=lambda eps, t: t + eps,
+                state_map=lambda eps, q: q,
+                time_rate=lambda t: np.full_like(t, math.nan if nan_tau else 1.0),
+                state_rate=lambda t, q: np.full_like(q, 0.0 if nan_tau else math.nan),
+            )
+
     def test_scaling_family_is_a_valid_group(self):
         # exp-scaling composes additively; used as a non-invariant probe
         s = SymmetryGroup(
@@ -349,6 +374,13 @@ class TestTransferSeries:
         expected = 2.0 * t + 2.0 * t
         npt.assert_allclose(series.terms[0], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("truncation", [math.nan, math.inf])
+    def test_non_finite_truncation_rejected(self, truncation):
+        grid = Grid(0.0, 1.0, 32)
+        f = GridFunction(grid, grid.nodes())
+        with pytest.raises(ValidationError, match="must be a non-negative integer"):
+            transfer_series(f, f, 0.5, truncation)
+
     def test_truncation_cap(self):
         grid = Grid(0.0, 1.0, 32)
         f = GridFunction(grid, grid.nodes())
@@ -401,6 +433,13 @@ class TestNoetherQuantity:
         c = noether_quantity(p, sol, space_translation([1.0]), truncation=2)
         manual = sol.velocity.values[:, 0] + rl_integral_right(sol.caputo_velocity, 0.5).values[:, 0]
         npt.assert_allclose(c.values[:, 0], manual, atol=1e-12)
+
+    @pytest.mark.parametrize("truncation", [math.nan, math.inf])
+    def test_non_finite_truncation_rejected(self, truncation):
+        p = VariationalProblem(free_particle(), Grid(0.0, 1.0, 32), 1.0, ([0.0], [1.0]))
+        sol = solve_extremal(p)
+        with pytest.raises(ValidationError, match="must be a non-negative integer"):
+            noether_quantity(p, sol, space_translation([1.0]), truncation=truncation)
 
     def test_truncation_rejected_above_cap(self):
         p = VariationalProblem(free_particle(), Grid(0.0, 1.0, 32), 1.0, ([0.0], [1.0]))

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from fracvar import optctrl
-from fracvar.errors import NumericsError, ValidationError
+from fracvar.errors import GridMismatchError, NumericsError, ValidationError
 from fracvar.fracops import caputo_left, caputo_left_matrix
 from fracvar.grid import Grid, GridFunction, central_difference, trapezoid, trapezoid_weights
 from fracvar.lagrangian import quadratic_mix
@@ -50,7 +50,6 @@ def zero_problem(n=32):
         control_dim=1,
         frac_dim=1,
         autonomous=True,
-        name="zero",
     )
 
 
@@ -98,7 +97,6 @@ def nonlinear_problem(n):
         state_dim=2,
         control_dim=1,
         frac_dim=1,
-        name="nonlinear",
     )
 
 
@@ -136,7 +134,6 @@ def feasible_nonlinear_problem(n):
         state_dim=2,
         control_dim=2,
         frac_dim=2,
-        name="feasible-nonlinear",
     )
 
 
@@ -247,9 +244,8 @@ class TestPontryaginResiduals:
         p = np.zeros(33)
         p[16] = np.inf
         state = PontryaginState(q=zero, u=zero, mu=zero, p=GridFunction(cp.grid, p), p_alpha=zero)
-        res = pontryagin_residuals(cp, state)
-        assert not np.isfinite(res[2].values[15:18]).any()  # dH/dq + dp/dt - ...
-        assert not np.isfinite(res[3].values[16]).any()  # dH/du = u + p
+        with pytest.raises(ValidationError, match=r"^p contains non-finite .* node 16\)"):
+            pontryagin_residuals(cp, state)
 
     def test_reduction_substitution_matches_el_residual(self):
         # same-arithmetic identity on 5 random quadratic problems
@@ -309,6 +305,19 @@ class TestPontryaginResiduals:
         with pytest.raises(ValidationError):
             pontryagin_residuals(cp, state)
 
+    @pytest.mark.parametrize(
+        "values, grid",
+        [(np.ones((17, 2)), None), (np.ones(17), Grid(0.0, 2.0, 16))],
+        ids=["dimension", "grid"],
+    )
+    def test_control_off_the_problem_grid_is_a_grid_mismatch(self, values, grid):
+        cp = scalar_tracking_problem(Grid(0.0, 1.0, 16), 0.5, 1.0)
+        one = GridFunction(cp.grid, np.ones(17))
+        bad = GridFunction(grid or cp.grid, values)
+        state = PontryaginState(q=one, u=bad, mu=one, p=one, p_alpha=one)
+        with pytest.raises(GridMismatchError, match="^u "):
+            optctrl.hamiltonian_values(cp, state)
+
 
 # ------------------------------------------------------------- the solver
 
@@ -346,7 +355,6 @@ class TestSolveControl:
             control_dim=1,
             frac_dim=0,
             autonomous=True,
-            name="degenerate",
         )
         state = solve_control(cp)
         assert np.max(np.abs(state.u.values)) < 1e-6
@@ -386,7 +394,6 @@ class TestSolveControl:
             control_dim=1,
             frac_dim=0,
             autonomous=True,
-            name="infeasible",
         )
         with pytest.raises(NumericsError):
             solve_control(cp)
@@ -762,7 +769,6 @@ def explicit_lq_problem(grid, alpha, q_start, state_weight, control_weight, frac
         control_dim=1,
         frac_dim=1,
         autonomous=True,
-        name="linear-quadratic",
     )
 
 
@@ -780,7 +786,7 @@ class TestLinearQuadraticFamily:
         kw = dict(zip(("state_weight", "control_weight", "frac_weight"), weights))
         cp = scalar_tracking_problem(grid, alpha, q_start, **kw)
         ref_cp = explicit_lq_problem(grid, alpha, q_start, *weights)
-        assert (cp.name, cp.autonomous) == ("linear-quadratic", True)
+        assert cp.autonomous
         state = solve_control(cp, terminal_state=terminal)
         ref = solve_control(ref_cp, terminal_state=terminal)
         for label in ("q", "u", "mu", "p", "p_alpha"):

@@ -22,7 +22,9 @@ neither formula is written twice; one ``optctrl`` function alone calls the
 cost and dynamics partials, so the partials of H are written once too.
 ``noether`` calls no right RL derivative (its Euler-Lagrange terms come from
 the costate residual), and ``friction`` imports neither the Caputo nor the
-difference operator (its fields come from ``variational.along``).
+difference operator (its fields come from ``variational.along``). No module
+but ``grid`` compares a ``.grid`` attribute with ``==`` or ``!=`` or raises
+``GridMismatchError``: the others reject inputs through ``grid.require_on``.
 """
 
 import ast
@@ -410,4 +412,47 @@ def test_formula_copy_checker_flags_each_pattern():
         "m.py:6 calls rl_derivative_right",
         "m.py:12 calls cost_dq outside partials",
         "m.py:12 calls cost_du outside partials",
+    ]
+
+
+def grid_checks(source: str, module: str) -> list:
+    """One line per ``==``/``!=`` comparison with a ``.grid`` operand and per
+    raise of ``GridMismatchError``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+        ):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Attribute) and x.attr == "grid" for x in operands):
+                found.append((node.lineno, "compares grids"))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", "")) == "GridMismatchError":
+                found.append((node.lineno, "raises GridMismatchError"))
+    return [f"{module}:{line} {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"], ids=lambda p: p.name)
+def test_only_grid_checks_grids(path):
+    assert grid_checks(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_grid_check_checker_flags_each_pattern():
+    source = (
+        "from . import errors\n"
+        "def f(q, problem, fp):\n"
+        "    if q.grid != problem.grid or q.dim != problem.dim:\n"
+        "        raise GridMismatchError('variation')\n"
+        "    if fp.window == q.grid:\n"
+        "        raise errors.GridMismatchError\n"
+        "    if q.grid is fp.window or q.grids == fp.grids or q.grid < fp.window:\n"
+        "        raise ValueError('grid')\n"
+        "    return 'q.grid != g.grid'\n"
+    )
+    assert grid_checks(source, "m.py") == [
+        "m.py:3 compares grids",
+        "m.py:4 raises GridMismatchError",
+        "m.py:5 compares grids",
+        "m.py:6 raises GridMismatchError",
     ]
