@@ -184,7 +184,7 @@ def criterion_transfer_formula(cache):
 
 @_criterion(8, "friction demo (limit EOM, shrink law, non-conservation)", 30.0)
 def criterion_friction_demo(cache):
-    fp_free = FrictionProblem(1.0, 1.0, *polynomial_potential([]), Grid(0.0, 1.0, 64))
+    fp_free = FrictionProblem(1.0, 1.0, *polynomial_potential([]))
     sim = simulate_damped_eom(fp_free, q0=0.0, v0=1.0, horizon=1.0, steps=1024)
     eom_err = abs(sim.values[-1, 0] - (1.0 - math.exp(-1.0)))
 
@@ -197,9 +197,9 @@ def criterion_friction_demo(cache):
     u, du = polynomial_potential([0.0, 0.0, 0.5])
     drifts = {}
     for gamma_value in (1.0, 0.0):
-        fp = FrictionProblem(1.0, gamma_value, u, du, Grid(0.0, 1.0, 1024))
+        fp = FrictionProblem(1.0, gamma_value, u, du)
         run = simulate_damped_eom(fp, q0=1.0, v0=0.0, horizon=1.0, steps=1024)
-        q = GridFunction(fp.window, run.values[:, 0])
+        q = GridFunction(run.grid, run.values[:, 0])
         drifts[gamma_value] = drift_report(friction_diagnostics(fp, q).hamiltonian)
     nonconservation_ok = drifts[1.0] > 10.0 * drifts[0.0]
 

@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .grid import Grid, GridFunction, require_close, require_on
-from .lagrangian import LagrangianSpec
+from .grid import Grid, GridFunction, require_close, require_integer, require_on
+from .lagrangian import LagrangianSpec, particle_lagrangian
 from .variational import VariationalProblem, along
 
 #: dissipation order of the model; the quadratic friction term is built on it
@@ -43,7 +43,6 @@ class FrictionProblem:
     gamma: float
     potential: Callable[[np.ndarray], np.ndarray]
     potential_grad: Callable[[np.ndarray], np.ndarray]
-    window: Grid
 
     def __post_init__(self):
         if not (np.isfinite(self.mass) and self.mass > 0.0):
@@ -57,7 +56,7 @@ class FrictionProblem:
 
 @dataclass
 class FrictionDiagnostics:
-    """Momenta and Hamiltonian along a trajectory on the problem window."""
+    """Momenta and Hamiltonian along a trajectory, on its grid."""
 
     momentum: GridFunction  # dL/dv = m qdot
     half_momentum: GridFunction  # dL/dw = gamma D_C^(1/2) q
@@ -65,32 +64,21 @@ class FrictionDiagnostics:
 
 
 def friction_lagrangian(fp: FrictionProblem) -> LagrangianSpec:
-    """LagrangianSpec for the model; the dissipation order is 1/2."""
-
-    def evaluate(t, q, v, w):
-        u = np.asarray(fp.potential(q[:, 0]), dtype=float)
-        return 0.5 * fp.mass * v[:, 0] ** 2 - u + 0.5 * fp.gamma * w[:, 0] ** 2
-
-    return LagrangianSpec(
-        dim=1,
-        evaluate=evaluate,
-        dq=lambda t, q, v, w: -np.asarray(fp.potential_grad(q[:, 0]), dtype=float)[:, None],
-        dv=lambda t, q, v, w: fp.mass * v,
-        dw=lambda t, q, v, w: fp.gamma * w,
-        autonomous=True,
-        name="friction",
-    )
+    """The model's :func:`lagrangian.particle_lagrangian`; the dissipation order is 1/2."""
+    return particle_lagrangian(fp.mass, fp.potential, fp.potential_grad, fp.gamma, name="friction")
 
 
-def friction_variational_problem(fp: FrictionProblem, q_a: float, q_b: float) -> VariationalProblem:
-    """The window's variational problem at the model's half order."""
-    return VariationalProblem(friction_lagrangian(fp), fp.window, FRICTION_ORDER, ([q_a], [q_b]))
+def friction_variational_problem(
+    fp: FrictionProblem, window: Grid, q_a: float, q_b: float
+) -> VariationalProblem:
+    """The variational problem on ``window`` at the model's half order."""
+    return VariationalProblem(friction_lagrangian(fp), window, FRICTION_ORDER, ([q_a], [q_b]))
 
 
 def friction_diagnostics(fp: FrictionProblem, q: GridFunction) -> FrictionDiagnostics:
-    """Momenta and H = qdot dL/dv + w dL/dw - L (= m qdot^2/2 + U + (gamma/2) w^2),
-    read from :func:`variational.along` at the model's half order."""
-    require_on(q, fp.window, 1, "trajectory")
+    """Momenta and H = qdot dL/dv + w dL/dw - L (= m qdot^2/2 + U + (gamma/2) w^2)
+    on q's grid, read from :func:`variational.along` at the model's half order."""
+    require_on(q, q.grid, 1, "trajectory")
     f = along(friction_lagrangian(fp), q.grid, FRICTION_ORDER, q.values)
     ham = (f.v * f.dv + f.w * f.dw)[:, 0] - f.L
     return FrictionDiagnostics(
@@ -165,9 +153,7 @@ def simulate_damped_eom(
     Raises ``NumericsError`` at the first step whose state is non-finite or
     exceeds 1e12 in magnitude.
     """
-    if not np.isfinite(steps) or int(steps) != steps or steps < 16:
-        raise ValidationError(f"steps must be an integer >= 16, got {steps}")
-    steps = int(steps)
+    steps = require_integer(steps, 16, "steps must be an integer >= 16")
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValidationError(f"horizon must be positive, got {horizon}")
     if not (np.isfinite(q0) and np.isfinite(v0)):

@@ -32,9 +32,7 @@ class Grid:
             raise ValidationError("grid endpoints must be finite")
         if not self.a < self.b:
             raise ValidationError(f"grid requires a < b, got a={self.a}, b={self.b}")
-        if not np.isfinite(self.n) or int(self.n) != self.n or self.n < 2:
-            raise ValidationError(f"grid requires an integer n >= 2, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", require_integer(self.n, 2, "grid requires an integer n >= 2"))
 
     @property
     def h(self) -> float:
@@ -188,9 +186,22 @@ def require_on(f: GridFunction, grid: Grid, dim: int, what: str) -> None:
     (:func:`require_finite`) naming ``what`` and the first non-finite node."""
     if f.grid != grid:
         raise GridMismatchError(f"{what} lives on {f.grid}, not on {grid}")
-    if f.dim != dim:
-        raise GridMismatchError(f"{what} has dimension {f.dim}, expected {dim}")
+    require_dim(f.dim, dim, what)
     require_finite(f, what)
+
+
+def require_dim(got: int, want: int, what: str) -> None:
+    """Raise ``GridMismatchError`` naming ``what`` unless its dimension ``got`` is ``want``."""
+    if got != want:
+        raise GridMismatchError(f"{what} has dimension {got}, expected {want}")
+
+
+def require_integer(value, minimum: int, requirement: str) -> int:
+    """``value`` as an ``int`` (2.0 is 2); ``ValidationError`` with ``requirement``
+    unless it is a finite whole number ``>= minimum`` (nan, inf and 2.5 are not)."""
+    if not (np.isfinite(value) and int(value) == value and value >= minimum):
+        raise ValidationError(f"{requirement}, got {value}")
+    return int(value)
 
 
 def require_close(got, want, tol, message: str) -> None:

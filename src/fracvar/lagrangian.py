@@ -8,7 +8,8 @@ on seeded random probes at construction; missing partials fall back to
 finite differences.
 
 The free particle and the harmonic oscillator are :func:`quadratic_mix`
-instances; :func:`polynomial_potential` gives U and U' here and in friction.
+instances, ``potential_polynomial`` and ``friction.friction_lagrangian`` are
+:func:`particle_lagrangian` ones; :func:`polynomial_potential` gives U and U'.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .grid import require_close
+from .grid import require_close, require_integer
 
 _PROBE_SEED = 1693
 _FD_STEP = 1e-6
@@ -80,9 +80,7 @@ class LagrangianSpec:
     name: str = "custom"
 
     def __post_init__(self):
-        if not np.isfinite(self.dim) or int(self.dim) != self.dim or self.dim < 1:
-            raise ValidationError(f"dim must be a positive integer, got {self.dim}")
-        self.dim = int(self.dim)
+        self.dim = require_integer(self.dim, 1, "dim must be a positive integer")
         rng = np.random.default_rng(_PROBE_SEED)
         k = 16
         args = (
@@ -164,22 +162,29 @@ def _horner(p: list):
     return value
 
 
-def potential_polynomial(coeffs: Sequence[float], mass: float = 1.0) -> LagrangianSpec:
-    """Scalar L = m v^2 / 2 - U(q) with U(q) = sum_k coeffs[k] q^k."""
-    u, du = polynomial_potential(coeffs)
+def particle_lagrangian(
+    mass: float, potential, potential_grad, gamma: float = 0.0, *, name: str
+) -> LagrangianSpec:
+    """Scalar L = m v^2 / 2 - U(q) + (gamma / 2) w^2; U and U' act on q's column."""
 
     def evaluate(t, q, v, w):
-        return 0.5 * mass * v[:, 0] ** 2 - u(q[:, 0])
+        u = np.asarray(potential(q[:, 0]), dtype=float)
+        return 0.5 * mass * v[:, 0] ** 2 - u + 0.5 * gamma * w[:, 0] ** 2
 
     return LagrangianSpec(
         dim=1,
         evaluate=evaluate,
-        dq=lambda t, q, v, w: -du(q),
+        dq=lambda t, q, v, w: -np.asarray(potential_grad(q[:, 0]), dtype=float)[:, None],
         dv=lambda t, q, v, w: mass * v,
-        dw=lambda t, q, v, w: np.zeros_like(w),
+        dw=lambda t, q, v, w: gamma * w,
         autonomous=True,
-        name="potential-polynomial",
+        name=name,
     )
+
+
+def potential_polynomial(coeffs: Sequence[float], mass: float = 1.0) -> LagrangianSpec:
+    """:func:`particle_lagrangian` without friction, U(q) = sum_k coeffs[k] q^k."""
+    return particle_lagrangian(mass, *polynomial_potential(coeffs), name="potential-polynomial")
 
 
 def quadratic_mix(

@@ -41,45 +41,43 @@ MAX_UNKNOWNS = 4096
 class PointwiseSum:
     """F(X) = sum_p f(args_p) for node values X of shape ``(nodes, width)``.
 
-    ``slots`` lists ``(columns, matrix, rows)`` with integer arrays
-    ``columns`` and ``rows``: slot s's argument at point p is
-    ``(matrix @ X[:, columns])[rows[p]]``, where ``None`` is the identity
-    matrix. Matrices are ``(nodes, nodes)`` arrays or operators with ``@``
-    and ``.T @``; slots with one come last. :meth:`hessian` needs arrays,
-    and every slot it pairs with a matrix slot reading the same rows.
+    ``slots`` lists ``(matrix, rows)`` with an integer array ``rows``: slot
+    s's argument at point p is ``(matrix @ X)[rows[p]]``, where ``None`` is
+    the identity matrix. Matrices are ``(nodes, nodes)`` arrays or operators
+    with ``@`` and ``.T @``; slots with one come last. :meth:`hessian` needs
+    arrays, and every slot it pairs with a matrix slot reading the same rows.
     The caller evaluates f and its partials at :meth:`args`;
     :meth:`gradient`, :meth:`hvp` and :meth:`hessian` chain them back to X.
     Both products take f's symmetric second partials as one array
-    ``(points, r, r)`` over a point's r concatenated arguments, slot s's at
-    ``spans[s]``.
+    ``(points, r, r)`` over a point's r = slots x width concatenated
+    arguments, slot s's at ``spans[s]``.
     """
 
     def __init__(self, shape, slots):
         self.shape, self.slots = shape, slots
         # per slot: the rows as a gather index and as runs of consecutive nodes
-        self._rows = [_runs(rows) for _, _, rows in slots]
-        ends = np.cumsum([len(cols) for cols, _, _ in slots])
-        self.spans = [slice(end - len(cols), end) for end, (cols, _, _) in zip(ends, slots)]
+        self._rows = [_runs(rows) for _, rows in slots]
+        self.spans = [slice(s * shape[1], (s + 1) * shape[1]) for s in range(len(slots))]
 
     def args(self, x: np.ndarray) -> list:
-        """Each slot's argument at every point, shape ``(points, |columns|)``."""
+        """Each slot's argument at every point, shape ``(points, width)``."""
         return [self._arg(s, x) for s in range(len(self.slots))]
 
     def _arg(self, s: int, x: np.ndarray) -> np.ndarray:
-        (cols, m, _), (gather, _) = self.slots[s], self._rows[s]
-        return (x[:, cols] if m is None else m @ x[:, cols])[gather]
+        (m, _), (gather, _) = self.slots[s], self._rows[s]
+        return (x if m is None else m @ x)[gather]
 
     def gradient(self, partials) -> np.ndarray:
-        """dF/dX from each slot's partials of f, shape ``(points, |columns|)``;
+        """dF/dX from each slot's partials of f, shape ``(points, width)``;
         a slot whose partials are all zero adds nothing and is skipped."""
         g = np.zeros(self.shape)
-        for (cols, m, _), (_, runs), part in zip(self.slots, self._rows, partials):
+        for (m, _), (_, runs), part in zip(self.slots, self._rows, partials):
             if not part.any():
                 continue
-            scattered = np.zeros((self.shape[0], len(cols)))
+            scattered = np.zeros(self.shape)
             for nodes, points in runs:  # np.add.at's additions, in its order
                 scattered[nodes] += part[points]
-            g[:, cols] += scattered if m is None else m.T @ scattered
+            g += scattered if m is None else m.T @ scattered
         return g
 
     def hvp(self, point: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -97,21 +95,21 @@ class PointwiseSum:
         blocks of slots s <= t. Diagonal blocks enter halved and the result is
         ``part + part'``, so that it is exactly symmetric."""
         nodes, width = self.shape
+        cols = np.arange(width)
         part = np.zeros((nodes, width, nodes, width))
-        for s, (cols_s, ma, ra) in enumerate(self.slots):
+        for s, (ma, ra) in enumerate(self.slots):
             for t in range(s, len(self.slots)):
                 block = point[:, self.spans[s], self.spans[t]]
                 if not block.any():
                     continue
-                cols_t, mb, rb = self.slots[t]
+                mb, rb = self.slots[t]
                 b = 0.5 * block if s == t else block
                 if mb is None:  # identity x identity
-                    index = (ra[:, None, None], cols_s[:, None], rb[:, None, None], cols_t)
-                    np.add.at(part, index, b)
+                    np.add.at(part, (ra[:, None, None], cols[:, None], rb[:, None, None], cols), b)
                     continue
                 for i, j in zip(*np.nonzero(b.any(axis=0))):  # same rows: B scales M_t's rows
                     scaled = np.bincount(ra, b[:, i, j], nodes)[:, None] * mb
-                    part[:, cols_s[i], :, cols_t[j]] += scaled if ma is None else ma.T @ scaled
+                    part[:, i, :, j] += scaled if ma is None else ma.T @ scaled
         part = part.reshape(nodes * width, nodes * width)
         return part + part.T
 

@@ -43,7 +43,9 @@ from .grid import (
     GridFunction,
     central_difference,
     require_close,
+    require_dim,
     require_finite,
+    require_integer,
     require_on,
     trapezoid,
 )
@@ -71,14 +73,13 @@ class InvariantSeries:
 
 
 def check_truncation(truncation: int) -> int:
-    if not np.isfinite(truncation) or int(truncation) != truncation or truncation < 0:
-        raise ValidationError(f"truncation order must be a non-negative integer, got {truncation}")
+    truncation = require_integer(truncation, 0, "truncation order must be a non-negative integer")
     if truncation > _MAX_TRUNCATION:
         raise ValidationError(
             f"truncation order {truncation} rejected: repeated numerical differentiation "
             f"beyond {_MAX_TRUNCATION} is noise-dominated"
         )
-    return int(truncation)
+    return truncation
 
 
 def _fractional_integral(f: GridFunction, order: float, left: bool) -> np.ndarray:
@@ -135,8 +136,7 @@ def transfer_series(f2: GridFunction, g: GridFunction, alpha, truncation: int) -
 def _check_invariance_inputs(problem, q, s, el_tol):
     """Trajectory and symmetry dimension; with ``el_tol``, that q is an extremal."""
     problem.check_trajectory(q, boundary=False)
-    if s.dim != problem.dim:
-        raise ValidationError(f"symmetry dimension {s.dim} != problem dimension {problem.dim}")
+    require_dim(s.dim, problem.dim, "symmetry")
     if el_tol is not None and (norm := el_residual_norm(problem, q)) > el_tol:
         raise ValidationError(
             f"trajectory is not an extremal at tolerance {el_tol:.3g} "

@@ -40,7 +40,8 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .fracops import caputo_left, caputo_left_matrix, derivative_order
 from .grid import (
-    Grid, GridFunction, central_difference, require_close, require_on, trapezoid_weights
+    Grid, GridFunction, central_difference, require_close, require_dim, require_integer, require_on,
+    trapezoid_weights,
 )
 from .lagrangian import check_partial, fd_partial, quadratic_mix
 from .minimize import MAX_UNKNOWNS, PointwiseSum, bfgs_minimize, schur_newton
@@ -84,16 +85,14 @@ class ControlProblem:
 
     def __post_init__(self):
         self.alpha = derivative_order(self.alpha, "control")
+        for field, minimum in (("state_dim", 1), ("control_dim", 1), ("frac_dim", 0)):
+            requirement = f"{field} must be an integer >= {minimum}"
+            setattr(self, field, require_integer(getattr(self, field), minimum, requirement))
         self.q_start = np.atleast_1d(np.asarray(self.q_start, dtype=float))
         if self.q_start.shape != (self.state_dim,):
             raise ValidationError("initial state dimension mismatch")
         if not np.isfinite(self.q_start).all():
             raise ValidationError(f"initial state must be finite, got {self.q_start}")
-        for d, label in ((self.state_dim, "state"), (self.control_dim, "control")):
-            if d < 1:
-                raise ValidationError(f"{label} dimension must be >= 1")
-        if self.frac_dim < 0:
-            raise ValidationError("fractional control dimension must be >= 0")
         self._validate_contracts()
 
     def _validate_contracts(self):
@@ -263,11 +262,7 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
     k, q_columns = np.arange(n + 1), np.arange(sd)
     penalty = PointwiseSum(
         (n + 1, sd),
-        [
-            (q_columns, None, k),
-            (q_columns, _sbp_difference_matrix(n, h), k),
-            (q_columns, caputo_left_matrix(n, h, cp.alpha), k),
-        ],
+        [(None, k), (_sbp_difference_matrix(n, h), k), (caputo_left_matrix(n, h, cp.alpha), k)],
     )
     # a node's y = (q, u, mu) among its slot-ordered arguments (q, a, c, u, mu)
     y_columns = np.concatenate((q_columns, np.arange(3 * sd, 2 * sd + s)))
@@ -380,8 +375,7 @@ def control_noether_quantity(
 ) -> GridFunction:
     """``noether.momentum_quantity`` along a solved state: its p and p_alpha,
     and energy H - (1 - alpha) p_alpha . D_C^alpha q."""
-    if s.dim != cp.state_dim:
-        raise ValidationError(f"symmetry dimension {s.dim} != state dimension {cp.state_dim}")
+    require_dim(s.dim, cp.state_dim, "symmetry")
     q, u, mu, p, pa = _state_arrays(cp, state)
     tau, f2 = s.rates_on(cp.grid.nodes(), q)
     cap_q = caputo_left(GridFunction(cp.grid, q), cp.alpha).values

@@ -37,7 +37,7 @@ from .fracops import (
     rl_integral_left,
     rl_integral_right,
 )
-from .grid import Grid, GridFunction, write_csv
+from .grid import Grid, GridFunction, require_integer, write_csv
 from .lagrangian import (
     free_particle,
     harmonic_oscillator,
@@ -123,10 +123,8 @@ class _Params:
         return value
 
     def integer(self, key: str, default=None) -> int:
-        value = self._float(key, default)
-        if not math.isfinite(value) or int(value) != value:
-            raise ValidationError(f"key '{key}' must be an integer, got {value!r}")
-        return int(value)
+        requirement = f"key '{key}' must be an integer"
+        return require_integer(self._float(key, default), -math.inf, requirement)
 
     def vector(self, key: str, default=None) -> np.ndarray:
         raw = self.require(key) if default is None else self.data.get(key, default)
@@ -138,13 +136,8 @@ class _Params:
             raise ValidationError(f"key '{key}' must be a comma-separated number list") from None
 
     def int_list(self, key: str, default=None) -> list:
-        vec = self.vector(key, default)
-        out = []
-        for v in vec:
-            if not math.isfinite(v) or int(v) != v:
-                raise ValidationError(f"key '{key}' must list integers")
-            out.append(int(v))
-        return out
+        requirement = f"key '{key}' must list integers"
+        return [require_integer(v, -math.inf, requirement) for v in self.vector(key, default)]
 
 
 def parse_scenario(path) -> Scenario:
@@ -187,7 +180,7 @@ def build_lagrangian(params: _Params):
         mass = params.number("mass", 1.0)
         gamma = params.number("gamma", 1.0)
         potential = polynomial_potential(params.vector("potential", "0"))
-        return friction_lagrangian(FrictionProblem(mass, gamma, *potential, Grid(0.0, 1.0, 2)))
+        return friction_lagrangian(FrictionProblem(mass, gamma, *potential))
     if family == "custom-coefficients":
         return quadratic_mix(
             velocity_weight=params.number("velocity_weight", 1.0),
@@ -337,7 +330,7 @@ def _run_friction(params: _Params, out: Path):
     horizon = params.number("horizon", 1.0)
     if not (0.0 <= window.a and window.b <= horizon):
         raise ValidationError(f"window_a, window_b must lie in [0, horizon] = [0, {horizon:g}]")
-    fp = FrictionProblem(mass, gamma, *potential, window)
+    fp = FrictionProblem(mass, gamma, *potential)
     sim = simulate_damped_eom(
         fp,
         q0=params.number("q0", 0.0),

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .grid import require_close
+from .grid import require_close, require_integer
 
 _IDENTITY_TOL = 1e-12
 _GROUP_TOL = 1e-8
@@ -35,6 +35,8 @@ class SymmetryGroup:
     name: str = "custom"
 
     def __post_init__(self):
+        requirement = f"symmetry {self.name!r}: dim must be a positive integer"
+        self.dim = require_integer(self.dim, 1, requirement)
         rng = np.random.default_rng(_PROBE_SEED)
         t = rng.uniform(-1.0, 2.0, size=8)
         q = rng.standard_normal((8, self.dim))

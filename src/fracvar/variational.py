@@ -205,14 +205,12 @@ def solve_extremal(problem: VariationalProblem, tol: float = 1e-8) -> ExtremalSo
         raise ValidationError(f"solver supports up to {MAX_UNKNOWNS} unknowns, got {m}")
     n, h, t = grid.n, grid.h, grid.nodes()
     cell = np.tile(np.arange(n), 2)  # the left ends of all cells, then the right ends
-    node, columns = cell + np.repeat([0, 1], n), np.arange(d)
+    node = cell + np.repeat([0, 1], n)
     caputo = caputo_left_operator(n, h, problem.alpha)
     slope = MatrixFree(  # the cell differences over h
         lambda f: cell_differences(f) * (1.0 / h), lambda g: cell_differences_T(g) * (1.0 / h)
     )
-    action = PointwiseSum(
-        (n + 1, d), [(columns, None, node), (columns, slope, cell + 1), (columns, caputo, node)]
-    )
+    action = PointwiseSum((n + 1, d), [(None, node), (slope, cell + 1), (caputo, node)])
 
     def assemble(x, q_a=problem.q_a, q_b=problem.q_b):
         return np.vstack((q_a, x.reshape(n - 1, d), q_b))

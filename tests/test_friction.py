@@ -23,10 +23,9 @@ from fracvar.variational import el_residual, solve_extremal
 ZERO_POTENTIAL = (lambda q: np.zeros_like(q), lambda q: np.zeros_like(q))
 
 
-def make_problem(mass=1.0, gamma=1.0, potential=None, window=None):
+def make_problem(mass=1.0, gamma=1.0, potential=None):
     u, du = potential if potential is not None else ZERO_POTENTIAL
-    win = window if window is not None else Grid(0.0, 1.0, 128)
-    return FrictionProblem(mass, gamma, u, du, win)
+    return FrictionProblem(mass, gamma, u, du)
 
 
 # ------------------------------------------------------------- Lagrangian
@@ -71,9 +70,9 @@ class TestFrictionLagrangian:
     def test_invalid_parameters_rejected(self):
         u, du = ZERO_POTENTIAL
         with pytest.raises(ValidationError):
-            FrictionProblem(0.0, 1.0, u, du, Grid(0.0, 1.0, 16))
+            FrictionProblem(0.0, 1.0, u, du)
         with pytest.raises(ValidationError):
-            FrictionProblem(1.0, -0.5, u, du, Grid(0.0, 1.0, 16))
+            FrictionProblem(1.0, -0.5, u, du)
 
 
 # ------------------------------------------------------------ diagnostics
@@ -83,7 +82,7 @@ class TestFrictionDiagnostics:
     def test_frictionless_hamiltonian_is_classical_energy(self):
         u, du = polynomial_potential([0.0, 0.0, 0.5])
         win = Grid(0.0, math.pi / 2.0, 512)
-        fp = make_problem(gamma=0.0, potential=(u, du), window=win)
+        fp = make_problem(gamma=0.0, potential=(u, du))
         q = GridFunction(win, np.cos(win.nodes()))
         diag = friction_diagnostics(fp, q)
         t = win.nodes()
@@ -93,7 +92,7 @@ class TestFrictionDiagnostics:
 
     def test_half_momentum_of_linear_motion(self):
         win = Grid(0.0, 1.0, 1024)
-        fp = make_problem(gamma=0.8, window=win)
+        fp = make_problem(gamma=0.8)
         v0 = 1.7
         q = GridFunction(win, v0 * win.nodes())
         diag = friction_diagnostics(fp, q)
@@ -105,18 +104,17 @@ class TestFrictionDiagnostics:
         # the diagnostics build the Lagrangian, whose contract check compares
         # potential_grad with finite differences of potential
         u, _ = polynomial_potential([0.0, 0.0, 0.5])
-        fp = make_problem(potential=(u, lambda q: 2.0 * q), window=Grid(0.0, 1.0, 64))
-        q = GridFunction(fp.window, np.sin(fp.window.nodes()))
+        fp = make_problem(potential=(u, lambda q: 2.0 * q))
+        win = Grid(0.0, 1.0, 64)
+        q = GridFunction(win, np.sin(win.nodes()))
         with pytest.raises(ValidationError, match="analytic partial dq"):
             friction_diagnostics(fp, q)
 
-    @pytest.mark.parametrize(
-        "grid, dim", [(Grid(0.0, 2.0, 64), 1), (Grid(0.0, 1.0, 64), 2)], ids=["grid", "dimension"]
-    )
-    def test_trajectory_off_the_window_is_a_grid_mismatch(self, grid, dim):
-        fp = make_problem(window=Grid(0.0, 1.0, 64))
+    @pytest.mark.parametrize("dim", [2], ids=["dimension"])
+    def test_trajectory_off_the_window_is_a_grid_mismatch(self, dim):
+        fp = make_problem()
         with pytest.raises(GridMismatchError, match="^trajectory "):
-            friction_diagnostics(fp, GridFunction(grid, np.zeros((65, dim))))
+            friction_diagnostics(fp, GridFunction(Grid(0.0, 1.0, 64), np.zeros((65, dim))))
 
 
 # ------------------------------------------------------------ shrink study
@@ -127,21 +125,21 @@ class TestWindowShrinkStudy:
         return [Grid(center - base / 2**k / 2.0, center + base / 2**k / 2.0, n) for k in range(count)]
 
     def test_linear_motion_energy_halves_per_halving(self):
-        fp = make_problem(gamma=0.9, window=Grid(0.0, 2.0, 64))
+        fp = make_problem(gamma=0.9)
         table = window_shrink_study(fp, lambda t: 1.3 * t, self.windows())
         energy = table["friction_energy"]
         for k in range(len(energy) - 1):
             assert energy[k + 1] / energy[k] == pytest.approx(0.5, abs=0.05)
 
     def test_frictionless_columns_vanish(self):
-        fp = make_problem(gamma=0.0, window=Grid(0.0, 2.0, 64))
+        fp = make_problem(gamma=0.0)
         table = window_shrink_study(fp, lambda t: t, self.windows())
         npt.assert_array_equal(table["friction_energy"], 0.0)
         npt.assert_array_equal(table["half_momentum_mid"], 0.0)
 
     def test_half_momentum_bound_and_decay(self):
         gamma, slope = 0.7, 1.3
-        fp = make_problem(gamma=gamma, window=Grid(0.0, 2.0, 64))
+        fp = make_problem(gamma=gamma)
         table = window_shrink_study(fp, lambda t: slope * t, self.windows())
         bound = gamma * abs(slope) * 2.0 * np.sqrt(table["delta_t"])
         assert np.all(np.abs(table["half_momentum_mid"]) < bound)
@@ -150,7 +148,7 @@ class TestWindowShrinkStudy:
     def test_midpoint_constant_is_half_of_endpoint_form(self):
         # reported, not asserted against the model constant: mid-window
         # evaluation gives exactly half the end-of-window first-order value
-        fp = make_problem(gamma=1.0, window=Grid(0.0, 2.0, 64))
+        fp = make_problem(gamma=1.0)
         table = window_shrink_study(fp, lambda t: t, self.windows(n=512))
         npt.assert_allclose(table["ratio"], 0.5, atol=0.02)
 
@@ -335,9 +333,11 @@ class TestFrictionInvariants:
         # -(m qdd - gamma D_right^(1/2) D_C^(1/2) q - F(q)) node-wise
         u, du = polynomial_potential([0.0, 0.0, 0.5])
         win = Grid(0.0, 1.0, 128)
-        fp = make_problem(mass=1.3, gamma=0.6, potential=(u, du), window=win)
+        fp = make_problem(mass=1.3, gamma=0.6, potential=(u, du))
         q = GridFunction(win, np.sin(win.nodes()) + 0.2 * win.nodes())
-        problem = friction_variational_problem(fp, float(q.values[0, 0]), float(q.values[-1, 0]))
+        problem = friction_variational_problem(
+            fp, win, float(q.values[0, 0]), float(q.values[-1, 0])
+        )
         res = el_residual(problem, q).column()
 
         v = central_difference(q.values, win.h)
@@ -356,8 +356,8 @@ class TestFrictionInvariants:
         u, du = polynomial_potential([0.0, 0.0, 0.5])
         drifts = []
         for n in (128, 256):
-            fp = make_problem(gamma=0.5, potential=(u, du), window=Grid(0.0, 0.5, n))
-            problem = friction_variational_problem(fp, 0.0, 0.2)
+            fp = make_problem(gamma=0.5, potential=(u, du))
+            problem = friction_variational_problem(fp, Grid(0.0, 0.5, n), 0.0, 0.2)
             sol = solve_extremal(problem)
             diag = friction_diagnostics(fp, sol.trajectory)
             defect = autonomous_quantity(problem, sol)
@@ -370,8 +370,8 @@ class TestFrictionInvariants:
         # (L - qdot dL/dv - alpha dL/dw w) and via the diagnostics
         # (p_half^2 / (2 gamma) - H); both reduce to -(m qdot^2/2 + U)
         u, du = polynomial_potential([0.0, 0.0, 0.5])
-        fp = make_problem(gamma=0.8, potential=(u, du), window=Grid(0.0, 0.5, 128))
-        problem = friction_variational_problem(fp, 0.0, 0.3)
+        fp = make_problem(gamma=0.8, potential=(u, du))
+        problem = friction_variational_problem(fp, Grid(0.0, 0.5, 128), 0.0, 0.3)
         sol = solve_extremal(problem)
         diag = friction_diagnostics(fp, sol.trajectory)
         quantity = autonomous_quantity(problem, sol)
@@ -383,9 +383,9 @@ class TestFrictionInvariants:
         steps = 1024
         runs = {}
         for gamma in (1.0, 0.0):
-            fp = make_problem(gamma=gamma, potential=(u, du), window=Grid(0.0, 1.0, steps))
+            fp = make_problem(gamma=gamma, potential=(u, du))
             sim = simulate_damped_eom(fp, q0=1.0, v0=0.0, horizon=1.0, steps=steps)
-            q = GridFunction(fp.window, sim.values[:, 0])
+            q = GridFunction(sim.grid, sim.values[:, 0])
             runs[gamma] = drift_report(friction_diagnostics(fp, q).hamiltonian)
         assert runs[1.0] > 10.0 * runs[0.0]
 
@@ -396,7 +396,7 @@ class TestFrictionInvariants:
         for k in range(3):
             span = 0.5 / 2**k
             win = Grid(1.0 - span / 2.0, 1.0 + span / 2.0, 256)
-            fp = make_problem(gamma=1.0, window=win)
+            fp = make_problem(gamma=1.0)
             q = GridFunction.from_callable(win, lambda t: 1.0 - np.exp(-t))
             drifts.append(drift_report(friction_diagnostics(fp, q).hamiltonian))
         assert drifts[0] > drifts[1] > drifts[2]

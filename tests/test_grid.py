@@ -11,6 +11,7 @@ from fracvar.grid import (
     GridFunction,
     central_difference,
     require_close,
+    require_integer,
     require_on,
     trapezoid,
     trapezoid_weights,
@@ -141,6 +142,12 @@ def test_require_on_names_what_is_wrong():
     f.values[3, 1] = math.nan
     with pytest.raises(ValidationError, match=r"^f contains non-finite values \(first at node 3\)"):
         require_on(f, g, 2, "f")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 1], ids=["nan", "inf", "2.5", "1"])
+def test_require_integer_rejects_all_but_whole_numbers_from_the_minimum(value):
+    with pytest.raises(ValidationError, match=f"^k must be >= 2, got {value}$"):
+        require_integer(value, 2, "k must be >= 2")
 
 
 def test_require_close_passes_within_a_per_entry_tolerance():

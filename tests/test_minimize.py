@@ -21,7 +21,7 @@ def double_well_hess(x):
 
 # the double well as a sum over one point, whose identity slot reads the node
 # value X = x[1 - local]; x[local] is the point's own unknown Z
-WELL = PointwiseSum((1, 1), [(np.arange(1), None, np.arange(1))])
+WELL = PointwiseSum((1, 1), [(None, np.arange(1))])
 
 
 def schur_on_double_well(x, g, local=0, hess=double_well_hess):
@@ -108,8 +108,7 @@ def test_hvp_is_the_assembled_hessian_times_x():
     rng = np.random.default_rng(8)
     rows = np.tile(np.arange(4), 2) + np.repeat([0, 1], 4)
     matrix = rng.standard_normal((5, 5))
-    cols = np.arange(2)
-    ps = PointwiseSum((5, 2), [(cols, None, rows), (cols, 0.5 * matrix, rows)])
+    ps = PointwiseSum((5, 2), [(None, rows), (0.5 * matrix, rows)])
     point = rng.standard_normal((8, 4, 4))
     point += point.transpose(0, 2, 1)
     x = rng.standard_normal((5, 2))
@@ -122,7 +121,7 @@ def test_slice_scatter_matches_np_add_at_bit_for_bit():
     rng = np.random.default_rng(4)
     rows = np.tile(np.arange(6), 2) + np.repeat([0, 1], 6)
     part = 0.3 * rng.standard_normal((12, 1))
-    got = PointwiseSum((7, 1), [(np.arange(1), None, rows)]).gradient([part])
+    got = PointwiseSum((7, 1), [(None, rows)]).gradient([part])
     expected = np.zeros((7, 1))
     np.add.at(expected, rows, part)
     npt.assert_array_equal(got, expected)
@@ -139,11 +138,11 @@ def test_hvp_skips_zero_blocks_and_the_slots_only_they_read(monkeypatch):
         )
     n, h, alpha = 16, 1.0 / 16, 0.4
     rng = np.random.default_rng(11)
-    rows, cols = np.arange(n + 1), np.arange(2)
+    rows = np.arange(n + 1)
     difference = rng.standard_normal((n + 1, n + 1))
-    slots = [(cols, None, rows), (cols, difference, rows)]
-    fft = PointwiseSum((n + 1, 2), slots + [(cols, caputo_left_operator(n, h, alpha), rows)])
-    dense = PointwiseSum((n + 1, 2), slots + [(cols, caputo_left_matrix(n, h, alpha), rows)])
+    slots = [(None, rows), (difference, rows)]
+    fft = PointwiseSum((n + 1, 2), slots + [(caputo_left_operator(n, h, alpha), rows)])
+    dense = PointwiseSum((n + 1, 2), slots + [(caputo_left_matrix(n, h, alpha), rows)])
     point = rng.standard_normal((n + 1, 6, 6))
     point += point.transpose(0, 2, 1)
     point[:, 4:], point[:, :, 4:] = 0.0, 0.0  # the Caputo slot's rows and columns

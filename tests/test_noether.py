@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fracvar.errors import ValidationError
+from fracvar.errors import GridMismatchError, ValidationError
 from fracvar.fracops import caputo_left, rl_derivative_right, rl_integral_right
 from fracvar.grid import Grid, GridFunction, central_difference
 from fracvar.lagrangian import LagrangianSpec, free_particle, harmonic_oscillator, quadratic_mix
@@ -84,6 +84,15 @@ class TestSymmetryGroup:
                 state_rate=lambda t, q: np.full_like(q, 0.0 if nan_tau else math.nan),
             )
 
+    @pytest.mark.parametrize("dim", [math.nan, math.inf, 2.5, 0], ids=["nan", "inf", "2.5", "0"])
+    def test_dimension_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValidationError, match="dim must be a positive integer"):
+            time_translation(dim=dim)
+
+    def test_whole_float_dimension_is_an_int(self):
+        dim = time_translation(dim=2.0).dim
+        assert dim == 2 and isinstance(dim, int)
+
     def test_scaling_family_is_a_valid_group(self):
         # exp-scaling composes additively; used as a non-invariant probe
         s = SymmetryGroup(
@@ -121,6 +130,13 @@ class TestInvarianceDefect:
         p = VariationalProblem(lag, Grid(0.0, 1.0, 128), 0.5, ([0.0], [1.0]))
         sol = solve_extremal(p)
         assert invariance_defect(p, sol.trajectory, time_translation()) > 0.1
+
+    @pytest.mark.parametrize("check", [invariance_defect, invariance_necessary_residual])
+    def test_symmetry_of_another_dimension_is_a_grid_mismatch(self, check):
+        p = VariationalProblem(quadratic_mix(1.0, 1.0), Grid(0.0, 1.0, 16), 0.5, ([0.0], [1.0]))
+        line = GridFunction.from_callable(p.grid, lambda t: t)
+        with pytest.raises(GridMismatchError, match="^symmetry has dimension 2, expected 1"):
+            check(p, line, rotation())
 
     def test_state_only_group_keeps_the_grid(self):
         # the last node of Grid(0, 3.7, 13) misses 3.7 by an ulp; the image

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -435,6 +436,21 @@ class TestSolveControl:
         with pytest.raises(ValidationError, match="initial state must be finite"):
             scalar_tracking_problem(Grid(0.0, 1.0, 16), 0.5, q_start)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, "below-minimum"])
+    @pytest.mark.parametrize(
+        "field, minimum", [("state_dim", 1), ("control_dim", 1), ("frac_dim", 0)]
+    )
+    def test_dimensions_must_be_integers(self, field, minimum, value):
+        cp = scalar_tracking_problem(Grid(0.0, 1.0, 16), 0.5, 1.0)
+        bad = minimum - 1 if value == "below-minimum" else value
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer >= {minimum}"):
+            dataclasses.replace(cp, **{field: bad})
+
+    def test_whole_float_dimensions_are_ints(self):
+        cp = scalar_tracking_problem(Grid(0.0, 1.0, 16), 0.5, 1.0)
+        cp = dataclasses.replace(cp, state_dim=1.0, control_dim=1.0, frac_dim=1.0)
+        assert all(type(d) is int for d in (cp.state_dim, cp.control_dim, cp.frac_dim))
+
     @pytest.mark.parametrize("terminal", [[np.nan], [-np.inf]])
     def test_non_finite_terminal_state_rejected(self, terminal):
         cp = scalar_tracking_problem(Grid(0.0, 1.0, 16), 0.5, 1.0)
@@ -541,14 +557,14 @@ class TestSolveControl:
         p = direction(z, g)
         (states, point, *_), kwargs = calls[0]
         assert kwargs == {"fixed": sd}
-        # the node's (q, a, c, u, mu) blocks back in the order (y, a, c)
+        # the node's (q, a, c, u, mu) blocks back in the order (y, a, c), at
+        # the slots (None, k), (D, k) and (C, k) over all s values of a node
         back = np.concatenate((np.arange(sd), np.arange(3 * sd, 2 * sd + s), np.arange(sd, 3 * sd)))
-        point = point[:, back][:, :, back]
-        full = PointwiseSum(
-            (cp.grid.n + 1, s),
-            [(np.arange(s), None, states.slots[0][2])] + states.slots[1:],
-        )
-        expected, tau = dense_shifted_newton(full.hessian(point)[sd:, sd:], g)
+        at = np.concatenate((np.arange(s), np.arange(s, s + sd), np.arange(2 * s, 2 * s + sd)))
+        embedded = np.zeros((len(point), 3 * s, 3 * s))
+        embedded[:, at[:, None], at] = point[:, back][:, :, back]
+        full = PointwiseSum((cp.grid.n + 1, s), states.slots)
+        expected, tau = dense_shifted_newton(full.hessian(embedded)[sd:, sd:], g)
         assert (tau > 0.0) == (seed is not None)
         npt.assert_allclose(p, expected, rtol=0.0, atol=1e-10 * np.max(np.abs(expected)))
 
@@ -621,6 +637,12 @@ class TestControlQuantities:
             state.p_alpha.values * cap_q, axis=1
         )
         npt.assert_array_equal(autonomous_control_quantity(cp, state).values[:, 0], formula)
+
+    def test_symmetry_of_another_dimension_is_a_grid_mismatch(self):
+        cp = scalar_tracking_problem(Grid(0.0, 1.0, 16), 0.5, 1.0)
+        state = solve_control(cp)
+        with pytest.raises(GridMismatchError, match="^symmetry has dimension 2, expected 1"):
+            control_noether_quantity(cp, state, space_translation([1.0, 0.0]))
 
     def test_classical_hamiltonian_preserved(self):
         cp = scalar_tracking_problem(Grid(0.0, 1.0, 64), 1.0, 1.0, frac_weight=0.0)

@@ -24,7 +24,10 @@ cost and dynamics partials, so the partials of H are written once too.
 the costate residual), and ``friction`` imports neither the Caputo nor the
 difference operator (its fields come from ``variational.along``). No module
 but ``grid`` compares a ``.grid`` attribute with ``==`` or ``!=`` or raises
-``GridMismatchError``: the others reject inputs through ``grid.require_on``.
+``GridMismatchError``: the others reject inputs through ``grid.require_on``
+and ``grid.require_dim``. No module but ``lagrangian`` calls
+``LagrangianSpec``: the others build Lagrangians through its families, so
+``friction`` writes its model through ``lagrangian.particle_lagrangian``.
 """
 
 import ast
@@ -455,4 +458,36 @@ def test_grid_check_checker_flags_each_pattern():
         "m.py:4 raises GridMismatchError",
         "m.py:5 compares grids",
         "m.py:6 raises GridMismatchError",
+    ]
+
+
+def spec_constructions(source: str, module: str) -> list:
+    """One line per call of ``LagrangianSpec``, in line order; text in strings is not code."""
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and _callee(node) == "LagrangianSpec"
+    )
+    return [f"{module}:{line} calls LagrangianSpec" for line in lines]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "lagrangian.py"], ids=lambda p: p.name
+)
+def test_only_lagrangian_builds_lagrangians(path):
+    assert spec_constructions(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_lagrangian_construction_checker_flags_each_pattern():
+    source = (
+        '"""LagrangianSpec(dim=1, evaluate=f) in a docstring."""\n'
+        "from .lagrangian import LagrangianSpec\n"
+        "from . import lagrangian\n"
+        "def f(u) -> LagrangianSpec:\n"
+        "    spec = LagrangianSpec(1, u)\n"
+        "    return lagrangian.LagrangianSpec(dim=1, evaluate=u), spec\n"
+    )
+    assert spec_constructions(source, "m.py") == [
+        "m.py:5 calls LagrangianSpec",
+        "m.py:6 calls LagrangianSpec",
     ]
