@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .grid import Grid, GridFunction, require_close, require_integer, require_on
-from .lagrangian import LagrangianSpec, particle_lagrangian
+from .lagrangian import LagrangianSpec, particle_lagrangian, require_mass
 from .variational import VariationalProblem, along
 
 #: dissipation order of the model; the quadratic friction term is built on it
@@ -45,8 +45,7 @@ class FrictionProblem:
     potential_grad: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if not (np.isfinite(self.mass) and self.mass > 0.0):
-            raise ValidationError(f"mass must be positive, got {self.mass}")
+        require_mass(self.mass)
         if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValidationError(f"friction coefficient must be >= 0, got {self.gamma}")
         probes = np.linspace(-1.0, 1.0, 7)

@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .errors import ValidationError
 from .grid import require_close, require_integer
 
 _PROBE_SEED = 1693
@@ -131,13 +132,21 @@ def _quadratic(cv, cw, cq, s, dim, name) -> LagrangianSpec:
     )
 
 
+def require_mass(mass) -> None:
+    """Raise ``ValidationError`` naming the mass unless it is finite and > 0."""
+    if not (np.isfinite(mass) and mass > 0.0):
+        raise ValidationError(f"mass must be positive, got {mass}")
+
+
 def free_particle(dim: int = 1, mass: float = 1.0) -> LagrangianSpec:
-    """L = m |v|^2 / 2: :func:`quadratic_mix` with cv = m."""
+    """L = m |v|^2 / 2: :func:`quadratic_mix` with cv = m > 0."""
+    require_mass(mass)
     return _quadratic(mass, 0.0, 0.0, 0.0, dim, "free")
 
 
 def harmonic_oscillator(dim: int = 1, mass: float = 1.0, stiffness: float = 1.0) -> LagrangianSpec:
-    """L = m |v|^2 / 2 - k |q|^2 / 2: :func:`quadratic_mix` with cv = m, cq = -k."""
+    """L = m |v|^2 / 2 - k |q|^2 / 2: :func:`quadratic_mix` with cv = m > 0, cq = -k."""
+    require_mass(mass)
     return _quadratic(mass, 0.0, -stiffness, 0.0, dim, "harmonic")
 
 
@@ -165,7 +174,9 @@ def _horner(p: list):
 def particle_lagrangian(
     mass: float, potential, potential_grad, gamma: float = 0.0, *, name: str
 ) -> LagrangianSpec:
-    """Scalar L = m v^2 / 2 - U(q) + (gamma / 2) w^2; U and U' act on q's column."""
+    """Scalar L = m v^2 / 2 - U(q) + (gamma / 2) w^2 with m > 0; U and U' act on
+    q's column."""
+    require_mass(mass)
 
     def evaluate(t, q, v, w):
         u = np.asarray(potential(q[:, 0]), dtype=float)

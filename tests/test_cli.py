@@ -342,6 +342,25 @@ class TestCommandLine:
         assert record["error"] == "validation"
         assert all(key in record["message"] for key in ("window_a", "window_b", "horizon"))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            EXTREMAL_INI.replace(
+                "lagrangian = harmonic", "lagrangian = potential-polynomial\ncoefficients = 0,0,0.5\nmass = -1"
+            ),
+            FRICTION_INI.replace("mass = 1.0", "mass = -1"),
+        ],
+        ids=["potential-polynomial", "friction"],
+    )
+    def test_negative_mass_exits_one_naming_mass(self, tmp_path, text):
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        proc = cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"] == "validation"
+        assert record["message"] == "mass must be positive, got -1.0"
+
     def test_numerical_failure_exits_two(self, tmp_path):
         blowup = FRICTION_INI.replace("potential = 0", "potential = 0,0,-500000000")
         blowup = blowup.replace("steps = 256", "steps = 16").replace(

@@ -1,10 +1,12 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fracvar import grid
 from fracvar.errors import GridMismatchError, ValidationError
 from fracvar.grid import (
     Grid,
@@ -88,24 +90,109 @@ def test_csv_round_trip_is_exact(tmp_path):
 SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -3.7e-301, 1.7976931348623157e308]
 
 
-@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 5000])
-def test_write_csv_bytes_equal_savetxt(tmp_path, rows):
+def mixed_table(rows):
+    """A column over all decades and a standard-normal block with special values."""
     rng = np.random.default_rng(rows)
     column = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 301, rows)
     block = rng.standard_normal((rows, 3))
     cells = rng.choice(rows * 3, size=min(rows * 3, len(SPECIAL_VALUES)), replace=False)
     block.flat[cells] = SPECIAL_VALUES[: len(cells)]
-    header = ["t", "a", "b", "c"]
-    write_csv(tmp_path / "ours.csv", header, [column, block])
-    np.savetxt(
-        tmp_path / "savetxt.csv",
-        np.column_stack([column, block]),
-        fmt="%.17g",
-        delimiter=",",
-        header=",".join(header),
-        comments="",
-    )
-    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+    return [[column, block]]
+
+
+def as_table(values, cols=4):
+    """``values`` (padded with 1.0) as one ``cols``-column table."""
+    values = np.concatenate([values, np.ones(-len(values) % cols)])
+    return [[values.reshape(-1, cols)]]
+
+
+def seventeenth_digit_ties():
+    """Doubles whose 17-digit rounding is an exact tie: n + 1/4 and n + 3/4 for
+    n in [2**50, 2**51), and in every decade from 1e-6 up m / 2**s for odd m
+    with m * 5**s an 18-digit number (whose last digit is then a 5)."""
+    rng = np.random.default_rng(50)
+    n = rng.integers(2**50, 2**51, 1000).astype(float)
+    ties = [n + 0.25, n + 0.75, -(n + 0.75)]
+    for s in range(2, 24):
+        low, high = -(-(10**17) // 5**s), min(10**18 // 5**s, 2**53)
+        m = 2 * (rng.integers(low, high, 200) // 2) + 1
+        ties.append(np.ldexp(m[m < high].astype(float), -s))
+    return as_table(np.concatenate(ties))
+
+
+def powers_of_ten():
+    """``10.0**k`` for k = -7..17, the double above it and the eight below it:
+    none of those below rounds up to 10**k at 17 digits, so each stays in its
+    decade."""
+    values = []
+    for k in range(-7, 18):
+        p = 10.0**k
+        values += [p, np.nextafter(p, np.inf)]
+        for _ in range(8):
+            p = np.nextafter(p, 0.0)
+            values.append(p)
+    values = np.array(values)
+    return as_table(np.concatenate([values, -values]))
+
+
+def bit_patterns():
+    """Seeded random bit patterns (every exponent, subnormals, nan payloads),
+    random digits over the fast decades, and +-0, nan and +-inf."""
+    rng = np.random.default_rng(64)
+    bits = rng.integers(0, 2**64, 6000, dtype=np.uint64).view(np.float64)
+    decades = rng.standard_normal(6000) * 10.0 ** rng.uniform(-8.0, 18.0, 6000)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e-6, 1e17, 1e-5, 1e-4, 1e16]
+    return as_table(np.concatenate([bits, decades, special, np.zeros(300)]))
+
+
+def straddling(rows):
+    """4-column tables of ``rows`` rows and of one more."""
+    values = np.linspace(-7.3, 7.3, (rows + 1) * 4).reshape(-1, 4)
+    return lambda: [[values[:-1]], [values]]
+
+
+CSV_TABLES = {
+    **{str(rows): (lambda rows=rows: mixed_table(rows)) for rows in (1, 1023, 1024, 1025, 5000)},
+    "17th-digit-ties": seventeenth_digit_ties,
+    "powers-of-ten": powers_of_ten,
+    "bit-patterns": bit_patterns,
+    # the first table's values take one ``%``, the second's are formatted by numpy
+    "vector-threshold": straddling(-(-grid._CSV_VECTOR_MIN // 4) - 1),
+    # one full block, then a full block and a row
+    "block-boundary": straddling(grid._CSV_BLOCK_ROWS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_TABLES))
+def test_write_csv_bytes_equal_savetxt(tmp_path, case):
+    for columns in CSV_TABLES[case]():
+        header = [f"c{j}" for j in range(np.column_stack(columns).shape[1])]
+        write_csv(tmp_path / "ours.csv", header, columns)
+        np.savetxt(
+            tmp_path / "savetxt.csv",
+            np.column_stack(columns),
+            fmt="%.17g",
+            delimiter=",",
+            header=",".join(header),
+            comments="",
+        )
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def test_write_csv_peak_memory_stays_within_the_whole_table_writer(tmp_path):
+    # the shape of the friction scenario's diagnostics.csv. 780,223 B is this
+    # test's peak for the writer that formatted a copy of the whole table with
+    # ``%`` (numpy 2.4, CPython 3.11); the numpy blocks must stay under it
+    rng = np.random.default_rng(3)
+    columns = [np.linspace(0.0, 2.0, 16385), rng.standard_normal((16385, 3))]
+    write_csv(tmp_path / "warm.csv", list("tabc"), columns)
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "t.csv", list("tabc"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 780_223
 
 
 def test_central_difference_exact_for_quadratics():

@@ -13,6 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from fracvar.errors import ValidationError
+from fracvar.friction import FrictionProblem
 from fracvar.lagrangian import (
     _FD_STEP,
     LagrangianSpec,
@@ -183,3 +184,19 @@ def test_batched_fd_partial_equals_the_per_column_loop(evaluate, slot):
 def test_dim_must_be_a_positive_integer(dim):
     with pytest.raises(ValidationError, match="dim must be a positive integer"):
         LagrangianSpec(dim=dim, evaluate=lambda t, q, v, w: np.zeros(len(t)))
+
+
+MASS_FAMILIES = {
+    "free": lambda mass: free_particle(mass=mass),
+    "harmonic": lambda mass: harmonic_oscillator(mass=mass),
+    "potential-polynomial": lambda mass: potential_polynomial([0.0, 0.0, 0.5], mass=mass),
+    "friction-problem": lambda mass: FrictionProblem(mass, 0.5, *polynomial_potential([0.0, 0.0, 0.5])),
+}
+
+
+@pytest.mark.parametrize("mass", [math.nan, -1.0, 0.0])
+@pytest.mark.parametrize("family", sorted(MASS_FAMILIES))
+def test_mass_must_be_finite_and_positive(family, mass):
+    # NaN too: it must be named here, not met later as a mismatch of dq
+    with pytest.raises(ValidationError, match=f"^mass must be positive, got {mass}$"):
+        MASS_FAMILIES[family](mass)

@@ -12,8 +12,9 @@ same rule, so none still imports a helper that a change removed.
 ``perfbench/tracer.py`` names the functions it wraps in ``TARGETS``; the
 tests here do not run the benchmark, so a renamed function would otherwise
 break it unnoticed. No module calls or imports ``savetxt``:
-``grid.write_csv`` is the one CSV writer. No module imports scipy, which
-``pyproject.toml`` lists only as a test extra. Every name in
+``grid.write_csv`` is the one CSV writer, and no module but ``grid`` reads
+``CSV_FLOAT_FORMAT``, so the number format has one owner. No module imports
+scipy, which ``pyproject.toml`` lists only as a test extra. Every name in
 ``fracvar.__all__`` exists, and every name ``__init__.py`` imports is
 listed; every name in the ``__all__`` of ``fracops`` and ``grunwald`` exists.
 ``optctrl`` imports the costate residual and the conserved-quantity formula
@@ -144,37 +145,57 @@ def test_unused_import_checker_flags_each_pattern():
     ]
 
 
-def savetxt_uses(source: str, module: str) -> list:
-    """One line per ``savetxt`` the module reads or imports; text in strings is not code."""
-    lines = sorted(
-        node.lineno
+def _referenced_name(node: ast.AST):
+    """The name a read, an attribute or an import alias refers to, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def csv_writer_uses(source: str, module: str) -> list:
+    """One line per ``savetxt`` the module reads or imports and, outside
+    ``grid.py``, per ``CSV_FLOAT_FORMAT``; text in strings is not code."""
+    names = ("savetxt",) if module == "grid.py" else ("savetxt", "CSV_FLOAT_FORMAT")
+    found = sorted(
+        (node.lineno, name)
         for node in ast.walk(ast.parse(source))
-        if (isinstance(node, ast.Attribute) and node.attr == "savetxt")
-        or (isinstance(node, ast.Name) and node.id == "savetxt")
-        or (isinstance(node, ast.alias) and node.name == "savetxt")
+        if (name := _referenced_name(node)) in names
     )
-    return [f"{module}:{line} uses savetxt" for line in lines]
+    return [f"{module}:{line} uses {name}" for line, name in found]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_write_csv_is_the_only_csv_writer(path):
-    assert savetxt_uses(path.read_text(encoding="utf-8"), path.name) == []
+    assert csv_writer_uses(path.read_text(encoding="utf-8"), path.name) == []
 
 
 def test_savetxt_checker_flags_each_pattern():
     source = (
-        '"""Bytes as np.savetxt(path, x) would write them."""\n'
+        '"""Bytes as np.savetxt(path, x) would write them, in CSV_FLOAT_FORMAT."""\n'
         "import numpy as np\n"
         "from numpy import savetxt as save\n"
         "np.savetxt('a.csv', np.zeros(2))\n"
         "writer = np.savetxt\n"
         "savetxt('b.csv', [])\n"
+        "from .grid import CSV_FLOAT_FORMAT as fmt\n"
+        "text = grid.CSV_FLOAT_FORMAT % 1.0\n"
+        "CSV_FLOAT_FORMAT = '%.6g'\n"
     )
-    assert savetxt_uses(source, "m.py") == [
+    assert csv_writer_uses(source, "m.py") == [
         "m.py:3 uses savetxt",
         "m.py:4 uses savetxt",
         "m.py:5 uses savetxt",
         "m.py:6 uses savetxt",
+        "m.py:7 uses CSV_FLOAT_FORMAT",
+        "m.py:8 uses CSV_FLOAT_FORMAT",
+        "m.py:9 uses CSV_FLOAT_FORMAT",
+    ]
+    assert csv_writer_uses(source, "grid.py") == [
+        f"grid.py:{line} uses savetxt" for line in (3, 4, 5, 6)
     ]
 
 
