@@ -172,8 +172,7 @@ def _product_trapezoid_scheme(n: int, h: float, beta: float) -> ToeplitzScheme:
     with np.errstate(over="ignore", invalid="ignore"):
         p = k ** (beta + 1.0)
         kernel = np.concatenate(([1.0], p[2:] - 2.0 * p[1:-1] + p[:-2]))
-        a0 = (k - 1.0) ** (beta + 1.0) - k**beta * (k - beta - 1.0)
-    a0[0] = 0.0
+        a0 = np.concatenate(([0.0], p[:-1] - k[1:] ** beta * (k[1:] - beta - 1.0)))  # p[k-1] = (k-1)^(beta+1)
     a0[1] = beta  # (k-1)^(beta+1) at k=1 is 0^..., fix explicitly
     return ToeplitzScheme(beta, power_scale(h, beta, beta + 2.0), kernel, a0)
 

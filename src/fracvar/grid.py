@@ -6,6 +6,7 @@ vector-valued samples on the nodes ``t_i = a + i*h`` of a uniform grid.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -16,8 +17,8 @@ from .errors import GridMismatchError, ValidationError
 
 #: printf format used for all CSV output; round-trips IEEE doubles exactly.
 CSV_FLOAT_FORMAT = "%.17g"
-# rows that write_csv formats at a time: its temporaries, about 130 bytes a
-# value, stay below a copy of the table (1024 was the fastest of 256..2048)
+# rows that write_csv formats at a time: its temporaries and output, about
+# 135 bytes a value, stay below a copy of the table (2048 were no faster)
 _CSV_BLOCK_ROWS = 1024
 # blocks of fewer values take one ``%``: it costs about 0.45 us a value, the
 # numpy path 50 us a block plus 0.09 us a value (measured; even at ~150)
@@ -112,31 +113,38 @@ class GridFunction:
 # -- shared array helpers ---------------------------------------------
 
 
-def write_csv(path, header, columns) -> None:
-    """Write a comma-separated table at full double precision.
+def write_csv(path, header, columns) -> str:
+    """Write a comma-separated table at full double precision and return the
+    SHA-256 hex digest of the bytes written.
 
     ``columns`` are 1-D arrays (one column each) or 2-D blocks (one column
     per block column), all with the same number of rows. The bytes are those
     of ``np.savetxt`` with this header and format: every value is written as
     ``CSV_FLOAT_FORMAT % value``. Blocks of ``_CSV_BLOCK_ROWS`` rows are
-    formatted at a time, by :func:`_csv_rows`.
+    formatted at a time, by :func:`_csv_rows`, and digested as they are
+    written, so the file is never read back.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     lengths = {len(c) for c in columns}
     if len(lengths) != 1:
         raise ValidationError(f"CSV columns need one row count, got {sorted(lengths)}")
+    text = (",".join(header) + "\n").encode()
+    digest = hashlib.sha256(text)
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
+        fh.write(text)
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            fh.write(_csv_rows(np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])))
+            text = _csv_rows(np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns]))
+            fh.write(text)
+            digest.update(text)
+    return digest.hexdigest()
 
 
 def _csv_rows(block: np.ndarray) -> bytes:
     """The CSV rows of a 2-D block, each value as ``CSV_FLOAT_FORMAT % value``.
 
     Blocks under ``_CSV_VECTOR_MIN`` values take one ``%``. Otherwise each
-    value gets a fixed-width field of 48 bytes (:func:`_csv_fields`), and the
-    zero bytes between the fields' characters are dropped.
+    value gets a field of 24 bytes (:func:`_csv_fields`), and the zero bytes
+    between the fields' characters are dropped.
     """
     rows, cols = block.shape
     x = block.ravel()
@@ -144,66 +152,112 @@ def _csv_rows(block: np.ndarray) -> bytes:
         row = ",".join([CSV_FLOAT_FORMAT] * cols) + "\n"
         return ((row * rows) % tuple(x.tolist())).encode()
     # the fields are freed before the bytes are packed
-    return _csv_fields(x, cols).T.tobytes().translate(None, b"\0")
+    return _csv_fields(x, cols).tobytes().translate(None, b"\0")
 
 
 def _csv_fields(x: np.ndarray, cols: int) -> np.ndarray:
-    """The fields of row-major values ``x`` (``cols`` to a row) as (6, len(x))
-    little-endian words: column j holds the bytes of x[j]'s text and its
-    separator, laid out as in ``_CSV_TEMPLATES``, with zero bytes between.
+    """The fields of row-major values ``x`` (``cols`` to a row) as (len(x), 3)
+    little-endian words: row j holds the bytes of x[j]'s text and separator,
+    with zero bytes between. 24 bytes fit the longest text of the fast range
+    and its separator ("-0.000" and 17 digits, or "-d." 16 digits "e-05");
+    a block with a 24-byte ``%`` text gets a fourth, zero word per field.
 
-    Values of magnitude in (1e-6, 1e17) are set from their digits; the rest
-    (±0, nan, ±inf, subnormals and magnitudes outside that range) take ``%``
-    once per distinct value.
+    Values of magnitude in (1e-6, 1e17) are set from their 17 digits. A
+    template chosen by (decade, significant digits, sign) holds the text
+    with "0" in the digit slots. The lead digit and the other 16, two words
+    of raw digits, are shifted onto their slots (``_CSV_SHIFTS``); where the
+    dot falls among the 16 (decades 1..16), the digits after it move up one
+    byte. The rest (±0, nan, ±inf, subnormals and magnitudes outside that
+    range) take ``%`` once per distinct value.
     """
     a = np.abs(x)
-    fast = (a > 1e-6) & (a < 1e17)
-    a[~fast] = 1.0
-    e, d = _csv_digits(a)
-    lead = d // 10**16
-    d -= lead * 10**16
-    groups = np.empty((4, len(d)), np.int16)
-    for j, unit in enumerate((10**12, 10**8, 10**4, 1)):
-        groups[j] = quotient = d // unit
-        d -= quotient * unit
-    significant = np.maximum((_CSV_LAST_NONZERO.take(groups) + _CSV_GROUP_START).max(axis=0), 1)
-    words = _CSV_TEMPLATES.take((e + 6) * 17 + significant - 1, axis=1)
-    words[0] += (lead.astype("<u8") << 48) + (x < 0).astype("<u8") * ord("-")
-    for j in range(4):
-        words[1 + j] += _CSV_QUADS.take(groups[j])
-    slow = np.flatnonzero(~fast)
+    # positive doubles (and nan above inf) order as their bits: slow unless 1e-6 < |x| < 1e17
+    low, high = _CSV_FAST_BITS
+    slow = (a.view(np.int64) - (low + 1)).view(np.uint64) >= high - low - 1
+    a[slow] = 1.0
+    row, d = _csv_digits(a)
+    del a  # each temporary goes once used: 4096 values' worth adds up
+    # d = lead digit, then d1..d16 as groups g0..g3 of 4: g0, g2 in first and g1, g3 in second
+    second = np.empty((2, len(d)), np.int64)
+    np.floor_divide(d, 10**8, out=second[0])
+    np.subtract(d, second[0] * 10**8, out=second[1])
+    del d
+    first = second // 10**4
+    second -= first * 10**4
+    lead = first[0] // 10**4
+    first[0] -= lead * 10**4
+    words = _CSV_QUADS.take(first)  # d1..d8 and d9..d16, one byte each
+    words |= _CSV_QUADS_HIGH.take(second)
+    first[1] += 10**4  # g2 and g3 look up the second half of the position tables
+    second[1] += 10**4
+    index = row * 34  # the template's row
+    index += np.maximum(_CSV_FIRST_LAST.take(first), _CSV_SECOND_LAST.take(second)).max(axis=0)
+    index += x < 0
+    del first, second
+    fields = _CSV_TEMPLATES.take(index, axis=0)
+    del index
+    lead_shift, shift = _CSV_SHIFTS.take(row, axis=1)  # to the lead digit's and to d1's byte
+    digits = np.empty_like(fields)
+    np.left_shift(lead.view(np.uint64), lead_shift, out=digits[:, 0])
+    digits[:, 0] |= words[0] << shift
+    np.left_shift(words[1], shift, out=digits[:, 1])
+    np.subtract(64, shift, out=shift)
+    digits[:, 1] |= words[0] >> shift
+    np.right_shift(words[1], shift, out=digits[:, 2])
+    del lead_shift, shift, words, lead
+    if row.max() > 6:  # decade 1 or more: the dot falls among the 16 digits
+        after = _CSV_AFTER_DOT.take(row, axis=0)
+        after &= digits
+        digits ^= after
+        digits[:, 1] |= after[:, 0] >> 56
+        digits[:, 2] |= after[:, 1] >> 56
+        after <<= 8
+        digits |= after
+        del after
+    fields += digits
+    del digits
+    fields[cols - 1 :: cols, 2] ^= _CSV_COMMA ^ _CSV_NEWLINE
+    slow = np.flatnonzero(slow)
     if slow.size:
         bits, inverse = np.unique(x[slow].view(np.int64), return_inverse=True)
-        texts = [CSV_FLOAT_FORMAT % value for value in bits.view(np.float64).tolist()]
-        words[:, slow] = np.array(texts, "S48").view("<u8").reshape(-1, 6).T[:, inverse]
-        words[5, slow] = ord(",") << 32
-    words[5].reshape(-1, cols)[:, -1] -= (ord(",") - ord("\n")) << 32
-    return words
+        texts = np.array([CSV_FLOAT_FORMAT % value for value in bits.view(np.float64).tolist()], "S")
+        if texts.itemsize > 23:  # e.g. "-1.2345678901234567e-300" leaves no byte for the separator
+            fields = np.pad(fields, ((0, 0), (0, 1)))
+        width = fields.shape[1]
+        fields[slow] = texts.astype(f"S{8 * width}").view("<u8").reshape(-1, width)[inverse]
+        fields[slow, -1] |= np.where(slow % cols == cols - 1, _CSV_NEWLINE, _CSV_COMMA)
+    return fields
 
 
 def _csv_digits(a: np.ndarray) -> tuple:
-    """Decade ``e`` and 17 significant digits ``d`` of positive ``a`` in
-    (1e-6, 1e17): d is the integer in [1e16, 1e17) nearest to a*10**(16-e),
-    ties to even, as ``%.17g`` rounds.
+    """Decade row ``e + 6`` and 17 significant digits ``d`` of positive ``a``
+    in (1e-6, 1e17): d is the integer in [1e16, 1e17) nearest to
+    a*10**(16-e), ties to even, as ``%.17g`` rounds.
 
-    a*10**(16-e) is formed exactly as hi + lo (Dekker's two-product; 10**k is
-    an exact double for k <= 22). hi >= 1e16 > 2**53 is an even integer and
+    a*10**(16-e) is formed exactly as hi + lo (Dekker's two-product, with a
+    cut into its high 26 and low 27 bits; 10**k is an exact double for
+    k <= 22). hi >= 1e16 > 2**53 is an even integer and
     |lo| <= ulp(hi)/2, so rounding lo half to even rounds hi + lo. No double
     in range lies within half a 17th digit below a power of ten, so d never
     carries into 1e17.
     """
-    b = np.frexp(a)[1] + 19
-    e = _CSV_DECADE.take(b) + (a >= _CSV_NEXT_POWER.take(b))
-    k = 16 - e
-    hi = a * _POW10.take(k)
-    a_hi = a * _SPLITTER
-    a_hi -= a_hi - a
+    exponent = a.view(np.int64) >> 52
+    row = _CSV_DECADE_ROW.take(exponent)
+    row += a >= _CSV_NEXT_POWER.take(exponent)
+    hi = _CSV_SCALE.take(row)
+    hi *= a
+    a_hi = (a.view(np.int64) & _CSV_HIGH_BITS).view(np.float64)
     a_lo = a - a_hi
-    lo = a_hi * _POW10_HI.take(k) - hi
-    lo += a_hi * _POW10_LO.take(k)
-    lo += a_lo * _POW10_HI.take(k)
-    lo += a_lo * _POW10_LO.take(k)
-    return e, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    scale_hi = _CSV_SCALE_HI.take(row)
+    scale_lo = _CSV_SCALE_LO.take(row)
+    lo = a_hi * scale_hi
+    lo -= hi
+    lo += a_hi * scale_lo
+    lo += a_lo * scale_hi
+    lo += a_lo * scale_lo
+    d = hi.astype(np.int64)
+    d += np.rint(lo).astype(np.int64)
+    return row, d
 
 
 def _least_double_from_power(k: int) -> float:
@@ -215,58 +269,91 @@ def _least_double_from_power(k: int) -> float:
     return math.nextafter(f, math.inf) if num * 10**-k < den else f
 
 
-_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
-_SPLITTER = 2.0**27 + 1.0  # Veltkamp: splits a double into two 26-bit halves
-_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-# [2**(b-1), 2**b) holds at most one power of ten, so a value with frexp
-# exponent b (index b + 19; b is -19..57 on the fast range) has decade
-# _CSV_DECADE + (value >= _CSV_NEXT_POWER)
-_CSV_DECADE = np.array([math.floor(m * math.log10(2.0)) for m in range(-20, 57)])
-_CSV_NEXT_POWER = np.array([_least_double_from_power(k) for k in range(-6, 18)])[_CSV_DECADE + 7]
+_CSV_HIGH_BITS = -(1 << 27)  # keeps the sign, the exponent and 26 significant bits
+# 10**(16 - e) for decade row e + 6 (exact; 5**22 < 2**52) and its high and low 26 bits
+_CSV_SCALE = np.array([float(10**k) for k in range(22, -1, -1)])
+_CSV_SCALE_HI = (_CSV_SCALE.view(np.int64) & _CSV_HIGH_BITS).view(np.float64)
+_CSV_SCALE_LO = _CSV_SCALE - _CSV_SCALE_HI
+_CSV_FAST_BITS = tuple(np.array([1e-6, 1e17]).view(np.int64).tolist())
+
+
+def _csv_decade_tables() -> tuple:
+    """[2**(m-1023), 2**(m-1022)) holds at most one power of ten, so a value
+    whose biased exponent is m has decade row ``_CSV_DECADE_ROW[m] + (value >=
+    _CSV_NEXT_POWER[m])``; entries off the fast range (m 1003..1079) are 0."""
+    m = np.arange(1003, 1080)
+    low = np.floor((m - 1023) * math.log10(2.0)).astype(np.int64)  # no m*log10(2) is near a whole number
+    row, power = np.zeros(2048, np.int64), np.zeros(2048)
+    row[m] = low + 6
+    power[m] = np.array([_least_double_from_power(k) for k in range(-6, 18)])[low + 7]
+    return row, power
+
+
+_CSV_DECADE_ROW, _CSV_NEXT_POWER = _csv_decade_tables()
 
 
 def _csv_digit_tables() -> tuple:
-    """Digit groups 0000..9999 as their raw digits 0..9 in the even bytes of a
-    little-endian word, and the position 1..4 of each group's last nonzero
-    digit (-16 for 0000, so that it never wins a maximum)."""
+    """Digit groups 0000..9999 as their raw digits 0..9 in bytes 0..3 (and
+    in bytes 4..7) of a little-endian word, and the position tables of the
+    groups g0, g2 (first) and g1, g3 (second), 10**4 entries a group: twice
+    the index among d1..d16 of the group's last nonzero digit (4j + 1..4j + 4
+    for group j), or 0 for 0000, where the lead digit may be the last."""
     digit = np.arange(10, dtype=np.uint8)
-    quads = np.zeros((10, 10, 10, 10, 8), np.uint8)
-    last = np.full((10, 10, 10, 10), -16, np.int8)
-    for j, at in enumerate((np.s_[1:], np.s_[:, 1:], np.s_[:, :, 1:], np.s_[:, :, :, 1:])):
-        quads[..., 2 * j] = digit.reshape((10,) + (1,) * (3 - j))
-        last[at] = j + 1
-    return quads.view("<u8").ravel(), last.ravel()
+    quads = np.zeros((10, 10, 10, 10, 4), np.uint8)
+    last = np.zeros((10, 10, 10, 10), np.int16)
+    for k in range(4):  # digit k of the group; a later nonzero digit overrides
+        quads[..., k] = digit.reshape((10,) + (1,) * (3 - k))
+        last[(slice(None),) * k + (slice(1, None),)] = 2 * k + 2
+    quads, last = quads.view("<u4").ravel().astype("<u8"), last.ravel()
+    later = (last > 0) * np.int16(8)  # group j's digits come 4j later: 8j, doubled
+    first, second = np.concatenate([last, last + 2 * later]), np.concatenate([last + later, last + 3 * later])
+    return quads, quads << 32, first, second
 
 
-_CSV_QUADS, _CSV_LAST_NONZERO = _csv_digit_tables()
-_CSV_GROUP_START = np.array([[1], [5], [9], [13]], np.int8)  # digit index + 1 before each group
+_CSV_QUADS, _CSV_QUADS_HIGH, _CSV_FIRST_LAST, _CSV_SECOND_LAST = _csv_digit_tables()
 
 
-def _csv_templates() -> np.ndarray:
-    """The field bytes for every decade e in -6..16 and significant-digit
-    count s in 1..17 (column 17*(e + 6) + s - 1), as (6, 391) words: "0.000"
-    at bytes 1-5, digit i at 6 + 2i ("0", to which the digit is added) with
-    a dot slot at 7 + 2i, "e-0k" at 40-43 and "," at 44; bytes the field does
-    not use are 0. These are the ``%g`` rules: fixed notation for e >= -4,
-    "d.ddde-0k" below, no trailing zeros after the dot."""
-    t = np.zeros((23, 17, 48), np.uint8)
-    t[:, :, 6:40:2] = np.where(np.arange(17) <= np.arange(17)[:, None], ord("0"), 0)
+def _csv_templates() -> tuple:
+    """The field words of every (decade e in -6..16, significant digits s in
+    1..17, sign) at row ((e + 6)*17 + s - 1)*2 + sign.
+
+    These are the ``%g`` rules: the sign is byte 0; for -4 <= e < 0 "0." and
+    -e - 1 zeros precede the digits at byte 6, otherwise the digits start at
+    byte 1 with a dot after digit max(e, 0), if a digit follows, and
+    "e-0k" at bytes 19-22 for e < -4. Each digit slot that ``%g`` writes
+    holds "0", and byte 23 holds ",". Also, per decade, the shifts that put
+    the lead digit and digits 1..16 (two words of raw digits) on their
+    slots, and the mask of the bytes that then move up one past a dot among
+    them (e >= 1).
+    """
+    t = np.zeros((23, 17, 24), np.uint8)  # (decade, s - 1, byte)
+    zeros = np.tri(17, dtype=np.uint8) * ord("0")  # (s - 1, digit): "0" where digit < s
+    shifts = np.zeros((2, 23), np.uint64)
+    after_dot = np.zeros((23, 24), np.uint8)
     for e in range(-6, 17):
         fields = t[e + 6]
-        if e >= 0:  # integer digits 0..e, a dot if a digit follows
-            fields[:, 6 : 7 + 2 * e : 2] = ord("0")
-            fields[e + 1 :, 7 + 2 * e] = ord(".")
-        elif e >= -4:  # "0." and -e - 1 zeros before the digits
+        if -4 <= e < 0:
             fields[:, 1 : 2 - e] = np.frombuffer(b"0.000"[: 1 - e], np.uint8)
-        else:
-            fields[1:, 7] = ord(".")
-            fields[:, 40:44] = np.frombuffer(b"e-0%d" % -e, np.uint8)
-    t[:, :, 44] = ord(",")
-    return np.ascontiguousarray(t.reshape(-1, 48).view("<u8").T)
+            fields[:, 6:23] = zeros
+            shifts[:, e + 6] = 48, 56
+            continue
+        k = max(e, 0)  # the dot follows digit k
+        fields[:, 1 : k + 2] = ord("0")
+        fields[k + 1 :, k + 2] = ord(".")
+        fields[:, k + 3 : 19] = zeros[:, k + 1 :]
+        shifts[:, e + 6] = 8, 16 if e > 0 else 24
+        if e < -4:
+            fields[:, 19:23] = np.frombuffer(b"e-0%d" % -e, np.uint8)
+        elif e > 0:
+            after_dot[e + 6, k + 2 :] = 0xFF
+    t = t[:, :, None].repeat(2, axis=2)  # (decade, s - 1, sign, byte)
+    t[..., 1, 0] = ord("-")
+    t[..., 23] = ord(",")
+    return t.reshape(-1, 24).view("<u8"), shifts, after_dot.view("<u8")
 
 
-_CSV_TEMPLATES = _csv_templates()
+_CSV_TEMPLATES, _CSV_SHIFTS, _CSV_AFTER_DOT = _csv_templates()
+_CSV_COMMA, _CSV_NEWLINE = (np.uint64(ord(c)) << np.uint64(56) for c in ",\n")
 
 
 def central_difference(values: np.ndarray, h: float) -> np.ndarray:

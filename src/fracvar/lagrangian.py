@@ -138,6 +138,12 @@ def require_mass(mass) -> None:
         raise ValidationError(f"mass must be positive, got {mass}")
 
 
+def require_coefficient(value, name: str) -> None:
+    """Raise ``ValidationError`` naming the coefficient unless it is finite."""
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+
+
 def free_particle(dim: int = 1, mass: float = 1.0) -> LagrangianSpec:
     """L = m |v|^2 / 2: :func:`quadratic_mix` with cv = m > 0."""
     require_mass(mass)
@@ -147,6 +153,7 @@ def free_particle(dim: int = 1, mass: float = 1.0) -> LagrangianSpec:
 def harmonic_oscillator(dim: int = 1, mass: float = 1.0, stiffness: float = 1.0) -> LagrangianSpec:
     """L = m |v|^2 / 2 - k |q|^2 / 2: :func:`quadratic_mix` with cv = m > 0, cq = -k."""
     require_mass(mass)
+    require_coefficient(stiffness, "stiffness")
     return _quadratic(mass, 0.0, -stiffness, 0.0, dim, "harmonic")
 
 
@@ -157,6 +164,8 @@ def polynomial_potential(coeffs: Sequence[float]):
     Each callable carries its Horner coefficients, highest power first, as the
     tuple ``coefficients``; an empty tuple is the zero polynomial."""
     c = [float(x) for x in coeffs]
+    for k, ck in enumerate(c):
+        require_coefficient(ck, f"potential coefficient {k}")
     return _horner(c[::-1]), _horner([k * c[k] for k in range(len(c) - 1, 0, -1)])
 
 
@@ -177,6 +186,7 @@ def particle_lagrangian(
     """Scalar L = m v^2 / 2 - U(q) + (gamma / 2) w^2 with m > 0; U and U' act on
     q's column."""
     require_mass(mass)
+    require_coefficient(gamma, "gamma")
 
     def evaluate(t, q, v, w):
         u = np.asarray(potential(q[:, 0]), dtype=float)
@@ -211,6 +221,12 @@ def quadratic_mix(
     covers the purely fractional kinetic Lagrangians used in the refinement
     studies. The free particle and the harmonic oscillator are instances.
     """
-    return _quadratic(
-        velocity_weight, caputo_weight, state_weight, state_slope, dim, "custom-coefficients"
+    coefficients = dict(
+        velocity_weight=velocity_weight,
+        caputo_weight=caputo_weight,
+        state_weight=state_weight,
+        state_slope=state_slope,
     )
+    for name, value in coefficients.items():
+        require_coefficient(value, name)
+    return _quadratic(*coefficients.values(), dim, "custom-coefficients")

@@ -11,7 +11,6 @@ carry no timestamps, so reruns of the same scenario are byte-identical.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import json
 import math
 import time
@@ -126,18 +125,26 @@ class _Params:
         requirement = f"key '{key}' must be an integer"
         return require_integer(self._float(key, default), -math.inf, requirement)
 
-    def vector(self, key: str, default=None) -> np.ndarray:
+    def numbers(self, key: str, default=None) -> np.ndarray:
+        """The comma-separated numbers under ``key``; nan and inf pass."""
         raw = self.require(key) if default is None else self.data.get(key, default)
-        if isinstance(raw, (int, float)):
-            return np.array([float(raw)])
+        items = [raw] if isinstance(raw, (int, float)) else str(raw).split(",")
         try:
-            return np.array([float(x) for x in str(raw).split(",") if x.strip() != ""])
+            return np.array([float(x) for x in items if str(x).strip() != ""])
         except ValueError:
             raise ValidationError(f"key '{key}' must be a comma-separated number list") from None
 
+    def vector(self, key: str, default=None) -> np.ndarray:
+        """:meth:`numbers`, each finite."""
+        values = self.numbers(key, default)
+        if not np.isfinite(values).all():
+            raw = self.data.get(key, default)
+            raise ValidationError(f"key '{key}' must list finite numbers, got {raw!r}")
+        return values
+
     def int_list(self, key: str, default=None) -> list:
         requirement = f"key '{key}' must list integers"
-        return [require_integer(v, -math.inf, requirement) for v in self.vector(key, default)]
+        return [require_integer(v, -math.inf, requirement) for v in self.numbers(key, default)]
 
 
 def parse_scenario(path) -> Scenario:
@@ -212,8 +219,9 @@ def _variational_problem(params: _Params) -> VariationalProblem:
     lag = build_lagrangian(params)
     alpha = params.number("alpha")
     grid = Grid(params.number("a", 0.0), params.number("b", 1.0), params.integer("n"))
-    q_a = params.vector("q_a")
-    q_b = params.vector("q_b")
+    # VariationalProblem rejects non-finite boundary values itself
+    q_a = params.numbers("q_a")
+    q_b = params.numbers("q_b")
     if len(q_a) != lag.dim or len(q_b) != lag.dim:
         raise ValidationError("keys 'q_a'/'q_b' must match the Lagrangian dimension")
     return VariationalProblem(lag, grid, alpha, (q_a, q_b))
@@ -222,8 +230,9 @@ def _variational_problem(params: _Params) -> VariationalProblem:
 # -------------------------------------------------------------- executors
 #
 # Each executor takes the kind's parameters and the output directory, writes
-# its CSV files there, and returns the emitted file names plus the headline
-# metric that ``convergence_study`` tabulates against resolution.
+# its CSV files there, and returns ``{name: sha256}`` of the emitted files
+# (``write_csv``'s digests) plus the headline metric that
+# ``convergence_study`` tabulates against resolution.
 
 
 def _power_reference(operator: str, k: float, alpha: float, x: np.ndarray) -> np.ndarray:
@@ -269,30 +278,31 @@ def _run_operator_test(params: _Params, out: Path):
     if len(grids) >= 2:
         header.append("observed_order")
         cols.append(_log2_ratios(errors))
-    write_csv(out / "convergence.csv", header, cols)
-    return ["convergence.csv"], errors[grids.index(max(grids))]
+    files = {"convergence.csv": write_csv(out / "convergence.csv", header, cols)}
+    return files, errors[grids.index(max(grids))]
 
 
 def _solve_with_files(params: _Params, out: Path):
-    """Solve the scenario's variational problem; write solution.csv and summary.csv."""
+    """Solve the scenario's variational problem; write solution.csv and
+    summary.csv and return the problem, the solution and their digests."""
     problem = _variational_problem(params)
     sol = solve_extremal(problem, tol=params.positive("tolerance", 1e-8))
-    sol.to_csv(out / "solution.csv")
-    write_csv(
+    files = {"solution.csv": sol.to_csv(out / "solution.csv")}
+    files["summary.csv"] = write_csv(
         out / "summary.csv",
         ["action", "el_residual_norm", "gradient_norm", "iterations"],
         [[sol.action], [sol.el_residual_norm], [sol.gradient_norm], [sol.iterations]],
     )
-    return problem, sol
+    return problem, sol, files
 
 
 def _run_extremal(params: _Params, out: Path):
-    _, sol = _solve_with_files(params, out)
-    return ["solution.csv", "summary.csv"], sol.el_residual_norm
+    _, sol, files = _solve_with_files(params, out)
+    return files, sol.el_residual_norm
 
 
 def _run_noether(params: _Params, out: Path):
-    problem, sol = _solve_with_files(params, out)
+    problem, sol, files = _solve_with_files(params, out)
     symmetry = build_symmetry(params, problem.dim)
     r = params.integer("truncation", 2)
     quantity = noether_quantity(problem, sol, symmetry, truncation=r)
@@ -303,19 +313,18 @@ def _run_noether(params: _Params, out: Path):
     )
     defect = invariance_defect(problem, sol.trajectory, symmetry)
     drift = drift_report(quantity)
-    write_csv(out / "invariant.csv", ["t", "c"], [f.t, quantity.values[:, 0]])
-    write_csv(
+    files["invariant.csv"] = write_csv(out / "invariant.csv", ["t", "c"], [f.t, quantity.values[:, 0]])
+    files["symmetry.csv"] = write_csv(
         out / "symmetry.csv",
         ["t", "tau"] + [f"f2_{j}" for j in range(problem.dim)],
         [f.t, tau, f2],
     )
-    write_csv(
+    files["noether_summary.csv"] = write_csv(
         out / "noether_summary.csv",
         ["drift", "invariance_defect", "tail_estimate"],
         [[drift], [defect], [series.tail_estimate]],
     )
-    names = ["solution.csv", "summary.csv", "invariant.csv", "symmetry.csv", "noether_summary.csv"]
-    return names, drift
+    return files, drift
 
 
 def _run_friction(params: _Params, out: Path):
@@ -339,14 +348,14 @@ def _run_friction(params: _Params, out: Path):
         steps=params.integer("steps", 1024),
     )
     t_sim = sim.grid.nodes()
-    write_csv(out / "trajectory.csv", ["t", "q", "qdot"], [t_sim, sim.values])
+    files = {"trajectory.csv": write_csv(out / "trajectory.csv", ["t", "q", "qdot"], [t_sim, sim.values])}
 
     def q_sim(t):
         return np.interp(t, t_sim, sim.values[:, 0])
 
     q_window = GridFunction.from_callable(window, q_sim)
     diag = friction_diagnostics(fp, q_window)
-    write_csv(
+    files["diagnostics.csv"] = write_csv(
         out / "diagnostics.csv",
         ["t", "p", "p_half", "hamiltonian"],
         [
@@ -365,9 +374,8 @@ def _run_friction(params: _Params, out: Path):
     ]
     table = window_shrink_study(fp, q_sim, windows)
     columns = ["delta_t", "friction_energy", "first_order", "ratio", "half_momentum_mid"]
-    write_csv(out / "window_table.csv", columns, [table[k] for k in columns])
-    names = ["trajectory.csv", "diagnostics.csv", "window_table.csv"]
-    return names, drift_report(diag.hamiltonian)
+    files["window_table.csv"] = write_csv(out / "window_table.csv", columns, [table[k] for k in columns])
+    return files, drift_report(diag.hamiltonian)
 
 
 def _control_problem(params: _Params, grid: Grid):
@@ -401,18 +409,20 @@ def _run_control(params: _Params, out: Path):
         ("q", state.q), ("u", state.u), ("mu", state.mu), ("p", state.p), ("p_alpha", state.p_alpha)
     )
     header = ["t"] + [f"{label}{j}" for label, gf in fields for j in range(gf.dim)]
-    write_csv(
-        out / "control.csv",
-        header + ["hamiltonian", "invariant"],
-        [cp.grid.nodes()] + [gf.values for _, gf in fields] + [ham, quantity.values],
-    )
+    files = {
+        "control.csv": write_csv(
+            out / "control.csv",
+            header + ["hamiltonian", "invariant"],
+            [cp.grid.nodes()] + [gf.values for _, gf in fields] + [ham, quantity.values],
+        )
+    }
     drift = drift_report(quantity)
-    write_csv(
+    files["summary.csv"] = write_csv(
         out / "summary.csv",
         ["final_defect", "invariant_drift", "iterations"],
         [[state.diagnostics.defect_norms[-1]], [drift], [state.diagnostics.iterations]],
     )
-    return ["control.csv", "summary.csv"], drift
+    return files, drift
 
 
 _EXECUTORS = {
@@ -431,16 +441,14 @@ _RESOLUTION_KEYS = {"operator-test": "grids", "friction": "window_n"}
 # ------------------------------------------------------------ entry points
 
 
-def _write_manifest(out: Path, scenario: Scenario, start: float, names: list) -> RunManifest:
-    """Write ``manifest.json`` listing exactly ``names`` (files in ``out``) with their digests."""
+def _write_manifest(out: Path, scenario: Scenario, start: float, files: dict) -> RunManifest:
+    """Write ``manifest.json`` listing exactly ``files`` (``{name: sha256}``
+    of the files the run wrote into ``out``, as ``write_csv`` digested them)."""
     manifest = RunManifest(
         scenario={"kind": scenario.kind, **scenario.parameters},
         version=__version__,
         wall_clock_sec=time.monotonic() - start,
-        files=[
-            {"name": name, "sha256": hashlib.sha256((out / name).read_bytes()).hexdigest()}
-            for name in sorted(names)
-        ],
+        files=[{"name": name, "sha256": files[name]} for name in sorted(files)],
     )
     (out / "manifest.json").write_text(manifest.to_json(), encoding="ascii")
     return manifest
@@ -452,8 +460,8 @@ def _execute(scenario: Scenario, out: Path):
         raise ValidationError(f"unknown scenario kind {scenario.kind!r}")
     start = time.monotonic()
     out.mkdir(parents=True, exist_ok=True)
-    names, metric = _EXECUTORS[scenario.kind](_Params(scenario.parameters), out)
-    return _write_manifest(out, scenario, start, names), metric
+    files, metric = _EXECUTORS[scenario.kind](_Params(scenario.parameters), out)
+    return _write_manifest(out, scenario, start, files), metric
 
 
 def run_scenario(
@@ -500,7 +508,7 @@ def convergence_study(scenario_file, grid_list, out_dir=None) -> RunManifest:
     if len(grid_list) >= 2:
         header.append("log2_ratio")
         cols.append(_log2_ratios(metrics))
-    write_csv(out / "study.csv", header, cols)
+    files = {"study.csv": write_csv(out / "study.csv", header, cols)}
     grids = ",".join(str(n) for n in grid_list)
     study = Scenario(scenario.kind, {**scenario.parameters, "grids": grids})
-    return _write_manifest(out, study, start, ["study.csv"])
+    return _write_manifest(out, study, start, files)

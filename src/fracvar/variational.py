@@ -128,14 +128,15 @@ class ExtremalSolution:
     gradient_norm: float
     iterations: int
 
-    def to_csv(self, path) -> None:
-        """Columns t, q*, qdot*, caputo_q*, el_residual (per component)."""
+    def to_csv(self, path) -> str:
+        """Columns t, q*, qdot*, caputo_q*, el_residual (per component); returns
+        the file's SHA-256 hex digest."""
         d = self.trajectory.dim
         names = ["t"]
         for stem in ("q", "qdot", "caputo_q", "el_residual"):
             names += [f"{stem}{j}" for j in range(d)]
         blocks = (self.trajectory, self.velocity, self.caputo_velocity, self.residual)
-        write_csv(path, names, [self.trajectory.grid.nodes()] + [f.values for f in blocks])
+        return write_csv(path, names, [self.trajectory.grid.nodes()] + [f.values for f in blocks])
 
 
 def action_value(problem: VariationalProblem, q: GridFunction) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -241,6 +242,30 @@ class TestRunScenario:
         per_run = json.loads((tmp_path / "study" / "n32" / "manifest.json").read_text())
         assert {f["name"] for f in per_run["files"]} == {"control.csv", "summary.csv"}
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            EXTREMAL_INI,
+            EXTREMAL_INI.replace("extremal", "noether") + "symmetry = space-translation\n",
+            OPERATOR_INI,
+            CONTROL_INI,
+            FRICTION_INI,
+        ],
+        ids=["extremal", "noether", "operator-test", "control", "friction"],
+    )
+    def test_manifest_digests_are_those_of_the_files(self, tmp_path, text):
+        # write_csv digests what it writes; nothing reads the files back
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        run(path, out_dir=tmp_path / "run")
+        convergence_study(path, [32, 64], out_dir=tmp_path / "study")
+        study = tmp_path / "study"
+        for out in (tmp_path / "run", study, study / "n32", study / "n64"):
+            files = json.loads((out / "manifest.json").read_text())["files"]
+            assert files
+            for entry in files:
+                assert entry["sha256"] == hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
+
     def test_study_operator_orders(self, tmp_path):
         path = tmp_path / "s.ini"
         path.write_text(OPERATOR_INI)
@@ -360,6 +385,28 @@ class TestCommandLine:
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"] == "validation"
         assert record["message"] == "mass must be positive, got -1.0"
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (
+                EXTREMAL_INI.replace(
+                    "lagrangian = harmonic", "lagrangian = potential-polynomial\ncoefficients = 0,nan,1"
+                ),
+                "coefficients",
+            ),
+            (FRICTION_INI.replace("potential = 0", "potential = 0,inf"), "potential"),
+        ],
+        ids=["coefficients", "potential"],
+    )
+    def test_non_finite_list_entry_exits_one_naming_key(self, tmp_path, text, key):
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        proc = cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"] == "validation"
+        assert record["message"].startswith(f"key '{key}' must list finite numbers")
 
     def test_numerical_failure_exits_two(self, tmp_path):
         blowup = FRICTION_INI.replace("potential = 0", "potential = 0,0,-500000000")

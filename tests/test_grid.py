@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -19,6 +20,7 @@ from fracvar.grid import (
     trapezoid_weights,
     write_csv,
 )
+from fracvar.scenarios import Scenario, run_scenario
 
 
 def test_grid_nodes_and_spacing():
@@ -151,11 +153,33 @@ def straddling(rows):
     return lambda: [[values[:-1]], [values]]
 
 
+def every_template():
+    """For each decade e in -6..16 and significant-digit count s in 1..17 a
+    double whose ``%.17g`` text has exactly s digits, with both signs (no
+    double prints so for s = 1 and e = -5 or -6). They include the 24-byte
+    fields (negative, 17 digits, e = -4, -5 and -6) and a dot after each
+    digit group boundary (e = 4, 8 and 12)."""
+    rng = np.random.default_rng(17)
+    values = []
+    for e in range(-6, 17):
+        for s in range(1, 18):
+            # about half of the s-digit decimals print back with s digits
+            for digits in rng.integers(10 ** (s - 1), 10**s, 200).tolist():
+                x = float(f"{digits}e{e - s + 1}")
+                mantissa, exponent = ("%.16e" % x).split("e")
+                if len(mantissa.replace(".", "").rstrip("0")) == s and int(exponent) == e:
+                    values.append(x)
+                    break
+    assert len(values) == 23 * 17 - 2
+    return as_table(np.array(values + [-x for x in values]))
+
+
 CSV_TABLES = {
     **{str(rows): (lambda rows=rows: mixed_table(rows)) for rows in (1, 1023, 1024, 1025, 5000)},
     "17th-digit-ties": seventeenth_digit_ties,
     "powers-of-ten": powers_of_ten,
     "bit-patterns": bit_patterns,
+    "every-template": every_template,
     # the first table's values take one ``%``, the second's are formatted by numpy
     "vector-threshold": straddling(-(-grid._CSV_VECTOR_MIN // 4) - 1),
     # one full block, then a full block and a row
@@ -167,7 +191,7 @@ CSV_TABLES = {
 def test_write_csv_bytes_equal_savetxt(tmp_path, case):
     for columns in CSV_TABLES[case]():
         header = [f"c{j}" for j in range(np.column_stack(columns).shape[1])]
-        write_csv(tmp_path / "ours.csv", header, columns)
+        digest = write_csv(tmp_path / "ours.csv", header, columns)
         np.savetxt(
             tmp_path / "savetxt.csv",
             np.column_stack(columns),
@@ -177,6 +201,28 @@ def test_write_csv_bytes_equal_savetxt(tmp_path, case):
             comments="",
         )
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+        assert digest == hashlib.sha256((tmp_path / "ours.csv").read_bytes()).hexdigest()
+
+
+def test_friction_scenario_csvs_equal_savetxt(tmp_path):
+    # each value as it would be loaded back and written by numpy
+    params = dict(
+        mass=1.0, gamma=0.5, potential="0,0,2", q0=1.0, v0=0.05, horizon=2.0, steps=4096,
+        window_a=0.0, window_b=1.0, window_n=2048, shrink_windows=5,
+    )
+    manifest = run_scenario(Scenario("friction", {k: str(v) for k, v in params.items()}), tmp_path)
+    for entry in manifest.files:
+        path = tmp_path / entry["name"]
+        header = path.read_text().splitlines()[0]
+        np.savetxt(
+            tmp_path / "savetxt.csv",
+            np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2),
+            fmt="%.17g",
+            delimiter=",",
+            header=header,
+            comments="",
+        )
+        assert path.read_bytes() == (tmp_path / "savetxt.csv").read_bytes(), entry["name"]
 
 
 def test_write_csv_peak_memory_stays_within_the_whole_table_writer(tmp_path):

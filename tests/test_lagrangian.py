@@ -20,6 +20,7 @@ from fracvar.lagrangian import (
     fd_partial,
     free_particle,
     harmonic_oscillator,
+    particle_lagrangian,
     polynomial_potential,
     potential_polynomial,
     quadratic_mix,
@@ -200,3 +201,24 @@ def test_mass_must_be_finite_and_positive(family, mass):
     # NaN too: it must be named here, not met later as a mismatch of dq
     with pytest.raises(ValidationError, match=f"^mass must be positive, got {mass}$"):
         MASS_FAMILIES[family](mass)
+
+
+COEFFICIENT_FAMILIES = {
+    "quadratic-mix": ("velocity_weight", lambda c: quadratic_mix(c, 1.0)),
+    "quadratic-mix-slope": ("state_slope", lambda c: quadratic_mix(1.0, 1.0, 0.0, c)),
+    "harmonic": ("stiffness", lambda c: harmonic_oscillator(stiffness=c)),
+    "potential-polynomial": ("potential coefficient 1", lambda c: potential_polynomial([0.0, c, 1.0])),
+    "friction-gamma": (
+        "gamma",
+        lambda c: particle_lagrangian(1.0, *polynomial_potential([0.0, 0.0, 0.5]), gamma=c, name="x"),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family", sorted(COEFFICIENT_FAMILIES))
+def test_non_finite_coefficient_is_named(family, value):
+    # named here, not met later as "analytic partial dq ... disagrees with finite differences"
+    name, build = COEFFICIENT_FAMILIES[family]
+    with pytest.raises(ValidationError, match=f"^{name} must be finite, got {value}$"):
+        build(value)

@@ -13,7 +13,8 @@ same rule, so none still imports a helper that a change removed.
 tests here do not run the benchmark, so a renamed function would otherwise
 break it unnoticed. No module calls or imports ``savetxt``:
 ``grid.write_csv`` is the one CSV writer, and no module but ``grid`` reads
-``CSV_FLOAT_FORMAT``, so the number format has one owner. No module imports
+``CSV_FLOAT_FORMAT`` or uses ``hashlib``, so the number format and the file
+digests each have one owner. No module imports
 scipy, which ``pyproject.toml`` lists only as a test extra. Every name in
 ``fracvar.__all__`` exists, and every name ``__init__.py`` imports is
 listed; every name in the ``__all__`` of ``fracops`` and ``grunwald`` exists.
@@ -158,12 +159,15 @@ def _referenced_name(node: ast.AST):
 
 def csv_writer_uses(source: str, module: str) -> list:
     """One line per ``savetxt`` the module reads or imports and, outside
-    ``grid.py``, per ``CSV_FLOAT_FORMAT``; text in strings is not code."""
-    names = ("savetxt",) if module == "grid.py" else ("savetxt", "CSV_FLOAT_FORMAT")
+    ``grid.py``, per ``CSV_FLOAT_FORMAT`` and per use or import of
+    ``hashlib`` (the digests come from ``write_csv``); text in strings is
+    not code."""
+    names = ("savetxt",) if module == "grid.py" else ("savetxt", "CSV_FLOAT_FORMAT", "hashlib")
     found = sorted(
         (node.lineno, name)
         for node in ast.walk(ast.parse(source))
         if (name := _referenced_name(node)) in names
+        or isinstance(node, ast.ImportFrom) and (name := node.module) in names
     )
     return [f"{module}:{line} uses {name}" for line, name in found]
 
@@ -184,6 +188,9 @@ def test_savetxt_checker_flags_each_pattern():
         "from .grid import CSV_FLOAT_FORMAT as fmt\n"
         "text = grid.CSV_FLOAT_FORMAT % 1.0\n"
         "CSV_FLOAT_FORMAT = '%.6g'\n"
+        "import hashlib\n"
+        "from hashlib import sha256\n"
+        "digest = hashlib.sha256(b'')  # hashlib in a comment is no use\n"
     )
     assert csv_writer_uses(source, "m.py") == [
         "m.py:3 uses savetxt",
@@ -193,6 +200,9 @@ def test_savetxt_checker_flags_each_pattern():
         "m.py:7 uses CSV_FLOAT_FORMAT",
         "m.py:8 uses CSV_FLOAT_FORMAT",
         "m.py:9 uses CSV_FLOAT_FORMAT",
+        "m.py:10 uses hashlib",
+        "m.py:11 uses hashlib",
+        "m.py:12 uses hashlib",
     ]
     assert csv_writer_uses(source, "grid.py") == [
         f"grid.py:{line} uses savetxt" for line in (3, 4, 5, 6)
