@@ -33,7 +33,7 @@ derivative (one-sided at the ends), matching the classical limit exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gamma, inf
 from typing import Callable, Optional
 
@@ -284,13 +284,20 @@ class MatrixFree:
 
     For an M that annihilates constants, M = S Delta with Delta the cell
     differences (f_1 - f_0, ..., f_n - f_{n-1}), rows 1..n of
-    :func:`~fracvar.grid.cell_differences`; ``cell_gram(omega)`` is then the
-    diagonal of S' diag(omega) S, of shape (n, columns).
+    :func:`~fracvar.grid.cell_differences`, and S an (n+1, n) map of cell
+    values to nodes; ``cell_gram(omega)`` is then the diagonal of
+    S' diag(omega) S, of shape (n, columns). Where rows 1..n of S form a
+    Toeplitz matrix, ``circulant_solver(shift, weight)`` returns
+    ``y -> (shift I + weight C' C)^-1 y`` for (n, columns) cell values,
+    column by column (``shift`` and ``weight`` of shape (columns,)), with C
+    T. Chan's optimal circulant of those rows; it returns None where that
+    matrix is not positive definite.
     """
 
     apply: Callable
     apply_T: Callable
     cell_gram: Optional[Callable] = None
+    circulant_solver: Optional[Callable] = None
 
     def __matmul__(self, values: np.ndarray) -> np.ndarray:
         return self.apply(values)
@@ -303,7 +310,7 @@ class MatrixFree:
 def caputo_left_operator(n: int, h: float, order) -> MatrixFree:
     """The left Caputo derivative of (n+1, columns) node values as a
     :class:`MatrixFree` operator: the L1 scheme by FFT, and the central
-    difference at alpha = 1."""
+    difference at alpha = 1, which has no ``circulant_solver``."""
     alpha = derivative_order(order)
     if alpha == 1.0:
         return MatrixFree(
@@ -318,10 +325,25 @@ def caputo_left_operator(n: int, h: float, order) -> MatrixFree:
         squares = ToeplitzScheme(alpha, l1.scale**2, l1.kernel**2, l1.first_column)
         return squares.apply_T(omega)[1:]
 
+    @cache
+    def chan_squares():
+        # rows 1..n of S are lower-triangular Toeplitz with first column
+        # scale * b_{k+1}; T. Chan's circulant has (1 - k/n) scale b_{k+1},
+        # and C' C has the squared moduli of its rfft as eigenvalues
+        column = (1.0 - np.arange(n) / n) * l1.kernel
+        return (l1.scale * np.abs(np.fft.rfft(column)))[:, None] ** 2
+
+    def circulant_solver(shift, weight):
+        eigenvalues = shift + weight * chan_squares()
+        if not (np.isfinite(eigenvalues).all() and (eigenvalues > 0.0).all()):
+            return None
+        return lambda y: np.fft.irfft(np.fft.rfft(y, axis=0) / eigenvalues, n, axis=0)
+
     return MatrixFree(
         lambda f: l1.apply(cell_differences(f)),
         lambda g: cell_differences_T(l1.apply_T(g)),
         cell_gram,
+        circulant_solver,
     )
 
 

@@ -20,9 +20,10 @@ CSV_FLOAT_FORMAT = "%.17g"
 # rows that write_csv formats at a time: its temporaries and output, about
 # 135 bytes a value, stay below a copy of the table (2048 were no faster)
 _CSV_BLOCK_ROWS = 1024
-# blocks of fewer values take one ``%``: it costs about 0.45 us a value, the
-# numpy path 50 us a block plus 0.09 us a value (measured; even at ~150)
-_CSV_VECTOR_MIN = 150
+# blocks of fewer values take one ``%``: it costs about 0.46 us a value, the
+# numpy path 44 us a block plus 0.07 us a value (measured on 16..512-value
+# blocks of 1 and 5 columns, one thread; even at 110 to 115)
+_CSV_VECTOR_MIN = 112
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ factorization succeeds (Nocedal-Wright sections 3.4 and 16.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import ConvergenceError, LineSearchError, NumericsError, Validation
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _CG_RTOL = 1e-12  # CG's relative residual: quadratic objectives converge in one step
-MAX_ITER = 50  # Newton iteration cap: over 8x the most Newton steps any test solve takes (6)
+MAX_ITER = 50  # Newton iteration cap: over 6x the most Newton steps a converging test solve takes (8)
 # largest m either solver accepts, checked before it allocates. Neither holds
 # an m x m array. The control solve's largest are the (n + 1) x (n + 1)
 # difference and Caputo matrices and the states' Schur complement of side
@@ -134,57 +134,64 @@ def bfgs_minimize(
     (from :func:`pcg_direction` or :func:`schur_newton`); one that does not
     descend is replaced by ``-g``. A ``tol`` that is not finite and positive
     raises ``ValidationError``. Raises ``ConvergenceError`` (with the final
-    gradient norm) after ``MAX_ITER`` iterations and ``LineSearchError``
-    after 60 failed step reductions.
+    gradient norm) after ``MAX_ITER`` iterations, ``LineSearchError`` after
+    60 failed step reductions and ``NumericsError`` on a non-finite
+    gradient; an overflow on the way raises no floating-point warning.
     """
     if not 0.0 < tol < np.inf:
         raise ValidationError(f"tol must be finite and positive, got {tol}")
     x = np.asarray(x0, dtype=float).copy()
     if x.size == 0:
         return MinimizeResult(x, 0.0, 0)
-    g = np.asarray(grad(x), dtype=float)
-    f = float(fun(x))
-    if not np.isfinite(f):
-        raise LineSearchError("objective is non-finite at the initial point")
-    for iteration in range(MAX_ITER):
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm < tol:
-            return MinimizeResult(x, gnorm, iteration)
-        p = direction(x, g)
-        slope = float(g @ p)
-        if slope >= 0.0:  # numerical loss of descent; fall back to steepest descent
-            p = -g
+    # an overflow shows as a non-finite value, which the checks below turn
+    # into a failed trial step or an error, never into a floating-point warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = np.asarray(grad(x), dtype=float)
+        f = float(fun(x))
+        if not np.isfinite(f):
+            raise LineSearchError("objective is non-finite at the initial point")
+        for iteration in range(MAX_ITER):
+            gnorm = float(np.max(np.abs(g)))
+            if not np.isfinite(gnorm):
+                raise NumericsError(f"gradient is non-finite at iteration {iteration}")
+            if gnorm < tol:
+                return MinimizeResult(x, gnorm, iteration)
+            p = direction(x, g)
             slope = float(g @ p)
-        step = 1.0
-        halvings = 0
-        g_new = None
-        while True:
-            f_new = float(fun(x + step * p))
-            if np.isfinite(f_new) and f_new <= f + _ARMIJO * step * slope:
-                break
-            if np.isfinite(f_new) and abs(f_new - f) <= 4e-13 * (1.0 + abs(f)):
-                # objective differences are below rounding; certify progress
-                # by the curvature condition instead of sufficient decrease
-                g_try = np.asarray(grad(x + step * p), dtype=float)
-                if float(g_try @ p) >= 0.9 * slope:
-                    g_new = g_try
+            if not -np.inf < slope < 0.0:  # numerical loss of descent; fall back to steepest descent
+                p = -g
+                slope = float(g @ p)
+            step = 1.0
+            halvings = 0
+            g_new = None
+            while True:
+                f_new = float(fun(x + step * p))
+                if np.isfinite(f_new) and f_new <= f + _ARMIJO * step * slope:
                     break
-            if halvings >= _MAX_HALVINGS:
-                raise LineSearchError(
-                    f"line search failed after {_MAX_HALVINGS} step reductions "
-                    f"(gradient max-norm {gnorm:.3e})"
-                )
-            if np.isfinite(f_new):
-                # quadratic interpolation, safeguarded into [0.1, 0.5] * step
-                denom = 2.0 * (f_new - f - slope * step)
-                trial = -slope * step * step / denom if denom > 0.0 else 0.5 * step
-                step = min(max(trial, 0.1 * step), 0.5 * step)
-            else:
-                step *= 0.5
-            halvings += 1
-        x = x + step * p
-        g = np.asarray(grad(x), dtype=float) if g_new is None else g_new
-        f = f_new
+                if np.isfinite(f_new) and abs(f_new - f) <= 4e-13 * (1.0 + abs(f)):
+                    # objective differences are below rounding; certify progress
+                    # by the curvature condition instead of sufficient decrease
+                    g_try = np.asarray(grad(x + step * p), dtype=float)
+                    if float(g_try @ p) >= 0.9 * slope:
+                        g_new = g_try
+                        break
+                if halvings >= _MAX_HALVINGS:
+                    raise LineSearchError(
+                        f"line search failed after {_MAX_HALVINGS} step reductions "
+                        f"(gradient max-norm {gnorm:.3e})"
+                    )
+                if np.isfinite(f_new):
+                    # quadratic interpolation, safeguarded into [0.1, 0.5] * step
+                    # (a nan trial, from inf/inf, counts as 0.1 * step)
+                    denom = 2.0 * (f_new - f - slope * step)
+                    trial = -slope * step * step / denom if denom > 0.0 else 0.5 * step
+                    step = min(0.5 * step, max(0.1 * step, trial))
+                else:
+                    step *= 0.5
+                halvings += 1
+            x = x + step * p
+            g = np.asarray(grad(x), dtype=float) if g_new is None else g_new
+            f = f_new
     gnorm = float(np.max(np.abs(g)))
     raise ConvergenceError(
         f"no convergence within {MAX_ITER} iterations; gradient max-norm {gnorm:.6e}",
@@ -192,34 +199,54 @@ def bfgs_minimize(
     )
 
 
-def pcg_direction(hvp: Callable, precondition: Callable, g: np.ndarray) -> np.ndarray:
+@dataclass
+class CGStats:
+    """Tallies over the :func:`pcg_direction` calls that share one record."""
+
+    calls: int = 0  # one per Newton step
+    products: int = 0  # Hessian-vector products
+    nonconvex: list = field(default_factory=list)  # the calls, from 1, that met negative curvature
+
+
+def pcg_direction(
+    hvp: Callable, precondition: Callable, g: np.ndarray, stats: CGStats | None = None
+) -> np.ndarray:
     """Approximate ``H p = -g`` by conjugate gradients preconditioned with
     ``precondition(r) = K^-1 r``, from ``hvp(v) = H v`` alone.
 
     Stops at a relative residual of 1e-12 or after ``len(g)`` iterations. On
     negative curvature it stops as Nocedal-Wright Algorithm 7.1 does: the
     first iteration returns ``-K^-1 g``, later ones the current iterate.
+    A non-finite curvature or iterate raises ``NumericsError``, without a
+    floating-point warning. ``stats`` tallies the call.
     """
+    stats = CGStats() if stats is None else stats
+    stats.calls += 1
     s = np.zeros_like(g)
     r = -g
     z = precondition(r)
     p, rz = z, float(r @ z)
     stop = _CG_RTOL * float(np.linalg.norm(g))
-    for j in range(len(g)):
-        hp = hvp(p)
-        curvature = float(p @ hp)
-        if not np.isfinite(curvature):
-            raise NumericsError("Hessian-vector product is non-finite")
-        if curvature <= 0.0:
-            return p if j == 0 else s
-        step = rz / curvature
-        s = s + step * p
-        r = r - step * hp
-        if float(np.linalg.norm(r)) <= stop:
-            break
-        z = precondition(r)
-        rz, rz_old = float(r @ z), rz
-        p = z + (rz / rz_old) * p
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as a non-finite value
+        for j in range(len(g)):
+            hp = hvp(p)
+            stats.products += 1
+            curvature = float(p @ hp)
+            if not np.isfinite(curvature):
+                raise NumericsError("Hessian-vector product is non-finite")
+            if curvature <= 0.0:
+                stats.nonconvex.append(stats.calls)
+                return p if j == 0 else s
+            step = rz / curvature
+            s = s + step * p
+            r = r - step * hp
+            if float(np.linalg.norm(r)) <= stop:
+                break
+            z = precondition(r)
+            rz, rz_old = float(r @ z), rz
+            p = z + (rz / rz_old) * p
+    if not np.isfinite(s).all():
+        raise NumericsError("conjugate-gradient iterate is non-finite")
     return s
 
 

@@ -48,7 +48,7 @@ from .grid import (
     write_csv,
 )
 from .lagrangian import LagrangianSpec, fd_partial
-from .minimize import MAX_UNKNOWNS, PointwiseSum, bfgs_minimize, pcg_direction
+from .minimize import MAX_UNKNOWNS, CGStats, PointwiseSum, bfgs_minimize, pcg_direction
 
 
 class VariationalProblem:
@@ -127,6 +127,7 @@ class ExtremalSolution:
     el_residual_norm: float
     gradient_norm: float
     iterations: int
+    hessian_products: int  # over all Newton steps; in no CSV
 
     def to_csv(self, path) -> str:
         """Columns t, q*, qdot*, caputo_q*, el_residual (per component); returns
@@ -192,12 +193,31 @@ def solve_extremal(problem: VariationalProblem, tol: float = 1e-8) -> ExtremalSo
     cell: three slots of one linear map each. Newton steps start from the
     linear interpolant of the boundary values; their second partials are
     symmetrized central differences of the analytic first partials, and each step is
-    solved matrix-free by :func:`~fracvar.minimize.pcg_direction`. The
-    tridiagonal preconditioner ``K = Delta' diag(d) Delta + diag(e)`` keeps,
-    per state component, the diagonal second partials: those of the slope
-    and the Caputo derivative in cell-difference coordinates (d), and those
-    of the node value (e). A gradient max-norm not below ``tol`` raises
-    ``ConvergenceError`` carrying the final norm. More than ``MAX_UNKNOWNS``
+    solved matrix-free by :func:`~fracvar.minimize.pcg_direction`.
+
+    The preconditioner K is chosen per step from those second partials,
+    per state component: d the slope's of each cell (in cell-difference
+    coordinates), omega the Caputo derivative's of each node and e the node
+    value's, with Delta the cell differences of the interior values.
+
+    * No Caputo curvature (a classical Lagrangian, at any alpha): K =
+      Delta' diag(d) Delta + diag(e), keeping a component's e with its sign
+      while cyclic reduction's pivots stay positive. It is the interior
+      Hessian where L couples neither q with v nor two components, as the
+      harmonic oscillator does not.
+    * alpha < 1, some omega non-zero and no d or omega negative: K =
+      Delta' M Delta with M = mean(d) I + mean(omega) C' C, where C is T.
+      Chan's circulant of the L1 matrix and omega's mean is over interior
+      nodes; one solve is one FFT pair and two cumulative sums
+      (:func:`_cell_gram_solver`).
+    * Otherwise: K = Delta' diag(d + g) Delta + diag(e) with g the diagonal
+      of the Caputo Gram, d <= 0 raised and e < 0 clamped to 0 as
+      :func:`_tridiagonal_solver` says.
+
+    A gradient max-norm not below ``tol`` raises ``ConvergenceError``
+    carrying the final norm; where conjugate gradients met negative
+    curvature, each solver error says that the discrete action is not
+    convex along that Newton direction. More than ``MAX_UNKNOWNS``
     interior values raise ``ValidationError`` before anything is allocated.
     """
     grid, d, lag = problem.grid, problem.dim, problem.lagrangian
@@ -229,23 +249,38 @@ def solve_extremal(problem: VariationalProblem, tol: float = 1e-8) -> ExtremalSo
         dl = 0.5 * h * partials(*args(x))
         return action.gradient([dl[:, span] for span in action.spans])[1:-1].ravel()
 
+    stats = CGStats()
+
     def direction(x, g):
         a = args(x)
         jac = np.concatenate([fd_partial(partials, a, 1 + r) for r in range(3)], axis=2)
         point = 0.25 * h * (jac + jac.transpose(0, 2, 1))  # h/2 times the estimates' mean
         state, slope, curv = (np.diagonal(point[:, i, i], axis1=1, axis2=2) for i in action.spans)
-        cells = (slope[:n] + slope[n:]) / (h * h) + caputo.cell_gram(_node_sums(curv))
-        precondition = _tridiagonal_solver(cells, _node_sums(state)[1:-1])
+        cells, omega = (slope[:n] + slope[n:]) / (h * h), _node_sums(curv)
+        nodes = _node_sums(state)[1:-1]
+        if point[:, action.spans[2]].any():
+            precondition = _caputo_preconditioner(caputo, cells, omega, nodes)
+        else:  # no Caputo curvature
+            precondition = _tridiagonal_solver(cells, nodes, signed=True)
         zero = np.zeros(d)
 
         def hvp(v):
             return action.hvp(point, assemble(v, zero, zero))[1:-1].ravel()
 
-        return pcg_direction(hvp, lambda r: precondition(r.reshape(n - 1, d)).ravel(), g)
+        return pcg_direction(hvp, lambda r: precondition(r.reshape(n - 1, d)).ravel(), g, stats)
 
     frac = ((t - grid.a) / (grid.b - grid.a))[:, None]
     straight = (1.0 - frac) * problem.q_a[None, :] + frac * problem.q_b[None, :]
-    result = bfgs_minimize(fun, grad, straight[1:-1].ravel(), direction, tol=tol)
+    try:
+        result = bfgs_minimize(fun, grad, straight[1:-1].ravel(), direction, tol=tol)
+    except NumericsError as err:  # ConvergenceError and LineSearchError are NumericsErrors
+        if stats.nonconvex:
+            err.args = (
+                f"{err}; conjugate gradients met negative curvature at {len(stats.nonconvex)} "
+                f"of {stats.calls} Newton steps, last at step {stats.nonconvex[-1]}: the "
+                "discrete action is not convex along that Newton direction",
+            )
+        raise
     q = GridFunction(grid, assemble(result.x))
     f = problem.along(q)
     residual = costate_residual(grid, problem.alpha, f.dq, -f.dv, -f.dw)
@@ -258,6 +293,7 @@ def solve_extremal(problem: VariationalProblem, tol: float = 1e-8) -> ExtremalSo
         el_residual_norm=float(np.max(np.abs(residual.values[1:-1]))),
         gradient_norm=result.gradient_norm,
         iterations=result.iterations,
+        hessian_products=stats.products,
     )
 
 
@@ -271,7 +307,43 @@ def _node_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tridiagonal_solver(cells: np.ndarray, nodes: np.ndarray):
+def _caputo_preconditioner(caputo: MatrixFree, cells, omega, nodes):
+    """``r -> K^-1 r`` on a step with Caputo curvature, from d = ``cells``,
+    omega and e = ``nodes``: the circulant-Gram K where the operator has a
+    ``circulant_solver``, some omega is non-zero and no d or omega is
+    negative, else the tridiagonal K with the Caputo Gram's diagonal in d."""
+    n, width = cells.shape
+    if caputo.circulant_solver and omega.any() and (cells >= 0.0).all() and (omega >= 0.0).all():
+        gram = caputo.circulant_solver(cells.mean(axis=0), omega[1:-1].mean(axis=0))
+        if gram is not None:
+            return _cell_gram_solver(gram, n, width)
+    return _tridiagonal_solver(cells + caputo.cell_gram(omega), nodes)
+
+
+def _cell_gram_solver(gram, n: int, width: int):
+    """``r -> x`` solving ``Delta' M Delta x = r`` for the interior node
+    values x, with Delta the cell differences of (0, x, 0) and ``gram(y) =
+    M^-1 y`` for (n, width) cell values, M symmetric positive definite.
+
+    Delta' u = r holds exactly for u = y + lambda 1 with y = (0, -cumsum r),
+    and Delta x = M^-1 u must sum to 0 (x vanishes at both ends), which fixes
+    lambda. So c = M^-1 y - mu M^-1 1 with the mu that makes sum(c) = 0, and
+    x = cumsum(c)[:-1]. For a circulant M, M^-1 1 is constant and this
+    removes the mean of M^-1 y.
+    """
+    ones = gram(np.ones((n, width)))
+
+    def solve(r):
+        y = np.zeros((n, width))
+        np.cumsum(r, axis=0, out=y[1:])
+        c = gram(-y)
+        c -= (c.sum(axis=0) / ones.sum(axis=0)) * ones
+        return np.cumsum(c[:-1], axis=0)
+
+    return solve
+
+
+def _tridiagonal_solver(cells: np.ndarray, nodes: np.ndarray, signed: bool = False):
     """``r -> x`` solving ``K x = r`` with ``K = Delta' diag(d) Delta + diag(e)``
     per column, for the interior node values x: d = ``cells`` (n, columns),
     e = ``nodes`` (n - 1, columns) and Delta the cell differences of (0, x, 0).
@@ -279,7 +351,10 @@ def _tridiagonal_solver(cells: np.ndarray, nodes: np.ndarray):
     Cells with d <= 0 count as the smallest positive d of their column and
     nodes with e < 0 as 0, so K is positive definite. A column with no
     positive d is diag(e), and there nodes with e <= 0 count as the column's
-    smallest positive e, or as 1 when there is none.
+    smallest positive e, or as 1 when there is none. With ``signed``, each
+    column first keeps its e as given, and only a column where cyclic
+    reduction meets a pivot <= 0 (K is not positive definite) takes the rule
+    above.
 
     K is factored once by cyclic reduction: padded with identity rows to
     2^k - 1 rows, each level eliminates the even rows (0, 2, ...) from the
@@ -290,12 +365,26 @@ def _tridiagonal_solver(cells: np.ndarray, nodes: np.ndarray):
     e = np.maximum(nodes, 0.0)
     bare = ~d.any(axis=0)
     e[:, bare] = _positive(e[:, bare], 1.0)
+    if signed:
+        solve, positive = _cyclic_reduction(d, nodes)
+        if positive.all():
+            return solve
+        e = np.where(positive, nodes, e)
+    return _cyclic_reduction(d, e)[0]
+
+
+def _cyclic_reduction(d: np.ndarray, e: np.ndarray):
+    """The solver of :func:`_tridiagonal_solver` for these d and e, and per
+    column whether every pivot was positive. A row with a pivot <= 0 is not
+    eliminated (its scale is 0), so a column flagged False stays finite but
+    is solved with a K of no use."""
     m, width = e.shape
     size = 2 ** m.bit_length() - 1
     diag = np.ones((size, width))
     diag[:m] = d[:-1] + d[1:] + e
     off = np.zeros((size, width))  # row i's coefficient of x_{i+1}, and row i+1's of x_i
     off[: m - 1] = -d[1:-1]
+    positive = np.ones(width, dtype=bool)
     # row i of the padded system sits at x[i + 1], between two zero rows;
     # level l's even rows are every 2^(l+1)-th row of x from x[2^l]. Each
     # gives x_even = scale * r_even + to_left * x_{even-1} + to_right * x_{even+1}.
@@ -303,7 +392,9 @@ def _tridiagonal_solver(cells: np.ndarray, nodes: np.ndarray):
     down, up = [], []
     half = 1
     while len(diag) > 1:
-        scale = 1.0 / diag[0::2]
+        pivots = diag[0::2]
+        positive &= (pivots > 0.0).all(axis=0)
+        scale = np.divide(1.0, pivots, out=np.zeros_like(pivots), where=pivots > 0.0)
         to_left = -scale * np.vstack((np.zeros((1, width)), off[1::2]))
         to_right = -scale * off[0::2]
         even = x[half :: 2 * half]
@@ -312,19 +403,21 @@ def _tridiagonal_solver(cells: np.ndarray, nodes: np.ndarray):
         diag = diag[1::2] + to_right[:-1] * off[:-1:2] + to_left[1:] * off[1::2]
         off = off[1::2] * to_right[1:]
         half *= 2
+    positive &= diag[0] > 0.0
+    last = np.where(diag[0] > 0.0, diag[0], 1.0)  # the last level's one row
 
     def solve(r):
         x[1 : m + 1] = r
         x[m + 1 :] = 0.0
         for odd, before, after, from_before, from_after in down:
             odd += from_before * before + from_after * after
-        x[half] /= diag[0]  # the last level's one row
+        x[half] /= last
         for even, before, after, scale, to_left, to_right in reversed(up):
             even *= scale
             even += to_left * before + to_right * after
         return x[1 : m + 1].copy()
 
-    return solve
+    return solve, positive
 
 
 def _positive(values: np.ndarray, fallback: float) -> np.ndarray:

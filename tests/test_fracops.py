@@ -517,3 +517,43 @@ def test_caputo_operator_matches_the_dense_matrix(n, alpha):
     omega = rng.uniform(0.0, 1.0, (n + 1, 2))
     ref = np.stack([np.diag(s.T @ (omega[:, k, None] * s)) for k in range(2)], axis=1)
     npt.assert_allclose(op.cell_gram(omega), ref, rtol=1e-12)
+
+
+def chan_circulant(toeplitz: np.ndarray) -> np.ndarray:
+    """T. Chan's optimal circulant of a square Toeplitz matrix, from its
+    entries t_k: first column c_k = ((n - k) t_k + k t_{k-n}) / n."""
+    n = len(toeplitz)
+    k = np.arange(n)
+    before = np.concatenate(([0.0], toeplitz[0, :0:-1]))  # t_{k-n}, k >= 1
+    column = ((n - k) * toeplitz[:, 0] + k * before) / n
+    return np.stack([np.roll(column, j) for j in range(n)], axis=1)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("n", [2, 3, 17, 96])
+def test_circulant_solver_inverts_t_chans_circulant_gram(n, alpha):
+    # S from the dense L1 matrix as above; its rows 1..n are Toeplitz
+    h = 1.0 / n
+    m = caputo_left_matrix(n, h, alpha)
+    chan = chan_circulant(np.cumsum(m[:, :0:-1], axis=1)[:, ::-1][1:])
+    op = caputo_left_operator(n, h, alpha)
+    # the eigenvalues of C'C, read back from the solve with shift 0
+    inverse = op.circulant_solver(0.0, 1.0)(np.eye(n))
+    npt.assert_allclose(
+        np.sort(1.0 / np.linalg.eigvalsh(0.5 * (inverse + inverse.T))),
+        np.linalg.eigvalsh(chan.T @ chan),
+        rtol=1e-10,
+    )
+    shift, weight = np.array([2.0, 0.0, 0.5]), np.array([0.0, 1.5, 0.7])
+    y = np.random.default_rng(n).standard_normal((n, 3))
+    out = op.circulant_solver(shift, weight)(y)
+    for k in range(3):
+        ref = np.linalg.solve(shift[k] * np.eye(n) + weight[k] * chan.T @ chan, y[:, k])
+        npt.assert_allclose(out[:, k], ref, rtol=0.0, atol=1e-11 * np.max(np.abs(ref)))
+
+
+def test_circulant_solver_needs_a_positive_definite_gram():
+    op = caputo_left_operator(8, 0.125, 0.5)
+    assert op.circulant_solver(np.array([0.0, 1.0]), np.array([0.0, 1.0])) is None
+    assert op.circulant_solver(-1.0, 0.0) is None
+    assert caputo_left_operator(8, 0.125, 1.0).circulant_solver is None

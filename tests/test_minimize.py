@@ -98,6 +98,17 @@ def test_pcg_negative_curvature_exits():
     npt.assert_allclose(iterate, -step * g)
 
 
+def test_non_finite_gradient_raises_without_a_warning():
+    # the gradient overflows after the first step; RuntimeWarnings are
+    # errors in this suite, so the overflow itself must not warn
+    def grad(x):
+        scale = 1.0 if x[0] == 0.5 else 1e300
+        return 2.0 * x * scale * scale
+
+    with pytest.raises(NumericsError, match="gradient is non-finite at iteration 1"):
+        bfgs_minimize(lambda x: float(x @ x), grad, np.array([0.5, 0.5]), lambda x, g: -0.5 * x)
+
+
 def test_pcg_non_finite_curvature_raises():
     with pytest.raises(NumericsError, match="non-finite"):
         pcg_direction(lambda v: np.full_like(v, np.nan), lambda r: r, np.ones(3))

@@ -15,7 +15,8 @@ break it unnoticed. No module calls or imports ``savetxt``:
 ``grid.write_csv`` is the one CSV writer, and no module but ``grid`` reads
 ``CSV_FLOAT_FORMAT`` or uses ``hashlib``, so the number format and the file
 digests each have one owner. No module imports
-scipy, which ``pyproject.toml`` lists only as a test extra. Every name in
+scipy, which ``pyproject.toml`` lists only as a test extra, and no module
+but ``fracops`` uses ``numpy.fft``, so every FFT product has one owner. Every name in
 ``fracvar.__all__`` exists, and every name ``__init__.py`` imports is
 listed; every name in the ``__all__`` of ``fracops`` and ``grunwald`` exists.
 ``optctrl`` imports the costate residual and the conserved-quantity formula
@@ -249,6 +250,59 @@ def test_scipy_checker_flags_each_pattern():
         "m.py:4 imports scipy.linalg",
         "m.py:8 imports scipy",
     ]
+
+
+def fft_uses(source: str, module: str) -> list:
+    """One line per use of numpy's FFT outside ``fracops.py``: an import of
+    ``numpy.fft`` or of ``fft`` from numpy, and ``fft`` read off a name that
+    an ``import numpy`` binds."""
+    if module == "fracops.py":
+        return []
+    tree = ast.parse(source)
+    numpy_names = {
+        alias.asname or "numpy"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] == "numpy"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"numpy.{node.attr}"] if node.value.id in numpy_names else []
+        else:
+            continue
+        if any(name.split(".")[:2] == ["numpy", "fft"] for name in names):
+            found.append(node.lineno)
+    return [f"{module}:{line} uses numpy.fft" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_fracops_uses_fft(path):
+    assert fft_uses(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_fft_checker_flags_each_pattern():
+    source = (
+        '"""np.fft.rfft in a docstring is text."""\n'
+        "import numpy as np\n"
+        "import numpy.fft\n"
+        "import numpy.fft as nfft\n"
+        "from numpy import fft, pi\n"
+        "from numpy.fft import rfft\n"
+        "spectrum = np.fft.rfft(x)\n"
+        "inverse = numpy.fft.irfft\n"
+        "scheme.fft(x)  # fft off a name that is not numpy\n"
+        "from numpy import linalg\n"
+        "import numpyx as np2\n"
+        "np2.fft(x)\n"
+    )
+    assert fft_uses(source, "m.py") == [f"m.py:{line} uses numpy.fft" for line in range(3, 9)]
+    assert fft_uses(source, "fracops.py") == []
 
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
