@@ -217,7 +217,7 @@ def pcg_direction(
     Stops at a relative residual of 1e-12 or after ``len(g)`` iterations. On
     negative curvature it stops as Nocedal-Wright Algorithm 7.1 does: the
     first iteration returns ``-K^-1 g``, later ones the current iterate.
-    A non-finite curvature or iterate raises ``NumericsError``, without a
+    A non-finite curvature raises ``NumericsError``, and an overflow no
     floating-point warning. ``stats`` tallies the call.
     """
     stats = CGStats() if stats is None else stats
@@ -245,8 +245,6 @@ def pcg_direction(
             z = precondition(r)
             rz, rz_old = float(r @ z), rz
             p = z + (rz / rz_old) * p
-    if not np.isfinite(s).all():
-        raise NumericsError("conjugate-gradient iterate is non-finite")
     return s
 
 
