@@ -415,8 +415,7 @@ class TestSolveExtremal:
         ],
     )
     def test_cg_iterations_per_newton_step(self, weights, alpha, most):
-        # one Hessian-vector product per CG iteration; measured 6, 7, 9 and 1
-        # with the circulant Caputo Gram (9, 12, 22 and 1 with its diagonal).
+        # one Hessian-vector product per CG iteration; measured 6, 7, 9 and 1.
         # The state-only L = |q|^2/2 + 0.3 q has a diagonal Hessian, which the
         # preconditioner holds exactly; without its state term it took 1530.
         p = line_problem(n=2048, alpha=alpha, lagrangian=quadratic_mix(*weights))
@@ -438,10 +437,9 @@ class TestSolveExtremal:
         ],
     )
     def test_hessian_products_per_solve(self, name, products):
-        # the diagonal Caputo Gram and clamped e took 9, 7, 6, 124, 57, 12, 7
-        # and 9. The first three are the seed-1 benchmark solves; the friction
-        # window (negative node curvature beside a Caputo term) is the one
-        # that takes more with the circulant Gram
+        # CG's path is deterministic, so the counts are exact. The first three
+        # are the seed-1 benchmark solves; the friction window has negative
+        # node curvature beside a Caputo term, which the circulant K drops
         sol = solve_extremal(PANEL[name]())
         assert sol.hessian_products == products
 
