@@ -11,8 +11,10 @@ O(n log n). Outputs differ from a direct convolution at round-off level;
 repeated runs are bit-identical. The left Caputo derivative has one
 representation, the :class:`MatrixFree` operator of
 :func:`caputo_left_operator`: :func:`caputo_left` applies it, the
-variational solver takes it as is, and :func:`caputo_left_matrix`, which the
-control solver uses, expands the same scheme densely.
+variational solver takes it as is (its ``circulant_solver``, T. Chan's
+circulant of the L1 matrix, gives that solver's preconditioner), and
+:func:`caputo_left_matrix`, which the control solver uses, expands the same
+scheme densely.
 
 Schemes
 -------
@@ -285,18 +287,16 @@ class MatrixFree:
     For an M that annihilates constants, M = S Delta with Delta the cell
     differences (f_1 - f_0, ..., f_n - f_{n-1}), rows 1..n of
     :func:`~fracvar.grid.cell_differences`, and S an (n+1, n) map of cell
-    values to nodes; ``cell_gram(omega)`` is then the diagonal of
-    S' diag(omega) S, of shape (n, columns). Where rows 1..n of S form a
-    Toeplitz matrix, ``circulant_solver(shift, weight)`` returns
-    ``y -> (shift I + weight C' C)^-1 y`` for (n, columns) cell values,
-    column by column (``shift`` and ``weight`` of shape (columns,)), with C
-    T. Chan's optimal circulant of those rows; it returns None where that
-    matrix is not positive definite.
+    values to nodes. Where rows 1..n of S form a Toeplitz matrix,
+    ``circulant_solver(shift, weight)`` returns ``y -> (shift I + weight
+    C' C)^-1 y`` for (n, columns) cell values, column by column (``shift``
+    and ``weight`` of shape (columns,)), with C T. Chan's optimal circulant
+    of those rows; it returns None where that matrix is not positive
+    definite.
     """
 
     apply: Callable
     apply_T: Callable
-    cell_gram: Optional[Callable] = None
     circulant_solver: Optional[Callable] = None
 
     def __matmul__(self, values: np.ndarray) -> np.ndarray:
@@ -313,17 +313,8 @@ def caputo_left_operator(n: int, h: float, order) -> MatrixFree:
     difference at alpha = 1, which has no ``circulant_solver``."""
     alpha = derivative_order(order)
     if alpha == 1.0:
-        return MatrixFree(
-            lambda f: central_difference(f, h),
-            lambda g: central_difference_T(g, h),
-            lambda omega: _central_cell_gram(omega, h),
-        )
+        return MatrixFree(lambda f: central_difference(f, h), lambda g: central_difference_T(g, h))
     l1 = _l1_scheme(n, h, alpha)
-
-    def cell_gram(omega):
-        # S is l1 on the differences: diag(S' omega S)_c = scale^2 sum_i b_{i-1-c}^2 omega_i
-        squares = ToeplitzScheme(alpha, l1.scale**2, l1.kernel**2, l1.first_column)
-        return squares.apply_T(omega)[1:]
 
     @cache
     def chan_squares():
@@ -342,19 +333,6 @@ def caputo_left_operator(n: int, h: float, order) -> MatrixFree:
     return MatrixFree(
         lambda f: l1.apply(cell_differences(f)),
         lambda g: cell_differences_T(l1.apply_T(g)),
-        cell_gram,
         circulant_solver,
     )
 
-
-def _central_cell_gram(omega: np.ndarray, h: float) -> np.ndarray:
-    """diag(S' diag(omega) S) for the central difference: interior rows
-    average two cells, the one-sided end rows weigh (3, -1)."""
-    out = np.zeros((len(omega) - 1,) + omega.shape[1:])
-    out[1:] += omega[1:-1]
-    out[:-1] += omega[1:-1]
-    out[0] += 9.0 * omega[0]
-    out[1] += omega[0]
-    out[-1] += 9.0 * omega[-1]
-    out[-2] += omega[-1]
-    return out / (4.0 * h * h)

@@ -271,6 +271,8 @@ def _run_operator_test(params: _Params, out: Path):
     a = params.number("a", 0.0)
     b = params.number("b", 1.0)
     exponent = params.integer("exponent", 2)
+    if exponent < 0:  # x^k has a pole at the base point, which every grid samples
+        raise ValidationError(f"key 'exponent' must be >= 0, got {exponent}")
     grids = params.int_list("grids", "64,128,256,512")
     errors = [_operator_error(operator, exponent, alpha, Grid(a, b, n)) for n in grids]
     cols = [grids, [(b - a) / n for n in grids], errors]

@@ -200,19 +200,16 @@ def solve_extremal(problem: VariationalProblem, tol: float = 1e-8) -> ExtremalSo
     coordinates), omega the Caputo derivative's of each node and e the node
     value's, with Delta the cell differences of the interior values.
 
-    * No Caputo curvature (a classical Lagrangian, at any alpha): K =
-      Delta' diag(d) Delta + diag(e), keeping a component's e with its sign
-      while cyclic reduction's pivots stay positive. It is the interior
-      Hessian where L couples neither q with v nor two components, as the
-      harmonic oscillator does not.
-    * alpha < 1, some omega non-zero and no d or omega negative: K =
-      Delta' M Delta with M = mean(d) I + mean(omega) C' C, where C is T.
-      Chan's circulant of the L1 matrix and omega's mean is over interior
-      nodes; one solve is one FFT pair and two cumulative sums
+    * alpha < 1 and some omega non-zero: K = Delta' M Delta with M =
+      mean(d) I + mean(omega) C' C, where C is T. Chan's circulant of the
+      L1 matrix and omega's mean is over interior nodes, wherever that M is
+      positive definite; one solve is one FFT pair and two cumulative sums
       (:func:`_cell_gram_solver`).
-    * Otherwise: K = Delta' diag(d + g) Delta + diag(e) with g the diagonal
-      of the Caputo Gram, d <= 0 raised and e < 0 clamped to 0 as
-      :func:`_tridiagonal_solver` says.
+    * Every other step: K = Delta' diag(d) Delta + diag(e), keeping a
+      component's e with its sign while cyclic reduction's pivots stay
+      positive (:func:`_tridiagonal_solver`). Without Caputo curvature it is
+      the interior Hessian where L couples neither q with v nor two
+      components, as the harmonic oscillator does not.
 
     A gradient max-norm not below ``tol`` raises ``ConvergenceError``
     carrying the final norm; where conjugate gradients met negative
@@ -258,10 +255,7 @@ def solve_extremal(problem: VariationalProblem, tol: float = 1e-8) -> ExtremalSo
         state, slope, curv = (np.diagonal(point[:, i, i], axis1=1, axis2=2) for i in action.spans)
         cells, omega = (slope[:n] + slope[n:]) / (h * h), _node_sums(curv)
         nodes = _node_sums(state)[1:-1]
-        if point[:, action.spans[2]].any():
-            precondition = _caputo_preconditioner(caputo, cells, omega, nodes)
-        else:  # no Caputo curvature
-            precondition = _tridiagonal_solver(cells, nodes, signed=True)
+        precondition = _preconditioner(caputo, cells, omega, nodes)
         zero = np.zeros(d)
 
         def hvp(v):
@@ -307,17 +301,17 @@ def _node_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _caputo_preconditioner(caputo: MatrixFree, cells, omega, nodes):
-    """``r -> K^-1 r`` on a step with Caputo curvature, from d = ``cells``,
-    omega and e = ``nodes``: the circulant-Gram K where the operator has a
-    ``circulant_solver``, some omega is non-zero and no d or omega is
-    negative, else the tridiagonal K with the Caputo Gram's diagonal in d."""
+def _preconditioner(caputo: MatrixFree, cells, omega, nodes):
+    """``r -> K^-1 r`` from d = ``cells``, omega and e = ``nodes``: the
+    circulant-Gram K where the operator has a ``circulant_solver``, some
+    omega is non-zero and the mean curvatures make the circulant positive
+    definite, else the tridiagonal K, which leaves the Caputo curvature out."""
     n, width = cells.shape
-    if caputo.circulant_solver and omega.any() and (cells >= 0.0).all() and (omega >= 0.0).all():
+    if caputo.circulant_solver and omega.any():
         gram = caputo.circulant_solver(cells.mean(axis=0), omega[1:-1].mean(axis=0))
         if gram is not None:
             return _cell_gram_solver(gram, n, width)
-    return _tridiagonal_solver(cells + caputo.cell_gram(omega), nodes)
+    return _tridiagonal_solver(cells, nodes)
 
 
 def _cell_gram_solver(gram, n: int, width: int):
@@ -343,18 +337,17 @@ def _cell_gram_solver(gram, n: int, width: int):
     return solve
 
 
-def _tridiagonal_solver(cells: np.ndarray, nodes: np.ndarray, signed: bool = False):
+def _tridiagonal_solver(cells: np.ndarray, nodes: np.ndarray):
     """``r -> x`` solving ``K x = r`` with ``K = Delta' diag(d) Delta + diag(e)``
     per column, for the interior node values x: d = ``cells`` (n, columns),
     e = ``nodes`` (n - 1, columns) and Delta the cell differences of (0, x, 0).
 
-    Cells with d <= 0 count as the smallest positive d of their column and
-    nodes with e < 0 as 0, so K is positive definite. A column with no
-    positive d is diag(e), and there nodes with e <= 0 count as the column's
-    smallest positive e, or as 1 when there is none. With ``signed``, each
-    column first keeps its e as given, and only a column where cyclic
-    reduction meets a pivot <= 0 (K is not positive definite) takes the rule
-    above.
+    Cells with d <= 0 count as the smallest positive d of their column. Each
+    column keeps its e as given while cyclic reduction's pivots stay
+    positive (K is positive definite). A column where a pivot is <= 0 takes
+    a clamp instead: its nodes with e < 0 count as 0, or, where the column
+    has no positive d (K = diag(e)), its nodes with e <= 0 count as the
+    column's smallest positive e, or as 1 when there is none.
 
     K is factored once by cyclic reduction: padded with identity rows to
     2^k - 1 rows, each level eliminates the even rows (0, 2, ...) from the
@@ -362,15 +355,13 @@ def _tridiagonal_solver(cells: np.ndarray, nodes: np.ndarray, signed: bool = Fal
     levels and one back up, in place.
     """
     d = _positive(cells, 0.0)
+    solve, positive = _cyclic_reduction(d, nodes)
+    if positive.all():
+        return solve
     e = np.maximum(nodes, 0.0)
     bare = ~d.any(axis=0)
     e[:, bare] = _positive(e[:, bare], 1.0)
-    if signed:
-        solve, positive = _cyclic_reduction(d, nodes)
-        if positive.all():
-            return solve
-        e = np.where(positive, nodes, e)
-    return _cyclic_reduction(d, e)[0]
+    return _cyclic_reduction(d, np.where(positive, nodes, e))[0]
 
 
 def _cyclic_reduction(d: np.ndarray, e: np.ndarray):

@@ -334,6 +334,18 @@ class TestCommandLine:
         assert record["error"] == "validation"
         assert "boundary values must be finite" in record["message"]
 
+    def test_negative_exponent_exits_one_with_key_name(self, tmp_path):
+        # x^-1 is infinite at the base point; the run must refuse the key
+        # before sampling it, so no RuntimeWarning reaches stderr
+        path = tmp_path / "s.ini"
+        path.write_text(OPERATOR_INI.replace("exponent = 2", "exponent = -1"))
+        proc = cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert "Warning" not in proc.stderr
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"] == "validation"
+        assert record["message"] == "key 'exponent' must be >= 0, got -1"
+
     def test_nonexistent_file_exits_one(self, tmp_path):
         proc = cli("run", str(tmp_path / "nope.ini"))
         assert proc.returncode == 1

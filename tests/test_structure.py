@@ -31,6 +31,9 @@ but ``grid`` compares a ``.grid`` attribute with ``==`` or ``!=`` or raises
 and ``grid.require_dim``. No module but ``lagrangian`` calls
 ``LagrangianSpec``: the others build Lagrangians through its families, so
 ``friction`` writes its model through ``lagrangian.particle_lagrangian``.
+Every private function, method and class defined under ``src/fracvar`` is
+read somewhere in the package outside its own definition, so no helper
+outlives its last caller.
 """
 
 import ast
@@ -575,4 +578,65 @@ def test_lagrangian_construction_checker_flags_each_pattern():
     assert spec_constructions(source, "m.py") == [
         "m.py:5 calls LagrangianSpec",
         "m.py:6 calls LagrangianSpec",
+    ]
+
+
+def uncalled_private_definitions(sources: dict) -> list:
+    """One line per ``_``-prefixed function, method or class (dunders are
+    not private) that no module of ``sources`` (name -> source) reads as a
+    name, an attribute or an import outside the definition itself; text in
+    strings is not code. In module, then line order."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [
+        (module, name, node.lineno)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if (name := _referenced_name(node))
+    ]
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and _private(node.name)
+            ):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                name == node.name and (other != module or line not in inside)
+                for other, name, line in reads
+            ):
+                found.append((module, node.lineno, node.name))
+    return [f"{module}:{line} defines {name}, which nothing calls" for module, line, name in sorted(found)]
+
+
+def test_every_private_definition_has_a_caller():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert uncalled_private_definitions(sources) == []
+
+
+def test_uncalled_private_checker_flags_each_pattern():
+    sources = {
+        "a.py": (
+            '"""_unused in a docstring is text."""\n'
+            "def _used():\n"
+            "    return _Kept()\n"
+            "def _recursive(k):\n"
+            "    return _recursive(k - 1) if k else 0\n"
+            "class _Kept:\n"
+            "    def _method(self):\n"
+            "        return self._other()\n"
+            "    def _other(self):\n"
+            "        return 1\n"
+            "    def __repr__(self):\n"
+            "        return '_method'\n"
+            "def _unused():\n"
+            "    pass\n"
+        ),
+        "b.py": "from .a import _used\n_used()\n",
+    }
+    assert uncalled_private_definitions(sources) == [
+        "a.py:4 defines _recursive, which nothing calls",
+        "a.py:7 defines _method, which nothing calls",
+        "a.py:13 defines _unused, which nothing calls",
     ]

@@ -108,7 +108,8 @@ def friction_window():
 
 #: the solves whose Hessian-vector products are pinned: the seed-1
 #: benchmark's three, purely fractional and mixed quadratic actions at
-#: n = 4096, a friction window and the alpha = 1 oscillator on [0, 3]
+#: n = 4096 (one with negative Caputo curvature, one at alpha = 1 with a
+#: w-term), a friction window and the alpha = 1 oscillator on [0, 3]
 PANEL = {
     "noether-fractional": lambda: VariationalProblem(
         quadratic_mix(0.90903, 0.9201), Grid(0.0, 1.0, 512), 0.514879, ([0.003526], [1.005839])
@@ -125,6 +126,8 @@ PANEL = {
     "mix(0, 1) alpha 0.6": lambda: line_problem(4096, 0.6, quadratic_mix(0.0, 1.0)),
     "mix(0, 1) alpha 0.75": lambda: line_problem(4096, 0.75, quadratic_mix(0.0, 1.0)),
     "mix(1, 1) alpha 0.75": lambda: line_problem(4096, 0.75, quadratic_mix(1.0, 1.0)),
+    "mix(1, -0.3) alpha 0.9": lambda: line_problem(4096, 0.9, quadratic_mix(1.0, -0.3)),
+    "mix(1, 1) alpha 1": lambda: line_problem(4096, 1.0, quadratic_mix(1.0, 1.0)),
     "friction window": friction_window,
     "oscillator on [0, 3]": lambda: VariationalProblem(
         harmonic_oscillator(), Grid(0.0, 3.0, 400), 1.0, ([0.0], [1.0])
@@ -355,6 +358,19 @@ class TestSolveExtremal:
         npt.assert_allclose(sol.trajectory.column(), np.cos(p.grid.nodes()), atol=1e-4)
         assert sol.el_residual_norm < 2e-3
 
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_caputo_term_at_alpha_one_matches_its_closed_form(self, n):
+        # at alpha = 1, w is q' too, so L = v^2/2 + w^2/2 - q^2/2 has the
+        # extremal 2 q'' + q = 0: cos(t/sqrt 2) - cot(pi/(2 sqrt 2)) sin(t/sqrt 2).
+        # The error is first order: measured n * error = 0.121 at each n
+        p = VariationalProblem(
+            quadratic_mix(1.0, 1.0, -1.0), Grid(0.0, math.pi / 2.0, n), 1.0, ([1.0], [0.0])
+        )
+        sol = solve_extremal(p)
+        s = p.grid.nodes() / math.sqrt(2.0)
+        exact = np.cos(s) - np.sin(s) / math.tan(math.pi / (2.0 * math.sqrt(2.0)))
+        assert np.max(np.abs(sol.trajectory.column() - exact)) < 0.13 / n
+
     def test_fractional_interior_residual_shrinks(self):
         # The EL solution has a (b - t)^(-alpha) curvature layer at the right
         # endpoint, so the full max-norm grows under refinement; on a fixed
@@ -432,6 +448,8 @@ class TestSolveExtremal:
             ("mix(0, 1) alpha 0.6", 12),
             ("mix(0, 1) alpha 0.75", 11),
             ("mix(1, 1) alpha 0.75", 7),
+            ("mix(1, -0.3) alpha 0.9", 7),
+            ("mix(1, 1) alpha 1", 16),
             ("friction window", 8),
             ("oscillator on [0, 3]", 2),
         ],
@@ -439,7 +457,9 @@ class TestSolveExtremal:
     def test_hessian_products_per_solve(self, name, products):
         # CG's path is deterministic, so the counts are exact. The first three
         # are the seed-1 benchmark solves; the friction window has negative
-        # node curvature beside a Caputo term, which the circulant K drops
+        # node curvature beside a Caputo term, which the circulant K drops;
+        # mix(1, -0.3)'s negative Caputo curvature enters the circulant K
+        # through its mean, and at alpha = 1 a w-term gets the tridiagonal K
         sol = solve_extremal(PANEL[name]())
         assert sol.hessian_products == products
 
@@ -524,13 +544,15 @@ class TestSolveExtremal:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 65])
     def test_preconditioner_solves_its_tridiagonal_system(self, n):
         # column 0 is plain; column 1 has a cell without curvature (it counts
-        # as the column's smallest positive d) and a negative node term (0);
-        # column 2 has no d, so its non-positive e count as the smallest
-        # positive e; column 3 has neither (K = I)
+        # as the column's smallest positive d) and a node term of -5, which
+        # leaves K indefinite at every n (that node's d + d' - 5 < 0), so it
+        # takes the clamp (0); column 2 has no d and a negative e, so its
+        # non-positive e count as the smallest positive e; column 3 has
+        # neither (K = I)
         rng = np.random.default_rng(n)
         cells = rng.uniform(0.5, 2.0, (n, 4))
         nodes = rng.uniform(0.5, 2.0, (n - 1, 4))
-        cells[0, 1], nodes[-1, 1] = 0.0, -3.0
+        cells[0, 1], nodes[-1, 1] = 0.0, -5.0
         cells[:, 2:] = 0.0
         nodes[0, 2], nodes[:, 3] = -1.0, 0.0
         r = rng.standard_normal((n - 1, 4))
@@ -557,7 +579,7 @@ class TestSolveExtremal:
         nodes[:, 0] = -0.5 * np.linalg.eigvalsh(grams[0])[0]
         nodes[:, 1] = -2.0 * np.linalg.eigvalsh(grams[1])[0]
         r = rng.standard_normal((n - 1, 3))
-        x = variational._tridiagonal_solver(cells, nodes, signed=True)(r)
+        x = variational._tridiagonal_solver(cells, nodes)(r)
         e = nodes.copy()
         e[:, 1] = 0.0
         for k in range(3):
