@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fracvar.cli import main
 from fracvar.errors import ValidationError
 from fracvar.scenarios import (
     build_lagrangian,
@@ -431,3 +432,23 @@ class TestCommandLine:
         assert proc.returncode == 2
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"] == "numerical"
+
+
+# ---------------------------------------------------------- the acceptance run
+
+
+def test_accept_exits_three_on_criterion_6_alone_and_writes_identical_tables(tmp_path, capsys):
+    tables = []
+    for run_dir in (tmp_path / "a", tmp_path / "b"):
+        assert main(["accept", "--out", str(run_dir)]) == 3
+        out = capsys.readouterr().out
+        assert "10/11 criteria passed" in out
+        assert [line.split()[2] for line in out.splitlines() if line.startswith("FAIL")] == ["6"]
+        tables.append((run_dir / "acceptance_results.csv").read_bytes())
+    rows = tables[0].decode("ascii").splitlines()
+    assert rows[0] == "criterion,passed,detail"
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        [str(i), "0" if i == 6 else "1"] for i in range(1, 12)
+    ]
+    # no timing reaches the data file, so repeated runs are byte-identical
+    assert tables[0] == tables[1]
