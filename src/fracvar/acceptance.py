@@ -143,7 +143,8 @@ def criterion_harmonic_extremal(cache):
 @_criterion(5, "classical energy first integral", 5.0)
 def criterion_classical_energy(cache):
     def drift(solve):
-        return drift_report(autonomous_quantity(*solve))
+        problem, sol = solve
+        return drift_report(autonomous_quantity(problem, sol.trajectory))
 
     drifts = _rates("energy drift", _harmonic(cache), drift, 3.5)
     return drifts.passed and drifts.values[-1] < 1e-4, drifts.detail
@@ -155,7 +156,7 @@ def criterion_fractional_noether(cache):
         problem = VariationalProblem(
             quadratic_mix(1.0, 1.0), Grid(0.0, 1.0, n), 0.5, ([0.0], [1.0])
         )
-        return drift_report(autonomous_quantity(problem, solve_extremal(problem)))
+        return drift_report(autonomous_quantity(problem, solve_extremal(problem).trajectory))
 
     drifts = _rates("drifts", (128, 256, 512), drift, 1.5, fmt=".4f")
     return drifts.passed, drifts.detail

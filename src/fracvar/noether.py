@@ -50,12 +50,10 @@ from .grid import (
     trapezoid,
 )
 from .symmetry import SymmetryGroup, time_translation
-from .variational import (
-    ExtremalSolution, VariationalProblem, along, costate_residual, el_residual_norm
-)
+from .variational import VariationalProblem, along, costate_residual
 
 _MAX_TRUNCATION = 6
-_DEFAULT_EPS = 1e-4
+EPS = 1e-4  # invariance_defect's eps step; read at call time
 
 #: nested evaluation panels (start fraction, end fraction) of [a, b]
 _PANEL_FRACTIONS = tuple((k / 16.0, 1.0 - k / 16.0) for k in range(8))
@@ -133,15 +131,10 @@ def transfer_series(f2: GridFunction, g: GridFunction, alpha, truncation: int) -
 # ------------------------------------------------------------- invariance
 
 
-def _check_invariance_inputs(problem, q, s, el_tol):
-    """Trajectory and symmetry dimension; with ``el_tol``, that q is an extremal."""
+def _check_invariance_inputs(problem, q, s):
+    """Trajectory on the problem grid and symmetry of the problem's dimension."""
     problem.check_trajectory(q, boundary=False)
     require_dim(s.dim, problem.dim, "symmetry")
-    if el_tol is not None and (norm := el_residual_norm(problem, q)) > el_tol:
-        raise ValidationError(
-            f"trajectory is not an extremal at tolerance {el_tol:.3g} "
-            f"(residual max-norm {norm:.3g}); invariance is defined along extremals"
-        )
 
 
 def _panel_indices(n: int):
@@ -182,36 +175,25 @@ def _transformed_integrand(problem, q: GridFunction, s: SymmetryGroup, eps: floa
     return grid_new, along(problem.lagrangian, grid_new, problem.alpha, q_new).L
 
 
-def invariance_defect(
-    problem: VariationalProblem,
-    q: GridFunction,
-    s: SymmetryGroup,
-    eps: float = _DEFAULT_EPS,
-    el_tol: float | None = None,
-) -> float:
+def invariance_defect(problem: VariationalProblem, q: GridFunction, s: SymmetryGroup) -> float:
     """Max over the panel of |d/d(eps) transformed action| at eps = 0.
 
     Time is reparametrized through psi1 and the state through psi2,
     integrating on the image of each panel. Central eps-difference with the
-    given step, which must be finite and positive.
+    step ``EPS``.
     """
-    if not 0.0 < eps < np.inf:
-        raise ValidationError(f"eps must be finite and positive, got {eps}")
-    _check_invariance_inputs(problem, q, s, el_tol)
-    grid_p, plus = _transformed_integrand(problem, q, s, eps)
-    grid_m, minus = _transformed_integrand(problem, q, s, -eps)
+    _check_invariance_inputs(problem, q, s)
+    grid_p, plus = _transformed_integrand(problem, q, s, EPS)
+    grid_m, minus = _transformed_integrand(problem, q, s, -EPS)
     return max(
         abs(trapezoid(plus[i_a : i_b + 1], grid_p.h) - trapezoid(minus[i_a : i_b + 1], grid_m.h))
-        / (2.0 * eps)
+        / (2.0 * EPS)
         for i_a, i_b in _panel_indices(problem.grid.n)
     )
 
 
 def invariance_necessary_residual(
-    problem: VariationalProblem,
-    q: GridFunction,
-    s: SymmetryGroup,
-    el_tol: float | None = None,
+    problem: VariationalProblem, q: GridFunction, s: SymmetryGroup
 ) -> GridFunction:
     """Node-wise necessary condition of invariance (state transformations).
 
@@ -221,7 +203,7 @@ def invariance_necessary_residual(
     The first and last terms are -f2 . ``variational.costate_residual`` with
     dH/dq = 0 at the momenta p = -dL/dv, p_alpha = -dL/dw.
     """
-    _check_invariance_inputs(problem, q, s, el_tol)
+    _check_invariance_inputs(problem, q, s)
     grid = problem.grid
     f = problem.along(q)
     _, f2 = s.rates_on(f.t, f.q)
@@ -255,26 +237,23 @@ def momentum_quantity(grid: Grid, alpha, tau, f2, p, p_alpha, energy, truncation
 
 
 def noether_quantity(
-    problem: VariationalProblem,
-    sol: ExtremalSolution,
-    s: SymmetryGroup,
-    truncation: int = 2,
+    problem: VariationalProblem, q: GridFunction, s: SymmetryGroup, truncation: int = 2
 ) -> GridFunction:
-    """:func:`momentum_quantity` along an extremal: p = -dL/dv,
+    """:func:`momentum_quantity` along the trajectory q: p = -dL/dv,
     p_alpha = -dL/dw and energy L - qdot . dL/dv - alpha dL/dw . D_C^alpha q."""
-    _check_invariance_inputs(problem, sol.trajectory, s, None)
-    f = problem.along(sol.trajectory)
+    _check_invariance_inputs(problem, q, s)
+    f = problem.along(q)
     tau, f2 = s.rates_on(f.t, f.q)
     energy = f.L - np.sum(f.v * f.dv, axis=1) - problem.alpha * np.sum(f.dw * f.w, axis=1)
     return momentum_quantity(problem.grid, problem.alpha, tau, f2, -f.dv, -f.dw, energy, truncation)
 
 
-def autonomous_quantity(problem: VariationalProblem, sol: ExtremalSolution) -> GridFunction:
+def autonomous_quantity(problem: VariationalProblem, q: GridFunction) -> GridFunction:
     """L - qdot . dL/dv - alpha dL/dw . D_C^alpha q, for autonomous Lagrangians:
     the time-translation instance (tau = 1, f2 = 0) of :func:`noether_quantity`."""
     if not problem.lagrangian.autonomous:
         raise ValidationError("autonomous_quantity requires an autonomous Lagrangian")
-    return noether_quantity(problem, sol, time_translation(problem.dim), truncation=0)
+    return noether_quantity(problem, q, time_translation(problem.dim), truncation=0)
 
 
 def drift_report(c: GridFunction) -> float:

@@ -120,7 +120,7 @@ class SolveDiagnostics:
     penalty_weights: list
     defect_norms: list  # combined dynamics defect L2 norm per round
     gradient_norm: float
-    iterations: int
+    iterations: int  # Newton steps of the last penalty round only, not of all rounds
 
 
 @dataclass

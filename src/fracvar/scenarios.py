@@ -14,7 +14,7 @@ import configparser
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +85,7 @@ class RunManifest:
     files: list = field(default_factory=list)  # [{"name": ..., "sha256": ...}]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
 
 class _Params:
@@ -307,7 +307,7 @@ def _run_noether(params: _Params, out: Path):
     problem, sol, files = _solve_with_files(params, out)
     symmetry = build_symmetry(params, problem.dim)
     r = params.integer("truncation", 2)
-    quantity = noether_quantity(problem, sol, symmetry, truncation=r)
+    quantity = noether_quantity(problem, sol.trajectory, symmetry, truncation=r)
     f = problem.along(sol.trajectory)
     tau, f2 = symmetry.rates_on(f.t, f.q)
     series = transfer_series(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -205,6 +206,14 @@ class TestRunScenario:
         manifest = run(path, out_dir=tmp_path / "out", tol=1e-6, truncation=3)
         assert manifest.scenario["tolerance"] == "1e-06"
         assert manifest.scenario["truncation"] == "3"
+
+    def test_manifest_json_is_the_dataclass_dump(self, tmp_path):
+        # to_json dumps vars(self), not a deep copy; its bytes must match dataclasses.asdict's
+        path = tmp_path / "s.ini"
+        path.write_text(EXTREMAL_INI)
+        manifest = run(path, out_dir=tmp_path / "out", tol=1e-6)
+        expected = json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True)
+        assert (tmp_path / "out" / "manifest.json").read_text(encoding="ascii") == expected
 
     def test_friction_emits_three_csvs(self, tmp_path):
         path = tmp_path / "s.ini"

@@ -360,7 +360,7 @@ class TestFrictionInvariants:
             problem = friction_variational_problem(fp, Grid(0.0, 0.5, n), 0.0, 0.2)
             sol = solve_extremal(problem)
             diag = friction_diagnostics(fp, sol.trajectory)
-            defect = autonomous_quantity(problem, sol)
+            defect = autonomous_quantity(problem, sol.trajectory)
             drifts.append((drift_report(defect), drift_report(diag.hamiltonian)))
         for defect_drift, ham_drift in drifts:
             assert defect_drift < ham_drift
@@ -374,7 +374,7 @@ class TestFrictionInvariants:
         problem = friction_variational_problem(fp, Grid(0.0, 0.5, 128), 0.0, 0.3)
         sol = solve_extremal(problem)
         diag = friction_diagnostics(fp, sol.trajectory)
-        quantity = autonomous_quantity(problem, sol)
+        quantity = autonomous_quantity(problem, sol.trajectory)
         defect = diag.half_momentum.column() ** 2 / (2.0 * fp.gamma) - diag.hamiltonian.column()
         npt.assert_allclose(quantity.values[:, 0], defect, atol=1e-12)
 

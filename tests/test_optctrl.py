@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -287,13 +286,12 @@ class TestPontryaginResiduals:
             state = reduction_state(cp, q, lag)
             vp = VariationalProblem(lag, grid, alpha, ([0.0], [float(q.values[-1, 0])]))
             npt.assert_array_equal(el_residual(vp, q).values, pontryagin_residuals(cp, state)[2].values)
-            sol = SimpleNamespace(trajectory=q)  # noether_quantity reads only the trajectory
             space, time = space_translation([1.0]), time_translation()
             npt.assert_array_equal(
-                noether_quantity(vp, sol, space, 3).values,
+                noether_quantity(vp, q, space, 3).values,
                 control_noether_quantity(cp, state, space, 3).values,
             )
-            got = noether_quantity(vp, sol, time, 3).values
+            got = noether_quantity(vp, q, time, 3).values
             expected = control_noether_quantity(cp, state, time, 3).values
             assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 

@@ -24,7 +24,8 @@ that the variational forms use, and calls none of their building blocks, so
 neither formula is written twice; one ``optctrl`` function alone calls the
 cost and dynamics partials, so the partials of H are written once too.
 ``noether`` calls no right RL derivative (its Euler-Lagrange terms come from
-the costate residual), and ``friction`` imports neither the Caputo nor the
+the costate residual) and takes no parameter named ``sol`` or annotated
+``ExtremalSolution`` (its functions read the trajectory ``q``), and ``friction`` imports neither the Caputo nor the
 difference operator (its fields come from ``variational.along``). No module
 but ``grid`` compares a ``.grid`` attribute with ``==`` or ``!=`` or raises
 ``GridMismatchError``: the others reject inputs through ``grid.require_on``
@@ -503,6 +504,47 @@ def test_formula_copy_checker_flags_each_pattern():
         "m.py:6 calls rl_derivative_right",
         "m.py:12 calls cost_dq outside partials",
         "m.py:12 calls cost_du outside partials",
+    ]
+
+
+def solution_parameters(source: str, module: str) -> list:
+    """One line per parameter, of a function or a lambda, named ``sol`` or
+    whose annotation names ``ExtremalSolution`` (also as an attribute, a
+    subscript or a string), in line order."""
+    args = sorted(
+        (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.arg)),
+        key=lambda node: (node.lineno, node.col_offset),
+    )
+    args = [
+        node
+        for node in args
+        if node.arg == "sol"
+        or (node.annotation and "ExtremalSolution" in ast.unparse(node.annotation))
+    ]
+    return [f"{module}:{node.lineno} takes {ast.unparse(node)}" for node in args]
+
+
+def test_noether_functions_take_the_trajectory():
+    assert solution_parameters(_module_source("noether.py"), "noether.py") == []
+
+
+def test_solution_parameter_checker_flags_each_pattern():
+    source = (
+        '"""def f(sol: ExtremalSolution) in a docstring is text."""\n'
+        "from .variational import ExtremalSolution\n"
+        "def f(problem, sol, q: GridFunction, solve=None, sols=()):\n"
+        "    return lambda sol=None: sol.trajectory\n"
+        "def g(solution: ExtremalSolution, *, other: 'variational.ExtremalSolution' = None):\n"
+        "    return solution.trajectory\n"
+        "def h(q: Optional[variational.ExtremalSolution]) -> ExtremalSolution:\n"
+        "    return q\n"
+    )
+    assert solution_parameters(source, "m.py") == [
+        "m.py:3 takes sol",
+        "m.py:4 takes sol",
+        "m.py:5 takes solution: ExtremalSolution",
+        "m.py:5 takes other: 'variational.ExtremalSolution'",
+        "m.py:7 takes q: Optional[variational.ExtremalSolution]",
     ]
 
 
