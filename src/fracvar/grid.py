@@ -24,6 +24,9 @@ _CSV_BLOCK_ROWS = 1024
 # numpy path 44 us a block plus 0.07 us a value (measured on 16..512-value
 # blocks of 1 and 5 columns, one thread; even at 110 to 115)
 _CSV_VECTOR_MIN = 112
+#: most intervals a Grid accepts, checked before anything is allocated: a
+#: scenario run at 2**20 peaks at up to 166 MiB ru_maxrss
+MAX_INTERVALS = 2**20
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,10 @@ class Grid:
             raise ValidationError("grid endpoints must be finite")
         if not self.a < self.b:
             raise ValidationError(f"grid requires a < b, got a={self.a}, b={self.b}")
-        object.__setattr__(self, "n", require_integer(self.n, 2, "grid requires an integer n >= 2"))
+        n = require_integer(self.n, 2, "grid requires an integer n >= 2")
+        if n > MAX_INTERVALS:
+            raise ValidationError(f"grid supports up to {MAX_INTERVALS} intervals, got {n}")
+        object.__setattr__(self, "n", n)
 
     @property
     def h(self) -> float:
@@ -427,6 +433,17 @@ def require_dim(got: int, want: int, what: str) -> None:
     """Raise ``GridMismatchError`` naming ``what`` unless its dimension ``got`` is ``want``."""
     if got != want:
         raise GridMismatchError(f"{what} has dimension {got}, expected {want}")
+
+
+def require_vector(value, dim: int, what: str) -> np.ndarray:
+    """``value`` as a float array of shape ``(dim,)`` (a scalar is one entry):
+    ``GridMismatchError`` (:func:`require_dim`) for another shape,
+    ``ValidationError`` naming ``what`` for a non-finite entry."""
+    vector = np.atleast_1d(np.asarray(value, dtype=float))
+    require_dim(len(vector) if vector.ndim == 1 else vector.shape, dim, what)
+    if not np.isfinite(vector).all():
+        raise ValidationError(f"{what} must be finite, got {vector}")
+    return vector
 
 
 def require_integer(value, minimum: int, requirement: str) -> int:

@@ -132,10 +132,13 @@ def bfgs_minimize(
 
     ``direction(x, g)`` returns the Newton step at ``x`` with gradient ``g``
     (from :func:`pcg_direction` or :func:`schur_newton`); one that does not
-    descend is replaced by ``-g``. A ``tol`` that is not finite and positive
-    raises ``ValidationError``. Raises ``ConvergenceError`` (with the final
-    gradient norm) after ``MAX_ITER`` iterations, ``LineSearchError`` after
-    60 failed step reductions and ``NumericsError`` on a non-finite
+    descend is replaced by ``-g``. A step is taken on sufficient decrease
+    or, where the objective changes by less than rounding, on the strong
+    curvature condition |g_new . p| <= 0.9 |g . p|. A ``tol`` that is not
+    finite and positive raises ``ValidationError``. Raises
+    ``ConvergenceError`` (with the final gradient norm) after ``MAX_ITER``
+    iterations, ``LineSearchError`` on a non-finite objective at ``x0`` or
+    after 60 failed step reductions and ``NumericsError`` on a non-finite
     gradient; an overflow on the way raises no floating-point warning.
     """
     if not 0.0 < tol < np.inf:
@@ -170,9 +173,10 @@ def bfgs_minimize(
                     break
                 if np.isfinite(f_new) and abs(f_new - f) <= 4e-13 * (1.0 + abs(f)):
                     # objective differences are below rounding; certify progress
-                    # by the curvature condition instead of sufficient decrease
+                    # by the strong curvature condition instead of sufficient
+                    # decrease, which refuses an overshoot to the mirror point
                     g_try = np.asarray(grad(x + step * p), dtype=float)
-                    if float(g_try @ p) >= 0.9 * slope:
+                    if abs(float(g_try @ p)) <= -0.9 * slope:
                         g_new = g_try
                         break
                 if halvings >= _MAX_HALVINGS:

@@ -131,12 +131,6 @@ def transfer_series(f2: GridFunction, g: GridFunction, alpha, truncation: int) -
 # ------------------------------------------------------------- invariance
 
 
-def _check_invariance_inputs(problem, q, s):
-    """Trajectory on the problem grid and symmetry of the problem's dimension."""
-    problem.check_trajectory(q, boundary=False)
-    require_dim(s.dim, problem.dim, "symmetry")
-
-
 def _panel_indices(n: int):
     panels = []
     for lo, hi in _PANEL_FRACTIONS:
@@ -182,7 +176,8 @@ def invariance_defect(problem: VariationalProblem, q: GridFunction, s: SymmetryG
     integrating on the image of each panel. Central eps-difference with the
     step ``EPS``.
     """
-    _check_invariance_inputs(problem, q, s)
+    problem.check_trajectory(q, boundary=False)
+    require_dim(s.dim, problem.dim, "symmetry")
     grid_p, plus = _transformed_integrand(problem, q, s, EPS)
     grid_m, minus = _transformed_integrand(problem, q, s, -EPS)
     return max(
@@ -203,7 +198,7 @@ def invariance_necessary_residual(
     The first and last terms are -f2 . ``variational.costate_residual`` with
     dH/dq = 0 at the momenta p = -dL/dv, p_alpha = -dL/dw.
     """
-    _check_invariance_inputs(problem, q, s)
+    require_dim(s.dim, problem.dim, "symmetry")
     grid = problem.grid
     f = problem.along(q)
     _, f2 = s.rates_on(f.t, f.q)
@@ -241,7 +236,7 @@ def noether_quantity(
 ) -> GridFunction:
     """:func:`momentum_quantity` along the trajectory q: p = -dL/dv,
     p_alpha = -dL/dw and energy L - qdot . dL/dv - alpha dL/dw . D_C^alpha q."""
-    _check_invariance_inputs(problem, q, s)
+    require_dim(s.dim, problem.dim, "symmetry")
     f = problem.along(q)
     tau, f2 = s.rates_on(f.t, f.q)
     energy = f.L - np.sum(f.v * f.dv, axis=1) - problem.alpha * np.sum(f.dw * f.w, axis=1)

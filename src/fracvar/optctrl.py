@@ -41,7 +41,7 @@ from .errors import NumericsError, ValidationError
 from .fracops import caputo_left, caputo_left_matrix, derivative_order
 from .grid import (
     Grid, GridFunction, central_difference, require_close, require_dim, require_integer, require_on,
-    trapezoid_weights,
+    require_vector, trapezoid_weights,
 )
 from .lagrangian import check_partial, fd_partial, quadratic_mix
 from .minimize import MAX_UNKNOWNS, PointwiseSum, bfgs_minimize, schur_newton
@@ -88,11 +88,7 @@ class ControlProblem:
         for field, minimum in (("state_dim", 1), ("control_dim", 1), ("frac_dim", 0)):
             requirement = f"{field} must be an integer >= {minimum}"
             setattr(self, field, require_integer(getattr(self, field), minimum, requirement))
-        self.q_start = np.atleast_1d(np.asarray(self.q_start, dtype=float))
-        if self.q_start.shape != (self.state_dim,):
-            raise ValidationError("initial state dimension mismatch")
-        if not np.isfinite(self.q_start).all():
-            raise ValidationError(f"initial state must be finite, got {self.q_start}")
+        self.q_start = require_vector(self.q_start, self.state_dim, "initial state")
         self._validate_contracts()
 
     def _validate_contracts(self):
@@ -252,13 +248,7 @@ def solve_control(cp: ControlProblem, tol: float = 1e-6, terminal_state=None) ->
         raise ValidationError(f"solver supports up to {MAX_UNKNOWNS} unknowns, got {m}")
     h, t = cp.grid.h, cp.grid.nodes()
     wt = trapezoid_weights(n, h)
-    q_goal = None
-    if terminal_state is not None:
-        q_goal = np.atleast_1d(np.asarray(terminal_state, dtype=float))
-        if q_goal.shape != (sd,):
-            raise ValidationError("terminal state dimension mismatch")
-        if not np.isfinite(q_goal).all():
-            raise ValidationError(f"terminal state must be finite, got {q_goal}")
+    q_goal = None if terminal_state is None else require_vector(terminal_state, sd, "terminal state")
     k, q_columns = np.arange(n + 1), np.arange(sd)
     penalty = PointwiseSum(
         (n + 1, sd),

@@ -45,6 +45,7 @@ from .lagrangian import (
     quadratic_mix,
 )
 from .noether import (
+    check_truncation,
     drift_report,
     invariance_defect,
     noether_quantity,
@@ -274,7 +275,8 @@ def _run_operator_test(params: _Params, out: Path):
     if exponent < 0:  # x^k has a pole at the base point, which every grid samples
         raise ValidationError(f"key 'exponent' must be >= 0, got {exponent}")
     grids = params.int_list("grids", "64,128,256,512")
-    errors = [_operator_error(operator, exponent, alpha, Grid(a, b, n)) for n in grids]
+    meshes = [Grid(a, b, n) for n in grids]  # each n is checked before any is sampled
+    errors = [_operator_error(operator, exponent, alpha, mesh) for mesh in meshes]
     cols = [grids, [(b - a) / n for n in grids], errors]
     header = ["n", "h", "max_error"]
     if len(grids) >= 2:
@@ -284,10 +286,9 @@ def _run_operator_test(params: _Params, out: Path):
     return files, errors[grids.index(max(grids))]
 
 
-def _solve_with_files(params: _Params, out: Path):
-    """Solve the scenario's variational problem; write solution.csv and
-    summary.csv and return the problem, the solution and their digests."""
-    problem = _variational_problem(params)
+def _solve_with_files(problem: VariationalProblem, params: _Params, out: Path):
+    """Solve ``problem`` at the scenario's tolerance; write solution.csv and
+    summary.csv and return the solution and their digests."""
     sol = solve_extremal(problem, tol=params.positive("tolerance", 1e-8))
     files = {"solution.csv": sol.to_csv(out / "solution.csv")}
     files["summary.csv"] = write_csv(
@@ -295,18 +296,19 @@ def _solve_with_files(params: _Params, out: Path):
         ["action", "el_residual_norm", "gradient_norm", "iterations"],
         [[sol.action], [sol.el_residual_norm], [sol.gradient_norm], [sol.iterations]],
     )
-    return problem, sol, files
+    return sol, files
 
 
 def _run_extremal(params: _Params, out: Path):
-    _, sol, files = _solve_with_files(params, out)
+    sol, files = _solve_with_files(_variational_problem(params), params, out)
     return files, sol.el_residual_norm
 
 
 def _run_noether(params: _Params, out: Path):
-    problem, sol, files = _solve_with_files(params, out)
+    problem = _variational_problem(params)
     symmetry = build_symmetry(params, problem.dim)
-    r = params.integer("truncation", 2)
+    r = check_truncation(params.integer("truncation", 2))
+    sol, files = _solve_with_files(problem, params, out)
     quantity = noether_quantity(problem, sol.trajectory, symmetry, truncation=r)
     f = problem.along(sol.trajectory)
     tau, f2 = symmetry.rates_on(f.t, f.q)
@@ -342,6 +344,11 @@ def _run_friction(params: _Params, out: Path):
     if not (0.0 <= window.a and window.b <= horizon):
         raise ValidationError(f"window_a, window_b must lie in [0, horizon] = [0, {horizon:g}]")
     fp = FrictionProblem(mass, gamma, *potential)
+    count = params.integer("shrink_windows", 5)
+    if count < 2:
+        raise ValidationError(f"key 'shrink_windows' must be >= 2, got {count}")
+    center, half = 0.5 * (window.a + window.b), (window.b - window.a) / 4.0
+    windows = [Grid(center - half / 2**k, center + half / 2**k, 256) for k in range(count)]
     sim = simulate_damped_eom(
         fp,
         q0=params.number("q0", 0.0),
@@ -368,12 +375,6 @@ def _run_friction(params: _Params, out: Path):
         ],
     )
 
-    count = params.integer("shrink_windows", 5)
-    center = 0.5 * (window.a + window.b)
-    base = (window.b - window.a) / 2.0
-    windows = [
-        Grid(center - base / 2**k / 2.0, center + base / 2**k / 2.0, 256) for k in range(count)
-    ]
     table = window_shrink_study(fp, q_sim, windows)
     columns = ["delta_t", "friction_energy", "first_order", "ratio", "half_momentum_mid"]
     files["window_table.csv"] = write_csv(out / "window_table.csv", columns, [table[k] for k in columns])

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .grid import require_close, require_integer
+from .grid import require_close, require_integer, require_vector
 
 _IDENTITY_TOL = 1e-12
 _GROUP_TOL = 1e-8
@@ -88,9 +88,7 @@ def time_translation(dim: int = 1) -> SymmetryGroup:
 
 def space_translation(direction) -> SymmetryGroup:
     """psi2 = q + eps * direction; time untouched."""
-    d = np.atleast_1d(np.asarray(direction, dtype=float))
-    if not np.isfinite(d).all():
-        raise ValidationError(f"space translation 'direction' must be finite, got {d}")
+    d = require_vector(direction, np.size(direction), "space translation 'direction'")
     return SymmetryGroup(
         time_map=lambda eps, t: t,
         state_map=lambda eps, q: q + eps * d[None, :],

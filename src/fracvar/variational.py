@@ -44,6 +44,7 @@ from .grid import (
     central_difference,
     require_close,
     require_on,
+    require_vector,
     trapezoid,
     write_csv,
 )
@@ -58,16 +59,7 @@ class VariationalProblem:
         self.lagrangian = lagrangian
         self.grid = grid
         self.alpha = derivative_order(alpha, "problem")
-        q_a, q_b = boundary
-        self.q_a = np.atleast_1d(np.asarray(q_a, dtype=float))
-        self.q_b = np.atleast_1d(np.asarray(q_b, dtype=float))
-        if self.q_a.shape != (lagrangian.dim,) or self.q_b.shape != (lagrangian.dim,):
-            raise ValidationError(
-                f"boundary vectors must have dimension {lagrangian.dim}, "
-                f"got {self.q_a.shape} and {self.q_b.shape}"
-            )
-        if not (np.isfinite(self.q_a).all() and np.isfinite(self.q_b).all()):
-            raise ValidationError(f"boundary values must be finite, got {self.q_a} and {self.q_b}")
+        self.q_a, self.q_b = (require_vector(q, lagrangian.dim, "boundary values") for q in boundary)
 
     @property
     def dim(self) -> int:
@@ -143,7 +135,7 @@ class ExtremalSolution:
 def action_value(problem: VariationalProblem, q: GridFunction) -> float:
     """Trapezoid quadrature of L(t, q, dq/dt, D^alpha q) over the grid."""
     problem.check_trajectory(q, boundary=True)
-    return trapezoid(problem.along(q).L, problem.grid.h)
+    return trapezoid(along(problem.lagrangian, problem.grid, problem.alpha, q.values).L, problem.grid.h)
 
 
 def frechet_differential(

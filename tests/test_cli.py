@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -429,6 +430,37 @@ class TestCommandLine:
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"] == "validation"
         assert record["message"].startswith(f"key '{key}' must list finite numbers")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (EXTREMAL_INI.replace("extremal", "noether") + "symmetry = rotation\n", "'symmetry'"),
+            (EXTREMAL_INI.replace("extremal", "noether") + "truncation = 9\n", "truncation order 9"),
+            (FRICTION_INI.replace("shrink_windows = 4", "shrink_windows = 1"), "'shrink_windows'"),
+        ],
+        ids=["rotation-in-1d", "truncation", "shrink-windows"],
+    )
+    def test_a_refused_run_leaves_no_file(self, tmp_path, text, key):
+        # every key is read and checked before the run solves, simulates or writes
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        proc = cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert key in json.loads(proc.stderr.strip().splitlines()[-1])["message"]
+        assert list((tmp_path / "out").glob("**/*")) == []
+
+    def test_a_grid_over_the_cap_exits_one_before_allocating(self, tmp_path, capsys):
+        path = tmp_path / "s.ini"
+        path.write_text(OPERATOR_INI.replace("grids = 64,128,256,512", "grids = 64,1048577"))
+        tracemalloc.start()
+        try:
+            code = main(["run", str(path), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "up to 1048576 intervals, got 1048577" in capsys.readouterr().err
+        assert peak < 2**20
 
     def test_numerical_failure_exits_two(self, tmp_path):
         blowup = FRICTION_INI.replace("potential = 0", "potential = 0,0,-500000000")

@@ -16,11 +16,16 @@ from fracvar.grid import (
     require_close,
     require_integer,
     require_on,
+    require_vector,
     trapezoid,
     trapezoid_weights,
     write_csv,
 )
+from fracvar.lagrangian import free_particle
+from fracvar.optctrl import scalar_tracking_problem, solve_control, variational_reduction
 from fracvar.scenarios import Scenario, run_scenario
+from fracvar.symmetry import space_translation
+from fracvar.variational import VariationalProblem
 
 
 def test_grid_nodes_and_spacing():
@@ -43,6 +48,12 @@ def test_grid_nodes_and_spacing():
 def test_grid_rejects_bad_parameters(a, b, n):
     with pytest.raises(ValidationError):
         Grid(a, b, n)
+
+
+def test_grid_caps_the_interval_count():
+    assert Grid(0.0, 1.0, float(grid.MAX_INTERVALS)).n == 2**20
+    with pytest.raises(ValidationError, match=f"^grid supports up to {2**20} intervals, got 1048577$"):
+        Grid(0.0, 1.0, grid.MAX_INTERVALS + 1)
 
 
 def test_gridfunction_shapes():
@@ -275,6 +286,36 @@ def test_require_on_names_what_is_wrong():
     f.values[3, 1] = math.nan
     with pytest.raises(ValidationError, match=r"^f contains non-finite values \(first at node 3\)"):
         require_on(f, g, 2, "f")
+
+
+def test_require_vector_is_one_finite_float_per_dimension():
+    for value in (2, [2], np.array([2.0])):
+        npt.assert_array_equal(require_vector(value, 1, "v"), np.array([2.0]))
+    assert require_vector([1, 2], 2, "v").dtype == float
+    with pytest.raises(GridMismatchError, match="^v has dimension 2, expected 1$"):
+        require_vector([1.0, 2.0], 1, "v")
+    with pytest.raises(GridMismatchError, match=r"^v has dimension \(1, 2\), expected 2$"):
+        require_vector([[1.0, 2.0]], 2, "v")
+    with pytest.raises(ValidationError, match=r"^v must be finite, got \[ 1. nan\]$"):
+        require_vector([1.0, math.nan], 2, "v")
+
+
+LINE = Grid(0.0, 1.0, 8)
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: VariationalProblem(free_particle(), LINE, 1.0, ([0.0], [1.0, 2.0])), "boundary values"),
+        (lambda: variational_reduction(free_particle(), LINE, 0.5, [0.0, 1.0]), "initial state"),
+        (lambda: solve_control(scalar_tracking_problem(LINE, 0.5, 1.0), 1e-6, [1.0, 2.0]), "terminal state"),
+        (lambda: space_translation([[1.0, 2.0]]), "space translation 'direction'"),
+    ],
+    ids=["boundary", "initial", "terminal", "direction"],
+)
+def test_caller_vectors_of_another_shape_are_a_grid_mismatch(build, what):
+    with pytest.raises(GridMismatchError, match=f"^{re.escape(what)} has dimension"):
+        build()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 1], ids=["nan", "inf", "2.5", "1"])

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fracvar.errors import NumericsError
+from fracvar.errors import LineSearchError, NumericsError
 from fracvar.fracops import ToeplitzScheme, caputo_left_matrix, caputo_left_operator
 from fracvar.minimize import PointwiseSum, bfgs_minimize, pcg_direction, schur_newton
 
@@ -164,3 +164,53 @@ def test_hvp_skips_zero_blocks_and_the_slots_only_they_read(monkeypatch):
     # one product over every slot's argument, the zero ones included: bit for bit
     y = np.einsum("pij,pj->pi", point, np.concatenate(fft.args(x), axis=1))
     npt.assert_array_equal(got, fft.gradient([y[:, span] for span in fft.spans]))
+
+
+# ------------------------------------------------------------ line search paths
+
+
+def half_square(x):
+    return 0.5 * float(x @ x)
+
+
+def test_a_step_to_the_mirror_point_is_not_accepted():
+    # a unit steepest-descent step on |x|^2 lands on -x, where f is unchanged;
+    # accepting it on the curvature condition alone would alternate x <-> -x
+    result = bfgs_minimize(lambda x: float(x @ x), lambda x: 2.0 * x, np.array([1.0, -2.0]), lambda x, g: -g)
+    npt.assert_array_equal(result.x, [0.0, 0.0])
+    assert result.iterations == 1
+
+
+@pytest.mark.parametrize("step", [lambda x, g: g, lambda x, g: np.full_like(g, np.nan)], ids=["uphill", "nan"])
+def test_a_direction_that_does_not_descend_falls_back_to_steepest_descent(step):
+    result = bfgs_minimize(half_square, lambda x: x, np.array([1.0, -2.0]), step)
+    npt.assert_array_equal(result.x, [0.0, 0.0])
+    assert result.iterations == 1
+
+
+def test_a_non_finite_trial_step_is_shortened():
+    # the first trial, x = -2, is outside the objective's domain; its half lands at -0.5
+    trials = []
+
+    def fun(x):
+        trials.append(float(x[0]))
+        return half_square(x) if abs(x[0]) < 1.5 else np.inf
+
+    result = bfgs_minimize(fun, lambda x: x, np.array([1.0]), lambda x, g: -3.0 * g)
+    assert trials[:3] == [1.0, -2.0, -0.5]
+    assert result.gradient_norm < 1e-8
+
+
+def test_a_line_search_without_a_finite_trial_fails_after_its_reductions():
+    # the objective is finite at the start alone; the 60th halving still
+    # moves x, since the step is long (1000 |g|)
+    def fun(x):
+        return 0.0 if x[0] == 1.0 else np.nan
+
+    with pytest.raises(LineSearchError, match="^line search failed after 60 step reductions"):
+        bfgs_minimize(fun, np.ones_like, np.array([1.0]), lambda x, g: -1e3 * g)
+
+
+def test_a_non_finite_start_is_a_line_search_error():
+    with pytest.raises(LineSearchError, match="^objective is non-finite at the initial point$"):
+        bfgs_minimize(lambda x: np.nan, lambda x: x, np.array([1.0]), lambda x, g: -g)

@@ -29,7 +29,8 @@ the costate residual) and takes no parameter named ``sol`` or annotated
 difference operator (its fields come from ``variational.along``). No module
 but ``grid`` compares a ``.grid`` attribute with ``==`` or ``!=`` or raises
 ``GridMismatchError``: the others reject inputs through ``grid.require_on``
-and ``grid.require_dim``. No module but ``lagrangian`` calls
+and ``grid.require_dim``, and none but ``grid`` reads ``atleast_1d``: a
+caller's vector passes ``grid.require_vector``. No module but ``lagrangian`` calls
 ``LagrangianSpec``: the others build Lagrangians through its families, so
 ``friction`` writes its model through ``lagrangian.particle_lagrangian``.
 Every private function, method and class defined under ``src/fracvar`` is
@@ -589,6 +590,35 @@ def test_grid_check_checker_flags_each_pattern():
         "m.py:5 compares grids",
         "m.py:6 raises GridMismatchError",
     ]
+
+
+def atleast_1d_uses(source: str, module: str) -> list:
+    """One line per read or import of ``atleast_1d`` outside ``grid.py``, in
+    line order; text in strings is not code."""
+    if module == "grid.py":
+        return []
+    lines = sorted(
+        node.lineno for node in ast.walk(ast.parse(source)) if _referenced_name(node) == "atleast_1d"
+    )
+    return [f"{module}:{line} uses atleast_1d" for line in lines]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_grid_shapes_vectors(path):
+    assert atleast_1d_uses(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_atleast_1d_checker_flags_each_pattern():
+    source = (
+        '"""np.atleast_1d(q_a) in a docstring is text."""\n'
+        "import numpy as np\n"
+        "from numpy import atleast_1d as one_d\n"
+        "q = np.atleast_1d(np.asarray(q_a, dtype=float))\n"
+        "shape = numpy.atleast_1d\n"
+        "d = np.atleast_2d(d)  # atleast_1d in a comment is no use\n"
+    )
+    assert atleast_1d_uses(source, "m.py") == [f"m.py:{line} uses atleast_1d" for line in (3, 4, 5)]
+    assert atleast_1d_uses(source, "grid.py") == []
 
 
 def spec_constructions(source: str, module: str) -> list:
